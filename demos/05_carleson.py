@@ -18,8 +18,8 @@ from hardyhilbert import (
     AnalyticPoly,
     Arc,
     K_LIMIT,
+    XSequence,
     bmo_seminorm,
-    carleson_box_integral,
     carleson_constant,
     classic_sequence,
     k_constant,
@@ -40,8 +40,7 @@ print()
 print("=" * 70)
 print("  ONE BOX, EXACTLY")
 print("=" * 70)
-g = AnalyticPoly([0.0, 1.0])
-val = carleson_box_integral(g, Arc(0.0, 1.0))
+val = carleson_constant(XSequence([0, 1]), arc_family=[Arc(0, 1)]).records[0].box_integral
 print(f"g = z over the full disk: {val:.15f}  vs  pi/2 = {np.pi / 2:.15f}")
 
 print()

@@ -16,7 +16,6 @@ from .bmoa import (
     CarlesonReport,
     K_LIMIT,
     bmo_seminorm,
-    carleson_box_integral,
     carleson_constant,
     dyadic_arc_family,
     k_constant,
@@ -77,8 +76,8 @@ from .seqspace import (
 
 __all__ = [
     "__version__",
-    "Arc", "CarlesonReport", "K_LIMIT", "bmo_seminorm", "carleson_box_integral",
-    "carleson_constant", "dyadic_arc_family", "k_constant", "k_term", "sweep_is_bounded",
+    "Arc", "CarlesonReport", "K_LIMIT", "bmo_seminorm", "carleson_constant",
+    "dyadic_arc_family", "k_constant", "k_term", "sweep_is_bounded",
     "AnalyticPoly", "BoundaryGrid", "ConvergenceError", "FactorizationSingular",
     "boundary_grid", "cauchy_product", "dual_pairing", "factorization_report",
     "hp_norm", "phase_sequence", "read_polynomial_csv", "riesz_factorize",

@@ -128,17 +128,13 @@ def _cmd_equiv(args) -> int:
 
 def _cmd_carleson(args) -> int:
     c = _load_sequence(args, 256)
-    report = bmoa.carleson_constant(c, depth=args.depth,
-                                    centers_per_length=args.centers,
-                                    radial_points=args.radial,
-                                    angular_points=args.angular)
+    report = bmoa.carleson_constant(c, depth=args.depth, centers_per_length=args.centers)
     bounded = bmoa.sweep_is_bounded(report)
     if report.finding:
         print(report.finding, file=sys.stderr)
     if args.format == "csv":
-        _emit_rows(args, ["length", "center", "box_integral", "ratio"],
-                   [[repr(r.arc.length_norm), repr(r.arc.center),
-                     repr(r.box_integral), repr(r.ratio)] for r in report.records])
+        header, *rows = report.rows()
+        _emit_rows(args, header, rows)
     else:
         payload = report.to_dict()
         payload["bounded"] = bounded
@@ -270,8 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("carleson", help="dyadic box-integral sweep")
     p.add_argument("--depth", type=int, default=8)
     p.add_argument("--centers", type=int, default=8)
-    p.add_argument("--radial", type=int, default=256)
-    p.add_argument("--angular", type=int, default=256)
     _add_sequence_source(p)
     _add_common(p)
     p.set_defaults(func=_cmd_carleson)

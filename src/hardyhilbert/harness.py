@@ -20,7 +20,6 @@ import numpy as np
 
 from . import bmoa, hardyspace, inequalities, seqspace
 from ._version import __version__
-from .bmoa import _box_integral_slab
 
 DEFAULT_CASES = {
     "bridge_identity": 150,
@@ -41,7 +40,7 @@ DEFAULT_TOLERANCES = {
     "witness_gap": 1e-8,
     "scan_monotone": 1e-10,
     "carleson_scale_rel": 1e-10,
-    "box_additivity_rel": 1e-10,
+    "box_closed_form_rel": 1e-12,
 }
 
 _PROPERTY_IDS = {name: i for i, name in enumerate(DEFAULT_CASES)}
@@ -339,13 +338,24 @@ def _prop_witness_closure(config: SuiteConfig) -> PropertyResult:
     return PropertyResult(name, n_cases, failures, float(worst), wits)
 
 
+def _annulus_box_sum(c: seqspace.XSequence, length: float) -> float:
+    """Measure of the annulus 1 - length <= r < 1: 2 pi sum_k k^2 c_k^2 R(2k)."""
+    k = np.arange(1, len(c), dtype=float)
+    r0 = 1.0 - length
+    R = (1.0 - r0 ** (2 * k)) / (2 * k) - (1.0 - r0 ** (2 * k + 2)) / (2 * k + 2)
+    return float(2.0 * np.pi * np.sum(k**2 * c.values[1:] ** 2 * R))
+
+
 def _prop_carleson_bounded(config: SuiteConfig) -> PropertyResult:
     name = "carleson_bounded"
     scale_tol = config.tol("carleson_scale_rel")
-    add_tol = config.tol("box_additivity_rel")
+    box_tol = config.tol("box_closed_form_rel")
     n_cases = config.case_count(name)
     failures, worst, wits = 0, -np.inf, []
-    quad = {"depth": 6, "centers_per_length": 4, "radial_points": 64, "angular_points": 64}
+    sweep = {"depth": 6, "centers_per_length": 4}
+    tile = 1.0 / sweep["centers_per_length"]
+    kscan = bmoa.k_constant(0.999, 4)
+    k_margin = kscan.value - kscan.limit * (1.0 + 1e-9)
     for i in range(n_cases):
         rng = _case_rng(config.seed, name, i)
         variant = i % 3
@@ -357,25 +367,23 @@ def _prop_carleson_bounded(config: SuiteConfig) -> PropertyResult:
                                              float(rng.uniform(1.1, 2.5)), 95))
         else:
             c = seqspace.classic_sequence(96)
-        report = bmoa.carleson_constant(c, **quad)
-        margin = 0.0 if bmoa.sweep_is_bounded(report) else 1.0
+        report = bmoa.carleson_constant(c, **sweep)
+        margin = max(k_margin, 0.0 if bmoa.sweep_is_bounded(report) else 1.0)
         if variant == 2:
             lam = float(rng.uniform(0.5, 2.0))
-            scaled = bmoa.carleson_constant(seqspace.XSequence(lam * c.values), **quad)
+            scaled = bmoa.carleson_constant(seqspace.XSequence(lam * c.values), **sweep)
             for rec, rec_s in zip(report.records, scaled.records):
                 rel = abs(rec_s.ratio - lam**2 * rec.ratio) / max(report.sup_ratio, 1e-300)
                 margin = max(margin, rel - scale_tol)
-        kscan = bmoa.k_constant(0.999, 4)
-        margin = max(margin, kscan.value - kscan.limit * (1.0 + 1e-9))
+        # the full box and the tiling of an annulus have closed forms of their own
+        k = np.arange(1, len(c), dtype=float)
+        full = float(np.pi * np.sum(k * c.values[1:] ** 2 / (k + 1.0)))
+        full_rec = next(r for r in report.records if r.arc.length_norm == 1.0)
+        margin = max(margin, abs(full_rec.box_integral - full) / max(full, 1e-300) - box_tol)
+        annulus = _annulus_box_sum(c, tile)
+        tiled = sum(r.box_integral for r in report.records if r.arc.length_norm == tile)
+        margin = max(margin, abs(tiled - annulus) / max(annulus, 1e-300) - box_tol)
         g = hardyspace.AnalyticPoly(c.values)
-        arc = bmoa.Arc(float(rng.uniform(0.0, 2 * np.pi)), 2.0**-3)
-        lo = 1.0 - arc.length_norm
-        mid = 1.0 - arc.length_norm / 2.0
-        whole = _box_integral_slab(g, arc, lo, 1.0, 64, 64)
-        parts = _box_integral_slab(g, arc, lo, mid, 64, 64) + _box_integral_slab(g, arc, mid, 1.0, 64, 64)
-        margin = max(margin, abs(whole - parts) / max(whole, 1e-300) - add_tol)
-        direct = bmoa.carleson_box_integral(g, arc, 64, 64)
-        margin = max(margin, abs(direct - whole) / max(whole, 1e-300) - add_tol)
         bmo = bmoa.bmo_seminorm(g, 4, 2048)
         bmo_scaled = bmoa.bmo_seminorm(hardyspace.AnalyticPoly(2.0 * c.values), 4, 2048)
         margin = max(margin, abs(bmo_scaled - 2.0 * bmo) / max(bmo, 1e-300) - 1e-12)

@@ -183,8 +183,7 @@ def test_c09_carleson_boundedness():
     all_bounded = True
     notes = []
     for name, c in sequences.items():
-        report = carleson_constant(c, depth=12, centers_per_length=8,
-                                   radial_points=256, angular_points=256)
+        report = carleson_constant(c, depth=12, centers_per_length=8)
         bounded = sweep_is_bounded(report)
         all_bounded = all_bounded and bounded
         notes.append(f"{name}: sup={report.sup_ratio:.3f} 2K||c||^2={report.bound_2k:.3f} "

@@ -4,9 +4,7 @@ import pytest
 from hardyhilbert.bmoa import (
     Arc,
     K_LIMIT,
-    _box_integral_slab,
     bmo_seminorm,
-    carleson_box_integral,
     carleson_constant,
     dyadic_arc_family,
     k_constant,
@@ -73,70 +71,81 @@ class TestKConstant:
             k_constant(0.5, 1)
 
 
+def box(values, arc):
+    """One box integral, read off a single-arc sweep."""
+    return carleson_constant(XSequence(values), arc_family=[arc]).records[0].box_integral
+
+
+def tensor_gauss_box(coeffs, arc, points=400):
+    """Independent oracle: tensor Gauss-Legendre rule over R(I) at high resolution."""
+    def nodes(lo, hi):
+        x, w = np.polynomial.legendre.leggauss(points)
+        half = 0.5 * (hi - lo)
+        return lo + half * (x + 1.0), w * half
+
+    dg = np.arange(1, len(coeffs)) * np.asarray(coeffs[1:], dtype=float)
+    r, wr = nodes(1.0 - arc.length_norm, 1.0)
+    half_width = np.pi * arc.length_norm
+    theta, wt = nodes(arc.center - half_width, arc.center + half_width)
+    k = np.arange(dg.size)
+    values = (dg * np.power.outer(r, k)) @ np.exp(1j * np.outer(k, theta))
+    return float(np.einsum("i,j,ij->", (1.0 - r**2) * r * wr, wt, np.abs(values) ** 2))
+
+
+def radial_factor(s, length):
+    r0 = 1.0 - length
+    return (1.0 - r0**s) / s - (1.0 - r0 ** (s + 2)) / (s + 2)
+
+
 class TestBoxIntegral:
     def test_constant_function_vanishes(self):
-        assert carleson_box_integral(AnalyticPoly([5.0]), Arc(1.0, 0.5)) == 0.0
+        assert box([5.0], Arc(1.0, 0.5)) == 0.0
 
     def test_identity_over_full_circle(self):
         # analytic antiderivative: 2*pi*(1/2 - 1/4) = pi/2
-        val = carleson_box_integral(AnalyticPoly([0.0, 1.0]), Arc(0.0, 1.0))
-        assert val == pytest.approx(np.pi / 2.0, rel=1e-12)
+        assert box([0.0, 1.0], Arc(0.0, 1.0)) == pytest.approx(np.pi / 2.0, rel=1e-12)
+
+    def test_full_arc_closed_form_classic(self):
+        c = classic_sequence(1024)
+        k = np.arange(1, 1024, dtype=float)
+        exact = np.pi * np.sum(k * c.values[1:] ** 2 / (k + 1.0))
+        assert box(c.values, Arc(0.0, 1.0)) == pytest.approx(exact, rel=1e-12)
+
+    def test_monomial_partial_arc(self):
+        # z^k: |g'|^2 = k^2 r^(2k-2) has no angular dependence
+        for k in (1, 3, 10):
+            for length in (0.5, 0.125, 2.0**-9):
+                values = np.zeros(k + 1)
+                values[k] = 1.0
+                exact = 2.0 * np.pi * length * k**2 * radial_factor(2 * k, length)
+                assert box(values, Arc(0.7, length)) == pytest.approx(exact, rel=1e-12)
+
+    def test_matches_high_resolution_tensor_gauss(self):
+        coeffs = np.random.default_rng(5).uniform(0.0, 1.0, 13)   # degree 12
+        for arc in (Arc(0.0, 1.0), Arc(1.1, 0.5), Arc(4.0, 0.125)):
+            assert box(coeffs, arc) == pytest.approx(tensor_gauss_box(coeffs, arc), rel=1e-12)
 
     def test_rotation_invariance_for_monomial(self):
-        vals = [carleson_box_integral(AnalyticPoly([0.0, 1.0]), Arc(c, 0.25), 64, 64)
-                for c in (0.0, 1.0, 4.5)]
+        vals = [box([0.0, 1.0], Arc(c, 0.25)) for c in (0.0, 1.0, 4.5)]
         assert vals[0] == pytest.approx(vals[1], rel=1e-12)
         assert vals[0] == pytest.approx(vals[2], rel=1e-12)
 
     def test_degree_two_homogeneity(self):
-        g = AnalyticPoly([0.5, 1.0, 0.25])
+        coeffs = np.array([0.5, 1.0, 0.25])
         arc = Arc(0.3, 0.125)
-        base = carleson_box_integral(g, arc, 64, 64)
-        scaled = carleson_box_integral(AnalyticPoly(3.0 * g.coeffs), arc, 64, 64)
-        assert scaled == pytest.approx(9.0 * base, rel=1e-12)
-
-    def test_radial_slab_additivity(self):
-        g = AnalyticPoly(classic_sequence(24).values)
-        arc = Arc(0.8, 0.25)
-        lo = 1.0 - arc.length_norm
-        whole = _box_integral_slab(g, arc, lo, 1.0, 128, 128)
-        mid = 0.5 * (lo + 1.0)
-        parts = (_box_integral_slab(g, arc, lo, mid, 128, 128)
-                 + _box_integral_slab(g, arc, mid, 1.0, 128, 128))
-        assert whole == pytest.approx(parts, rel=1e-12)
-
-    def test_angular_split_additivity(self):
-        g = AnalyticPoly(classic_sequence(16).values)
-        whole = carleson_box_integral(g, Arc(0.0, 0.5), 96, 96)
-        halves = (carleson_box_integral(g, Arc(-np.pi / 4.0, 0.25), 96, 96)
-                  + carleson_box_integral(g, Arc(np.pi / 4.0, 0.25), 96, 96))
-        # same radial extent on both sides only for matching |I|; compare
-        # against the slab with the half-arc's radial range instead
-        lo = 1.0 - 0.25
-        slab_whole = (_box_integral_slab(g, Arc(-np.pi / 4.0, 0.25), lo, 1.0, 96, 96)
-                      + _box_integral_slab(g, Arc(np.pi / 4.0, 0.25), lo, 1.0, 96, 96))
-        assert halves == pytest.approx(slab_whole, rel=1e-12)
-        assert whole >= halves  # the full box is radially deeper
-
-    def test_resolution_validated(self):
-        with pytest.raises(ValueError):
-            carleson_box_integral(AnalyticPoly([0.0, 1.0]), Arc(0.0, 0.5), 8, 64)
+        assert box(3.0 * coeffs, arc) == pytest.approx(9.0 * box(coeffs, arc), rel=1e-12)
 
 
 class TestCarlesonConstant:
     def test_zero_sequence_all_zero(self):
-        report = carleson_constant(XSequence(np.zeros(8)), depth=3,
-                                   centers_per_length=2, radial_points=32,
-                                   angular_points=32)
+        report = carleson_constant(XSequence(np.zeros(8)), depth=3, centers_per_length=2)
         assert report.sup_ratio == 0.0
         assert report.passes_2k
         assert report.eta_estimate == 0.0
         assert report.finding == ""
 
     def test_classic_bounded_sweep(self):
-        report = carleson_constant(classic_sequence(96), depth=6,
-                                   centers_per_length=4, radial_points=64,
-                                   angular_points=64)
+        report = carleson_constant(classic_sequence(96), depth=6, centers_per_length=4)
         assert np.isfinite(report.sup_ratio)
         assert sweep_is_bounded(report)
         assert report.bound_2k == pytest.approx(2.0 * K_LIMIT, rel=1e-12)
@@ -148,19 +157,14 @@ class TestCarlesonConstant:
     def test_ratio_scaling(self):
         c = classic_sequence(48)
         lam = 1.7
-        base = carleson_constant(c, depth=4, centers_per_length=2,
-                                 radial_points=32, angular_points=32)
-        scaled = carleson_constant(XSequence(lam * c.values), depth=4,
-                                   centers_per_length=2, radial_points=32,
-                                   angular_points=32)
+        base = carleson_constant(c, depth=4, centers_per_length=2)
+        scaled = carleson_constant(XSequence(lam * c.values), depth=4, centers_per_length=2)
         for r, s in zip(base.records, scaled.records):
             assert s.ratio == pytest.approx(lam**2 * r.ratio, rel=1e-11)
         assert scaled.eta_estimate == pytest.approx(lam * base.eta_estimate, rel=1e-11)
 
     def test_report_schema(self):
-        report = carleson_constant(classic_sequence(16), depth=2,
-                                   centers_per_length=2, radial_points=32,
-                                   angular_points=32)
+        report = carleson_constant(classic_sequence(16), depth=2, centers_per_length=2)
         payload = report.to_dict()
         assert set(payload) >= {"arcs", "sup_ratio", "k_constant", "bound_2k", "pass"}
         assert set(payload["arcs"][0]) == {"center", "length", "box_integral", "ratio"}
@@ -171,14 +175,13 @@ class TestCarlesonConstant:
             carleson_constant(classic_sequence(4), arc_family=[])
 
     def test_ratio_csv(self, tmp_path):
-        report = carleson_constant(classic_sequence(8), depth=1,
-                                   centers_per_length=2, radial_points=32,
-                                   angular_points=32)
+        report = carleson_constant(classic_sequence(8), depth=1, centers_per_length=2)
         path = tmp_path / "ratios.csv"
         write_ratio_csv(path, report)
         lines = path.read_text().splitlines()
         assert lines[0] == "length,center,box_integral,ratio"
         assert len(lines) == 1 + len(report.records)
+        assert [float(x) for x in lines[-1].split(",")] == report.rows()[-1]
 
 
 class TestBmoSeminorm:
@@ -217,8 +220,7 @@ class TestSweepBoundedCriterion:
             L = 2.0 ** -j
             records.append(type("R", (), {"arc": Arc(0.0, L), "ratio": ratio,
                                           "box_integral": ratio * L})())
-        rep = carleson_constant(classic_sequence(4), arc_family=[Arc(0.0, 1.0)],
-                                radial_points=32, angular_points=32)
+        rep = carleson_constant(classic_sequence(4), arc_family=[Arc(0.0, 1.0)])
         rep.records = records
         return rep
 

@@ -105,7 +105,6 @@ class TestEquiv:
 class TestCarleson:
     def test_small_sweep(self, capsys):
         code, out, err = run(capsys, ["carleson", "--depth", "4", "--centers", "2",
-                                      "--radial", "32", "--angular", "32",
                                       "--classic-n", "32"])
         assert code == 0
         payload = json.loads(out)
@@ -115,7 +114,6 @@ class TestCarleson:
 
     def test_csv_rows(self, capsys):
         code, out, _ = run(capsys, ["carleson", "--depth", "2", "--centers", "2",
-                                    "--radial", "32", "--angular", "32",
                                     "--classic-n", "16", "--format", "csv"])
         assert code == 0
         assert out.splitlines()[0] == "length,center,box_integral,ratio"
