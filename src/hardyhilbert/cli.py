@@ -27,7 +27,7 @@ def _emit(args, text: str) -> None:
 
 
 def _emit_json(args, payload: dict) -> None:
-    _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _emit(args, json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def _emit_rows(args, header: list[str], rows: list[list]) -> None:

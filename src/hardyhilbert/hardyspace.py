@@ -29,6 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .seqspace import _read_indexed_csv
+
 TRAP_RTOL = 1e-13
 KINK_NEAR = 1e-2  # |.|rho|-1| below this reroutes the |f| mean to panel quadrature
 CIRCLE_REJECT = 1e-10
@@ -333,11 +335,9 @@ def write_polynomial_csv(path, f: AnalyticPoly) -> None:
 
 
 def read_polynomial_csv(path) -> AnalyticPoly:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][:3] != ["index", "re", "im"]:
-        raise ValueError("polynomial CSV must start with header 'index,re,im'")
-    coeffs = np.zeros(len(rows) - 1, dtype=complex)
-    for row in rows[1:]:
-        coeffs[int(row[0])] = float(row[1]) + 1j * float(row[2])
+    rec = _read_indexed_csv(path, ["index", "re", "im"],
+                            lambda row: (int(row[0]), float(row[1]), float(row[2])), "polynomial")
+    coeffs = rec["re"] + 1j * rec["im"]
+    if not np.isfinite(coeffs).all():
+        raise ValueError("polynomial CSV coefficients must be finite")
     return AnalyticPoly(coeffs)

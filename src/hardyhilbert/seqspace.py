@@ -49,10 +49,13 @@ class XSequence:
             raise ValueError(f"sequence length {v.size} exceeds cap {N_CAP}")
         self.values = v
         k1 = np.arange(1, v.size + 1, dtype=float)
-        wide = np.cumsum(((k1 * v) ** 2).astype(np.longdouble))
+        with np.errstate(over="ignore"):  # an overflow is rejected below
+            wide = np.cumsum(((k1 * v) ** 2).astype(np.longdouble))
         self.prefix_weighted = wide.astype(float)
         self.ratios = (wide / k1).astype(float)
         self.xnorm_sq = float(self.ratios.max())
+        if not np.isfinite(self.xnorm_sq):  # NaN and inf propagate into the max
+            raise ValueError("sequence values must be finite with finite weighted prefix sums")
 
     def __len__(self):
         return self.values.size
@@ -272,15 +275,40 @@ def write_sequence_csv(path, c: XSequence) -> None:
             w.writerow([i, repr(float(v))])
 
 
-def read_sequence_csv(path) -> XSequence:
+def _read_indexed_csv(path, header: list[str], parse, what: str) -> np.ndarray:
+    """Records of an index-keyed CSV, in index order.
+
+    ``parse`` turns a row into (index, one float per other header column);
+    columns beyond the header are ignored.  The index column must hold
+    exactly 0..n-1, each once, in any order.  Rows stream into one
+    structured array, so no list of parsed rows is ever held.
+    """
+    dtype = [("index", np.int64)] + [(name, float) for name in header[1:]]
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][:2] != ["index", "value"]:
-        raise ValueError("sequence CSV must start with header 'index,value'")
-    vals = [0.0] * (len(rows) - 1)
-    for row in rows[1:]:
-        vals[int(row[0])] = float(row[1])
-    return XSequence(vals)
+        reader = csv.reader(fh)
+        if next(reader, [])[: len(header)] != header:
+            raise ValueError(f"{what} CSV must start with header '{','.join(header)}'")
+        try:
+            rec = np.fromiter(map(parse, reader), dtype=dtype)
+        except IndexError:
+            raise ValueError(f"{what} CSV rows need columns {','.join(header)}") from None
+        except OverflowError:
+            raise ValueError(f"{what} CSV index outside the int64 range") from None
+    idx, n = rec["index"], rec.size
+    outside = (idx < 0) | (idx >= n)
+    if outside.any():
+        raise ValueError(f"{what} CSV index {idx[outside][0]} outside 0..{n - 1}")
+    counts = np.bincount(idx, minlength=n)
+    if (counts > 1).any():
+        dup = int(np.argmax(counts > 1))
+        raise ValueError(f"{what} CSV index {dup} appears {counts[dup]} times")
+    return rec[np.argsort(idx)]
+
+
+def read_sequence_csv(path) -> XSequence:
+    rec = _read_indexed_csv(path, ["index", "value"],
+                            lambda row: (int(row[0]), float(row[1])), "sequence")
+    return XSequence(rec["value"])
 
 
 def write_trace_csv(path, t: SlowDecayTrace) -> None:

@@ -50,6 +50,37 @@ class TestXnorm:
         assert "error" in err
 
 
+BAD_SEQUENCE_ROWS = {
+    "nan": "0,1.0\n1,nan\n2,0.25\n",
+    "negative": "0,1.0\n1,0.5\n-1,0.25\n",
+    "out_of_range": "0,1.0\n1,0.5\n3,0.25\n",
+    "duplicate": "0,1.0\n1,0.5\n1,0.25\n",
+}
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("kind", sorted(BAD_SEQUENCE_ROWS))
+    def test_bad_sequence_csv_is_usage_error(self, capsys, tmp_path, kind):
+        path = tmp_path / f"{kind}.csv"
+        path.write_text("index,value\n" + BAD_SEQUENCE_ROWS[kind])
+        for argv in (["xnorm", str(path)],
+                     ["hilbert-norm", "--n-list", "2", "--sequence", str(path)]):
+            code, out, err = run(capsys, argv)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("body", ["0,1,0\n-1,2,0\n", "0,1,0\n2,2,0\n",
+                                      "0,1,0\n0,2,0\n", "0,1,0\n1,nan,0\n"])
+    def test_bad_polynomial_csv_is_usage_error(self, capsys, tmp_path, body):
+        path = tmp_path / "poly.csv"
+        path.write_text("index,re,im\n" + body)
+        code, out, err = run(capsys, ["factorize", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: polynomial CSV")
+
+
 class TestSlowdecay:
     def test_json_report(self, capsys):
         code, out, _ = run(capsys, ["slowdecay", "--r", "0.6", "--beta", "1.5", "--n", "2000"])

@@ -260,3 +260,16 @@ class TestPolynomialCsv:
         path.write_text("a,b,c\n0,1,0\n")
         with pytest.raises(ValueError):
             read_polynomial_csv(path)
+
+    @pytest.mark.parametrize("body, match", [
+        ("0,1,0\n-1,2,0\n", "index -1 outside 0..1"),
+        ("0,1,0\n5,2,0\n", "index 5 outside 0..1"),
+        ("1,1,0\n1,2,0\n", "index 1 appears 2 times"),
+        ("0,1\n", "columns index,re,im"),
+        ("0,1,0\n1,nan,0\n", "finite"),
+    ])
+    def test_bad_rows_rejected(self, tmp_path, body, match):
+        path = tmp_path / "bad.csv"
+        path.write_text("index,re,im\n" + body)
+        with pytest.raises(ValueError, match=match):
+            read_polynomial_csv(path)

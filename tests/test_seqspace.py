@@ -49,6 +49,11 @@ class TestXNorm:
         with pytest.raises(ValueError):
             XSequence([])
 
+    def test_non_finite_rejected(self):
+        for bad in ([1.0, np.nan], [np.inf], [1.0, -np.inf, 0.5], [1e200, 1e200]):
+            with pytest.raises(ValueError, match="finite"):
+                XSequence(bad)
+
     def test_negative_values_stored_as_modulus(self):
         c = XSequence([-1.0, 0.5])
         assert np.all(c.values >= 0)
@@ -280,4 +285,23 @@ class TestCsvRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_text("i,v\n0,1.0\n")
         with pytest.raises(ValueError):
+            read_sequence_csv(path)
+
+    def test_rows_in_any_order(self, tmp_path):
+        path = tmp_path / "shuffled.csv"
+        path.write_text("index,value\n2,0.25\n0,1.0\n1,0.5\n")
+        assert np.array_equal(read_sequence_csv(path).values, [1.0, 0.5, 0.25])
+
+    @pytest.mark.parametrize("body, match", [
+        ("0,1.0\n-1,0.5\n", "index -1 outside 0..1"),
+        ("0,1.0\n2,0.5\n", "index 2 outside 0..1"),
+        ("0,1.0\n0,0.5\n", "index 0 appears 2 times"),
+        ("0,1.0\n99999999999999999999,0.5\n", "int64 range"),
+        ("0,1.0\n1\n", "columns index,value"),
+        ("0,1.0\n1,nan\n", "finite"),
+    ])
+    def test_bad_rows_rejected(self, tmp_path, body, match):
+        path = tmp_path / "bad.csv"
+        path.write_text("index,value\n" + body)
+        with pytest.raises(ValueError, match=match):
             read_sequence_csv(path)
