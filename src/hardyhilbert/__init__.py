@@ -67,6 +67,7 @@ from .seqspace import (
     read_sequence_csv,
     replay_values,
     slow_decay_sequence,
+    trace_csv,
     trace_to_xsequence,
     verify_margins,
     write_sequence_csv,
@@ -88,6 +89,6 @@ __all__ = [
     "hardy_sum", "hilbert_form", "matrix_norm",
     "HARMONIC", "POWER", "SlowDecayTrace", "XSequence", "classic_sequence",
     "infinitude_report", "prefix_ratios", "read_sequence_csv", "replay_values",
-    "slow_decay_sequence", "trace_to_xsequence", "verify_margins",
+    "slow_decay_sequence", "trace_csv", "trace_to_xsequence", "verify_margins",
     "write_sequence_csv", "write_trace_csv", "xnorm",
 ]

@@ -68,11 +68,8 @@ def _cmd_slowdecay(args) -> int:
     s = args.s if args.s is not None else args.r + 0.1
     report = seqspace.infinitude_report(trace, s)
     if args.format == "csv":
-        labels = trace.choice_labels()
-        rows = [[0, repr(float(trace.values[0])), labels[0]]]
-        rows += [[i + 1, repr(float(trace.values[i])), labels[i]] for i in range(trace.N)]
         print(f"certificate ok={cert.ok} min_margin={cert.min_margin!r}", file=sys.stderr)
-        _emit_rows(args, ["index", "value", "choice"], rows)
+        _emit(args, seqspace.trace_csv(trace))
     else:
         _emit_json(args, {
             "params": {"r": args.r, "beta": args.beta, "n": args.n, "s": s},
@@ -97,9 +94,9 @@ def _cmd_hilbert_norm(args) -> int:
         raise ValueError("--n-list must name at least one truncation size")
     c = _load_sequence(args, 2 * max(sizes) - 1)
     estimates = inequalities.best_constant_scan(c, sizes, method=args.method)
-    rows = [[e.N, repr(e.value), repr(e.residual), e.iterations] for e in estimates]
     if args.format == "csv":
-        _emit_rows(args, ["N", "norm", "residual", "iterations"], rows)
+        header, *rows = inequalities.scan_rows(estimates)
+        _emit_rows(args, header, rows)
     else:
         _emit_json(args, {
             "rows": [{"N": e.N, "norm": e.value, "residual": e.residual,

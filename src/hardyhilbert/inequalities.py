@@ -47,6 +47,9 @@ DENSE_EIGEN = "dense_eigen"
 
 RESIDUAL_TOL = 1e-12
 RAYLEIGH_TOL = 1e-14
+# Rounding floor of power iteration per unit of |lam|: the Rayleigh
+# quotient cannot settle below this, nor the residual below it times sqrt(N).
+ROUNDING_FLOOR = 8.0 * np.finfo(float).eps
 MAX_ITERATIONS = 10**5
 DENSE_N_LIMIT = 512
 # Power iteration uses the fft Hankel operator from this size up.  Measured
@@ -144,7 +147,11 @@ def matrix_norm(c: XSequence, N: int, method: str = POWER_ITERATION) -> Operator
     Power iteration starts from the all-ones vector (nonnegative, so it
     overlaps the Perron direction of this entrywise-nonnegative matrix)
     and stops when the Rayleigh quotient moves less than RAYLEIGH_TOL and
-    the eigen-residual drops below RESIDUAL_TOL; exhausting
+    the eigen-residual drops below RESIDUAL_TOL.  Both tolerances are
+    absolute and lie below the rounding floor once lam is large, so each
+    is raised to that floor, 8 eps |lam| for the quotient and
+    8 eps |lam| sqrt(N) for the residual; for lam < pi and N <= 8192 the
+    fixed tolerances are the larger ones.  Exhausting
     MAX_ITERATIONS, or a non-finite Rayleigh quotient, yields a flagged
     (converged=False) estimate rather than an exception.  The matrix is
     kept as its 2N-1 generating values and applied by the Hankel operator
@@ -179,7 +186,8 @@ def matrix_norm(c: XSequence, N: int, method: str = POWER_ITERATION) -> Operator
         raise ValueError(f"unknown method {method!r}")
 
     matvec = _hankel_operator(gen, N, "fft" if N >= FFT_MIN_N else "direct")
-    v = np.ones(N) / np.sqrt(N)
+    sqrt_n = np.sqrt(N)
+    v = np.ones(N) / sqrt_n
     lam_prev = np.inf
     lam = 0.0
     res = np.inf
@@ -190,7 +198,8 @@ def matrix_norm(c: XSequence, N: int, method: str = POWER_ITERATION) -> Operator
             return OperatorNormEstimate(N=N, value=lam, method=method, iterations=it,
                                         residual=np.inf, top_vector=v, converged=False)
         res = float(np.linalg.norm(w - lam * v))
-        if res <= RESIDUAL_TOL and abs(lam - lam_prev) < RAYLEIGH_TOL:
+        floor = ROUNDING_FLOOR * abs(lam)
+        if res <= max(RESIDUAL_TOL, floor * sqrt_n) and abs(lam - lam_prev) < max(RAYLEIGH_TOL, floor):
             return OperatorNormEstimate(N=N, value=lam, method=method, iterations=it,
                                         residual=res, top_vector=v, converged=True)
         lam_prev = lam
@@ -260,12 +269,15 @@ def best_constant_scan(c: XSequence, N_list, method: str = POWER_ITERATION) -> l
     return [matrix_norm(c, n, method) for n in sizes]
 
 
+def scan_rows(estimates: list[OperatorNormEstimate]) -> list[list]:
+    """CSV rows of a scan, header first: N, norm and residual as repr, iterations."""
+    return [["N", "norm", "residual", "iterations"]] + [
+        [e.N, repr(e.value), repr(e.residual), e.iterations] for e in estimates]
+
+
 def scan_to_csv(path, estimates: list[OperatorNormEstimate]) -> None:
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["N", "norm", "residual", "iterations"])
-        for e in estimates:
-            w.writerow([e.N, repr(e.value), repr(e.residual), e.iterations])
+        csv.writer(fh).writerows(scan_rows(estimates))
 
 
 @dataclass

@@ -5,7 +5,17 @@ import pytest
 
 from hardyhilbert import cli, harness
 from hardyhilbert.hardyspace import AnalyticPoly, write_polynomial_csv
-from hardyhilbert.seqspace import classic_sequence, write_sequence_csv
+from hardyhilbert.inequalities import best_constant_scan, scan_to_csv
+from hardyhilbert.seqspace import (
+    classic_sequence,
+    slow_decay_sequence,
+    trace_to_xsequence,
+    verify_margins,
+    write_sequence_csv,
+    write_trace_csv,
+    xnorm,
+)
+from test_seqspace import loop_slow_decay
 
 
 @pytest.fixture
@@ -20,6 +30,11 @@ def poly_file(tmp_path):
     path = tmp_path / "poly.csv"
     write_polynomial_csv(path, AnalyticPoly([1.0, 1.0, 0.25]))
     return str(path)
+
+
+def rows_text(header, rows, end="\n"):
+    """CSV text the way the CLI first wrote it: str() of each cell, comma-joined."""
+    return "".join(",".join(str(x) for x in row) + end for row in [header] + rows)
 
 
 def run(capsys, argv):
@@ -99,6 +114,31 @@ class TestSlowdecay:
         assert len(lines) == 7  # header + head row + 5 entries
         assert lines[1].split(",")[2] == "power"
 
+    def test_csv_bytes_match_loop_oracle(self, capsys, tmp_path):
+        r, beta, n = 0.9, 1.2, 5000
+        want = loop_slow_decay(r, beta, n)
+        labels = ["power" if f else "harmonic" for f in want.choice]
+        rows = [[0, repr(float(want.values[0])), labels[0]]]
+        rows += [[i + 1, repr(float(want.values[i])), labels[i]] for i in range(n)]
+        golden = rows_text(["index", "value", "choice"], rows).encode()
+        out_path, module_path = tmp_path / "cli.csv", tmp_path / "module.csv"
+        code, out, _ = run(capsys, ["slowdecay", "--r", str(r), "--beta", str(beta),
+                                    "--n", str(n), "--format", "csv", "--out", str(out_path)])
+        assert code == 0 and out == ""
+        write_trace_csv(module_path, slow_decay_sequence(r, beta, n))
+        assert out_path.read_bytes() == golden
+        assert module_path.read_bytes() == golden
+
+    def test_json_matches_loop_oracle(self, capsys):
+        r, beta, n = 0.75, 2.0, 20000
+        want = loop_slow_decay(r, beta, n)
+        code, out, _ = run(capsys, ["slowdecay", "--r", str(r), "--beta", str(beta),
+                                    "--n", str(n)])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["export_norm"] == xnorm(trace_to_xsequence(want))
+        assert payload["certificate"]["min_margin"] == verify_margins(want).min_margin
+
 
 class TestHilbertNorm:
     def test_single_size_row(self, capsys):
@@ -107,6 +147,18 @@ class TestHilbertNorm:
         lines = out.splitlines()
         assert lines[0] == "N,norm,residual,iterations"
         assert lines[1].startswith("1,1.0,")
+
+    def test_csv_bytes(self, capsys, tmp_path):
+        sizes = [1, 2, 4, 8]
+        rows = [[e.N, repr(e.value), repr(e.residual), e.iterations]
+                for e in best_constant_scan(classic_sequence(15), sizes)]
+        header = ["N", "norm", "residual", "iterations"]
+        code, out, _ = run(capsys, ["hilbert-norm", "--n-list", "1,2,4,8", "--format", "csv"])
+        assert code == 0
+        assert out == rows_text(header, rows)
+        path = tmp_path / "scan.csv"
+        scan_to_csv(path, best_constant_scan(classic_sequence(15), sizes))
+        assert path.read_bytes() == rows_text(header, rows, end="\r\n").encode()
 
     def test_json_rows_monotone(self, capsys):
         code, out, _ = run(capsys, ["hilbert-norm", "--n-list", "2,4,8"])

@@ -137,6 +137,17 @@ class TestMatrixNorm:
             assert p.converged and d.converged
             assert abs(p.value - d.value) <= 1e-10
 
+    def test_large_eigenvalues_converge(self):
+        # lam ~ 1e4: the absolute tolerances alone sit below the rounding floor
+        rng = np.random.default_rng(17)
+        for N in (256, 300, 512):
+            c = XSequence(100.0 * rng.uniform(0.05, 1.0, 2 * N - 1))
+            p = matrix_norm(c, N, POWER_ITERATION)
+            d = matrix_norm(c, N, DENSE_EIGEN)
+            assert p.converged and d.converged
+            assert p.iterations < 1000
+            assert abs(p.value - d.value) <= 1e-12 * d.value
+
     def test_top_vector_nonnegative_unit(self):
         est = matrix_norm(classic_sequence(21), 11)
         assert np.all(est.top_vector >= 0)

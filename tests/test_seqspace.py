@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from hardyhilbert import seqspace
 from hardyhilbert.seqspace import (
+    SlowDecayTrace,
     XSequence,
     classic_sequence,
     infinitude_report,
@@ -9,12 +11,51 @@ from hardyhilbert.seqspace import (
     read_sequence_csv,
     replay_values,
     slow_decay_sequence,
+    trace_csv,
     trace_to_xsequence,
     verify_margins,
     write_sequence_csv,
     write_trace_csv,
     xnorm,
 )
+
+
+def loop_slow_decay(r, beta, N):
+    """Independent oracle: the slow-decay generator as a plain scalar loop.
+
+    One Python iteration per term, the rule applied with scalar floats in
+    order.  slow_decay_sequence must reproduce its values, choices and
+    margins bit for bit.
+    """
+    values = np.empty(N)
+    choice = np.empty(N, dtype=np.uint8)
+    margins = np.empty(N)
+    values[0] = 1.0
+    choice[0] = 1
+    s = 1.0
+    margins[0] = beta - s
+    expo = 2.0 - 2.0 * r
+    for i in range(1, N):
+        n1 = float(i + 1)
+        t = n1**expo
+        if s + t <= beta * n1:
+            values[i] = n1 ** (-r)
+            choice[i] = 1
+            s += t
+        else:
+            v = 1.0 / n1
+            values[i] = v
+            choice[i] = 0
+            s += (n1 * v) ** 2
+        margins[i] = beta * n1 - s
+    return SlowDecayTrace(r=r, beta=beta, values=values, choice=choice, margins=margins)
+
+
+def assert_same_trace(got, want):
+    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(got.choice, want.choice)
+    assert got.choice.dtype == want.choice.dtype
+    assert np.array_equal(got.margins, want.margins)
 
 
 def brute_xnorm(values):
@@ -189,6 +230,45 @@ class TestSlowDecay:
         for r, beta in ((0.55, 1.2), (0.75, 2.0), (0.95, 1.5)):
             t = slow_decay_sequence(r, beta, 3000)
             assert xnorm(trace_to_xsequence(t)) <= 2.0 * np.sqrt(beta)
+
+
+class TestGeneratorMatchesLoop:
+    """slow_decay_sequence skips runs with numpy; the loop oracle fixes its bits."""
+
+    @pytest.mark.parametrize("r, beta", [(0.6, 1.5), (0.75, 2.0), (0.9, 1.2)])
+    def test_c10_pairs(self, r, beta):
+        assert_same_trace(slow_decay_sequence(r, beta, 10**5), loop_slow_decay(r, beta, 10**5))
+
+    def test_million_terms(self):
+        assert_same_trace(slow_decay_sequence(0.9, 1.2, 10**6), loop_slow_decay(0.9, 1.2, 10**6))
+
+    @pytest.mark.parametrize("r, beta, N", [
+        (0.6, 1.5, 1), (0.6, 1.5, 2), (0.5, 2.0, 2), (0.5, 1.1, 2),
+        (0.5, 1.05, 20000), (0.5, 3.0, 20000),          # r = 1/2: the power term is n itself
+        (1.0, 1.01, 20000), (1.0, 3.0, 20000),          # r = 1: every step is a power pick
+        (0.7, 1.0 + 1e-9, 20000), (0.99, 1.0 + 1e-12, 20000),   # beta close to 1
+        (0.99, 3.0, 50000),                             # all power, one long run
+        (0.95, 1.3, 50000),                             # runs of about ten steps
+    ])
+    def test_edge_cases(self, r, beta, N):
+        assert_same_trace(slow_decay_sequence(r, beta, N), loop_slow_decay(r, beta, N))
+
+    def test_guard_band_stays_below_scalar_powers(self):
+        # The vectorized test may flag extra steps for the scalar rule, never
+        # pass over a power pick: guarded np.power must not exceed scalar **.
+        n = np.arange(1.0, 100001.0)
+        for r in (0.5, 0.6, 0.75, 0.9, 0.95, 0.99, 1.0):
+            expo = 2.0 - 2.0 * r
+            scalar = np.array([x**expo for x in n.tolist()])
+            assert np.all(np.power(n, expo) * seqspace._GUARD <= scalar)
+
+    def test_random_sweep(self):
+        rng = np.random.default_rng(20240518)
+        for _ in range(200):
+            r = float(rng.uniform(0.5, 1.0))
+            beta = 1.0 + float(10 ** rng.uniform(-6.0, 0.5))
+            N = int(rng.integers(1, 20000))
+            assert_same_trace(slow_decay_sequence(r, beta, N), loop_slow_decay(r, beta, N))
 
 
 class TestVerifyMargins:
