@@ -32,8 +32,9 @@ print("  THE FLOOR-POWER CONSTANT K")
 print("=" * 70)
 print(f"value at r = 1/2: {k_term(0.5):.12f}  (= 64/225)")
 for rmax in (0.9, 0.99, 0.9999, 1 - 1e-6):
-    scan = k_constant(rmax, 4)
-    print(f"scan up to r = {rmax:<10}: max {scan.value:.10f} at r = {scan.argmax_r:.8f}")
+    scan = k_constant(rmax)
+    label = f"sup over (0, {rmax}]"
+    print(f"{label:<25}: {scan.value:.10f} at r = {scan.argmax_r:.8f}")
 print(f"analytic r->1 limit      : {K_LIMIT:.10f}  (approached from below)")
 
 print()

@@ -9,11 +9,11 @@ family, estimates the least Carleson constant and hence the embedding norm
 of c -> g into the mean-oscillation space.
 
 The constant K = sup_{0<=r<1} ( r / (1 - r^{2 floor(1/(1-r))}) )^2 is
-scanned interval by interval: the floor term is constant on
-[1 - 1/m, 1 - 1/(m+1)) and the expression increases there, so each
-interval contributes its right endpoint, evaluated with the known m (no
-floating floor at the jump).  The supremum is the r -> 1 limit
-(1 - e^{-2})^{-2}, approached from below.
+evaluated in closed form: the floor term is constant on
+[1 - 1/m, 1 - 1/(m+1)), the expression increases there, and the left
+limits at the right ends increase with m (proved in ``k_constant``), so
+the supremum over (0, r_max] is one of two candidates.  The supremum over
+[0, 1) is the r -> 1 limit (1 - e^{-2})^{-2}, approached from below.
 
 The sweep report carries the comparison of sup ratio against
 2 K ||c||^2.  The proof-side constant undercounts (its windowed-sum step
@@ -24,14 +24,13 @@ property that matters.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .hardyspace import AnalyticPoly, _next_pow2, boundary_grid
-from .seqspace import XSequence
+from .seqspace import XSequence, csv_lines
 
 K_LIMIT = (1.0 - math.exp(-2.0)) ** -2
 
@@ -61,7 +60,7 @@ def dyadic_arc_family(depth: int, centers_per_length: int = 8) -> list[Arc]:
 
 
 def k_term(r: float) -> float:
-    """The scanned expression ( r / (1 - r^{2 floor(1/(1-r))}) )^2."""
+    """The K expression ( r / (1 - r^{2 floor(1/(1-r))}) )^2 at one r."""
     if not 0.0 <= r < 1.0:
         raise ValueError(f"r must lie in [0, 1), got {r}")
     if r == 0.0:
@@ -72,44 +71,53 @@ def k_term(r: float) -> float:
 
 @dataclass
 class KConstantScan:
-    value: float       # grid maximum over (0, r_max]
-    limit: float       # analytic r -> 1 limit, the true supremum
-    argmax_r: float
+    value: float       # supremum over (0, r_max]
+    limit: float       # analytic r -> 1 limit, the supremum over [0, 1)
+    argmax_r: float    # r_max, or the unattained left limit 1 - 1/m_max
     r_max: float
-    samples_per_interval: int
+    m_max: int         # floor(1/(1 - r_max)): the intervals covered
 
 
-def k_constant(r_max: float, samples_per_interval: int = 4) -> KConstantScan:
-    """Scan the K expression over every floor-constancy interval up to r_max.
+def k_constant(r_max: float) -> KConstantScan:
+    """Supremum of the K expression over (0, r_max], in closed form.
 
-    Interval m covers [1 - 1/m, 1 - 1/(m+1)); its supremum sits at the
-    right endpoint, where the expression (with that m) is still continuous,
-    so the endpoint itself is evaluated.  Chunked so that r_max near 1
-    (millions of intervals) stays in bounded memory.
+    Interval m is [1 - 1/m, 1 - 1/(m+1)), where the floor term equals m and
+    the expression is phi_m(r) = (r / (1 - r^{2m}))^2.  With
+    m_max = floor(1/(1 - r_max)) the supremum is
+
+        max( f(m_max - 1), phi_{m_max}(r_max) ),
+        f(m) = ( (m/(m+1)) / (1 - (m/(m+1))^{2m}) )^2,
+
+    the first candidate dropped when m_max = 1.  Proof:
+
+    * On each interval phi_m increases, since
+      d/dr [r/(1 - r^{2m})] = (1 + (2m-1) r^{2m}) / (1 - r^{2m})^2 > 0.
+      So interval m < m_max contributes f(m), its left limit at the right
+      end, which is not attained (the floor there is already m + 1), and
+      interval m_max contributes phi_{m_max}(r_max).
+    * f increases in m.  With h(x) = x log(1 + 1/x),
+      sqrt f(x) = (x/(x+1)) / (1 - e^{-2h(x)}), so
+      (log sqrt f)'(x) = 1/(x(x+1)) - 2h'(x)/(e^{2h(x)} - 1).
+      Here 0 < h'(x) = int_0^{1/x} t/(1+t)^2 dt < 1/(2x^2), and
+      e^{2h} - 1 >= 3 because h >= h(1) = log 2.  So the second term is
+      below 1/(3x^2), while the first is at least 1/(2x^2) for x >= 1.
+
+    When the f(m_max - 1) candidate wins, argmax_r = 1 - 1/m_max is that
+    unattained left limit.  Powers go through log1p/expm1, so r_max near 1
+    (m_max ~ 1e12 and beyond) costs the same as any other.
     """
     if not 0.0 < r_max < 1.0:
         raise ValueError(f"r_max must lie in (0, 1), got {r_max}")
-    if samples_per_interval < 2:
-        raise ValueError("need at least 2 samples per interval")
     m_max = int(math.floor(1.0 / (1.0 - r_max)))
-    t = np.linspace(0.0, 1.0, samples_per_interval)
-    best = 0.0
-    best_r = 0.0
-    chunk = 200_000
-    for start in range(1, m_max + 1, chunk):
-        m = np.arange(start, min(start + chunk, m_max + 1), dtype=float)
-        lefts = 1.0 - 1.0 / m
-        rights = np.minimum(1.0 - 1.0 / (m + 1.0), r_max)
-        r = lefts[:, None] * (1.0 - t) + rights[:, None] * t
-        with np.errstate(divide="ignore"):
-            rp = np.exp(2.0 * m[:, None] * np.log(np.maximum(r, 1e-300)))
-        phi = np.where(r > 0.0, (r / (1.0 - rp)) ** 2, 0.0)
-        i = np.unravel_index(int(np.argmax(phi)), phi.shape)
-        if phi[i] > best:
-            best = float(phi[i])
-            best_r = float(r[i])
-    return KConstantScan(value=best, limit=K_LIMIT, argmax_r=best_r,
-                         r_max=r_max, samples_per_interval=samples_per_interval)
+    value = (r_max / -math.expm1(2 * m_max * math.log1p(r_max - 1.0))) ** 2
+    argmax_r = r_max
+    if m_max > 1:
+        m = m_max - 1
+        left_limit = ((m / (m + 1)) / -math.expm1(2 * m * math.log1p(-1.0 / (m + 1)))) ** 2
+        if left_limit > value:
+            value, argmax_r = left_limit, 1.0 - 1.0 / m_max
+    return KConstantScan(value=value, limit=K_LIMIT, argmax_r=argmax_r,
+                         r_max=r_max, m_max=m_max)
 
 
 def _box_integrals(values: np.ndarray, arcs: list[Arc]) -> np.ndarray:
@@ -267,7 +275,7 @@ def sweep_is_bounded(report: CarlesonReport, factor: float = 1.5, start_depth: i
 def write_ratio_csv(path, report: CarlesonReport) -> None:
     """Ratio-versus-length rows for external plotting."""
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(report.rows())
+        fh.writelines(csv_lines(report.rows()))
 
 
 def bmo_seminorm(g: AnalyticPoly, dyadic_depth: int, M: int | None = None) -> float:

@@ -9,7 +9,6 @@ Reports embed the defaults they ran with, so reruns are reproducible.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 
@@ -30,12 +29,9 @@ def _emit_json(args, payload: dict) -> None:
     _emit(args, json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
-def _emit_rows(args, header: list[str], rows: list[list]) -> None:
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(str(x) for x in row) + "\n")
-    _emit(args, buf.getvalue())
+def _emit_rows(args, rows: list[list]) -> None:
+    """CSV rows, header first."""
+    _emit(args, "".join(seqspace.csv_lines(rows)))
 
 
 def _load_sequence(args, default_len: int) -> seqspace.XSequence:
@@ -50,7 +46,8 @@ def _cmd_xnorm(args) -> int:
     ratios = seqspace.prefix_ratios(c)
     if args.format == "csv":
         print(f"xnorm {seqspace.xnorm(c)!r} over N={len(c)}", file=sys.stderr)
-        _emit_rows(args, ["index", "ratio"], [[i, repr(float(v))] for i, v in enumerate(ratios)])
+        _emit_rows(args, [["index", "ratio"]] +
+                   [[i, repr(float(v))] for i, v in enumerate(ratios)])
     else:
         _emit_json(args, {
             "n": len(c),
@@ -95,8 +92,7 @@ def _cmd_hilbert_norm(args) -> int:
     c = _load_sequence(args, 2 * max(sizes) - 1)
     estimates = inequalities.best_constant_scan(c, sizes, method=args.method)
     if args.format == "csv":
-        header, *rows = inequalities.scan_rows(estimates)
-        _emit_rows(args, header, rows)
+        _emit_rows(args, inequalities.scan_rows(estimates))
     else:
         _emit_json(args, {
             "rows": [{"N": e.N, "norm": e.value, "residual": e.residual,
@@ -115,9 +111,9 @@ def _cmd_equiv(args) -> int:
     payload["params"] = {"grid": args.grid, "method": args.method,
                          "residual_tol": inequalities.RESIDUAL_TOL}
     if args.format == "csv":
-        _emit_rows(args, ["N", "matrix_norm", "hardy_ratio", "gap", "witness_degree"],
-                   [[report.N, repr(report.matrix_norm), repr(report.hardy_ratio),
-                     repr(report.gap), report.witness.degree]])
+        _emit_rows(args, [["N", "matrix_norm", "hardy_ratio", "gap", "witness_degree"],
+                          [report.N, repr(report.matrix_norm), repr(report.hardy_ratio),
+                           repr(report.gap), report.witness.degree]])
     else:
         _emit_json(args, payload)
     return 0 if report.estimate.converged else 3
@@ -130,8 +126,7 @@ def _cmd_carleson(args) -> int:
     if report.finding:
         print(report.finding, file=sys.stderr)
     if args.format == "csv":
-        header, *rows = report.rows()
-        _emit_rows(args, header, rows)
+        _emit_rows(args, report.rows())
     else:
         payload = report.to_dict()
         payload["bounded"] = bounded
@@ -140,16 +135,16 @@ def _cmd_carleson(args) -> int:
 
 
 def _cmd_kconst(args) -> int:
-    scan = bmoa.k_constant(args.rmax, args.samples)
+    scan = bmoa.k_constant(args.rmax)
     if args.format == "csv":
-        _emit_rows(args, ["value", "limit", "argmax_r"],
-                   [[repr(scan.value), repr(scan.limit), repr(scan.argmax_r)]])
+        _emit_rows(args, [["value", "limit", "argmax_r"],
+                          [repr(scan.value), repr(scan.limit), repr(scan.argmax_r)]])
     else:
         _emit_json(args, {
             "value": scan.value,
             "limit": scan.limit,
             "argmax_r": scan.argmax_r,
-            "params": {"rmax": scan.r_max, "samples_per_interval": scan.samples_per_interval},
+            "params": {"rmax": scan.r_max, "m_max": scan.m_max},
         })
     return 0
 
@@ -187,8 +182,8 @@ def _cmd_hardy_check(args) -> int:
         "params": {"degree": f.degree, "tolerance": 1e-8},
     }
     if args.format == "csv":
-        _emit_rows(args, ["hardy_sum", "hardy_ratio", "verdict", "lhs", "rhs"],
-                   [[repr(total), repr(ratio), verdict, repr(check.lhs), repr(check.rhs)]])
+        _emit_rows(args, [["hardy_sum", "hardy_ratio", "verdict", "lhs", "rhs"],
+                          [repr(total), repr(ratio), verdict, repr(check.lhs), repr(check.rhs)]])
     else:
         _emit_json(args, payload)
     if check.skipped:
@@ -201,7 +196,7 @@ def _cmd_suite(args) -> int:
     config = harness.SuiteConfig(seed=args.seed)
     report = harness.run_suite(config)
     if args.format == "csv":
-        _emit_rows(args, ["name", "cases", "failures", "worst_margin"],
+        _emit_rows(args, [["name", "cases", "failures", "worst_margin"]] +
                    [[p.name, p.cases, p.failures, repr(p.worst_margin)]
                     for p in report.properties])
     else:
@@ -267,9 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_carleson)
 
-    p = sub.add_parser("kconst", help="scan the floor-power constant K")
+    p = sub.add_parser("kconst", help="the floor-power constant K over (0, rmax]")
     p.add_argument("--rmax", type=float, required=True)
-    p.add_argument("--samples", type=int, default=4)
     _add_common(p)
     p.set_defaults(func=_cmd_kconst)
 

@@ -23,13 +23,13 @@ certified against f on the grid before returning.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .seqspace import _read_indexed_csv
+from .seqspace import _read_indexed_csv, csv_lines
 
 TRAP_RTOL = 1e-13
 KINK_NEAR = 1e-2  # |.|rho|-1| below this reroutes the |f| mean to panel quadrature
@@ -327,11 +327,10 @@ def riesz_factorize(f: AnalyticPoly, M: int | None = None) -> tuple[AnalyticPoly
 # CSV interchange: header index,re,im, one row per coefficient from index 0.
 
 def write_polynomial_csv(path, f: AnalyticPoly) -> None:
+    rows = chain([("index", "re", "im")], ((i, repr(float(a.real)), repr(float(a.imag)))
+                                          for i, a in enumerate(f.coeffs)))
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "re", "im"])
-        for i, a in enumerate(f.coeffs):
-            w.writerow([i, repr(float(a.real)), repr(float(a.imag))])
+        fh.writelines(csv_lines(rows))
 
 
 def read_polynomial_csv(path) -> AnalyticPoly:

@@ -354,7 +354,7 @@ def _prop_carleson_bounded(config: SuiteConfig) -> PropertyResult:
     failures, worst, wits = 0, -np.inf, []
     sweep = {"depth": 6, "centers_per_length": 4}
     tile = 1.0 / sweep["centers_per_length"]
-    kscan = bmoa.k_constant(0.999, 4)
+    kscan = bmoa.k_constant(0.999)
     k_margin = kscan.value - kscan.limit * (1.0 + 1e-9)
     for i in range(n_cases):
         rng = _case_rng(config.seed, name, i)

@@ -27,7 +27,6 @@ N <= 512, is the oracle the power route is tested against.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -40,7 +39,7 @@ from .hardyspace import (
     hp_norm,
     require_circle_free,
 )
-from .seqspace import XSequence, xnorm
+from .seqspace import XSequence, csv_lines, xnorm
 
 POWER_ITERATION = "power_iteration"
 DENSE_EIGEN = "dense_eigen"
@@ -277,7 +276,7 @@ def scan_rows(estimates: list[OperatorNormEstimate]) -> list[list]:
 
 def scan_to_csv(path, estimates: list[OperatorNormEstimate]) -> None:
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(scan_rows(estimates))
+        fh.writelines(csv_lines(scan_rows(estimates)))
 
 
 @dataclass

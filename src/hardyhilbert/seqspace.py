@@ -35,7 +35,7 @@ from __future__ import annotations
 import csv
 from array import array
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -379,17 +379,27 @@ def infinitude_report(t: SlowDecayTrace, s: float) -> InfinitudeReport:
     )
 
 
+def csv_lines(rows):
+    """CSV lines of ``rows``, header included: cells by str(), LF line ends.
+
+    The one row writer for the CLI tables and the sequence, polynomial, scan
+    and ratio files (traces use the faster trace_csv).  Lines are yielded
+    one at a time, so a file writer streams.  No cell written here holds a
+    comma, quote or line break, so none is quoted.
+    """
+    for row in rows:
+        yield ",".join(map(str, row)) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # CSV interchange: header index,value (index from 0); traces add a choice
 # column, the head row mirroring the exported c_0 := c_1 convention so the
 # file round-trips through read_sequence_csv as the exported sequence.
 
 def write_sequence_csv(path, c: XSequence) -> None:
+    rows = chain([("index", "value")], enumerate(repr(float(v)) for v in c.values))
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "value"])
-        for i, v in enumerate(c.values):
-            w.writerow([i, repr(float(v))])
+        fh.writelines(csv_lines(rows))
 
 
 def _read_indexed_csv(path, header: list[str], parse, what: str) -> np.ndarray:

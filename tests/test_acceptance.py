@@ -165,7 +165,7 @@ def test_c07_degree_bound():
 
 
 def test_c08_k_constant():
-    scan = k_constant(1.0 - 1e-6, 4)
+    scan = k_constant(1.0 - 1e-6)
     limit_gap = abs(scan.value - K_LIMIT_VALUE)
     at_half = abs(k_term(0.5) - 64.0 / 225.0)
     _line(8, limit_gap <= 1e-3 and at_half <= 1e-14,

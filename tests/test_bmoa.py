@@ -1,3 +1,7 @@
+import math
+import time
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -33,42 +37,125 @@ class TestArc:
         assert lengths == [1.0, 0.5, 0.25, 0.125]
 
 
+def scan_k_constant(r_max):
+    """Independent oracle: the K expression sampled at 4 points of every
+    floor-constancy interval up to r_max, right endpoints (with the
+    interval's own m) included, in chunks of 200k intervals."""
+    m_max = int(math.floor(1.0 / (1.0 - r_max)))
+    t = np.linspace(0.0, 1.0, 4)
+    best = 0.0
+    chunk = 200_000
+    for start in range(1, m_max + 1, chunk):
+        m = np.arange(start, min(start + chunk, m_max + 1), dtype=float)
+        lefts = 1.0 - 1.0 / m
+        rights = np.minimum(1.0 - 1.0 / (m + 1.0), r_max)
+        r = lefts[:, None] * (1.0 - t) + rights[:, None] * t
+        with np.errstate(divide="ignore"):
+            rp = np.exp(2.0 * m[:, None] * np.log(np.maximum(r, 1e-300)))
+        phi = np.where(r > 0.0, (r / (1.0 - rp)) ** 2, 0.0)
+        best = max(best, float(phi.max()))
+    return best
+
+
+def decimal_k_constant(r_max):
+    """Independent oracle where no scan can reach: both candidates of the
+    closed form, f(m_max - 1) and phi_{m_max}(r_max), in 40-digit decimals."""
+    m_max = math.floor(1.0 / (1.0 - r_max))
+    with localcontext() as ctx:
+        ctx.prec = 40
+
+        def phi(m, r):
+            return (r / (1 - (2 * m * r.ln()).exp())) ** 2
+
+        candidates = [phi(m_max, Decimal(r_max))]
+        if m_max > 1:
+            candidates.append(phi(m_max - 1, Decimal(m_max - 1) / m_max))
+        return float(max(candidates))
+
+
 class TestKConstant:
     def test_value_at_one_half(self):
         assert k_term(0.5) == pytest.approx(64.0 / 225.0, abs=1e-16)
 
     def test_vanishes_at_zero(self):
         assert k_term(0.0) == 0.0
-        assert k_constant(1e-3, 4).value < 1e-5
+        assert k_constant(1e-3).value < 1e-5
 
     def test_limit_value(self):
         assert K_LIMIT == pytest.approx((1.0 - np.exp(-2.0)) ** -2, abs=1e-16)
 
     def test_approaches_limit_from_below(self):
-        scan = k_constant(1.0 - 1e-6, 4)
+        scan = k_constant(1.0 - 1e-6)
         assert scan.value < K_LIMIT
         assert K_LIMIT - scan.value < 1e-3
         assert scan.limit == K_LIMIT
 
     def test_monotone_in_rmax(self):
-        values = [k_constant(r, 4).value for r in (0.5, 0.9, 0.99, 0.999)]
+        values = [k_constant(r).value for r in (0.5, 0.9, 0.99, 0.999)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_never_exceeds_limit(self):
-        scan = k_constant(1.0 - 1e-6, 6)
+        scan = k_constant(1.0 - 1e-6)
         assert scan.value <= K_LIMIT * (1.0 + 1e-9)
 
     def test_grid_max_matches_pointwise_scan(self):
         # oracle: dense uniform sampling of the raw expression
         r = np.linspace(1e-4, 0.97, 40001)
         brute = max(k_term(float(x)) for x in r)
-        assert k_constant(0.97, 8).value == pytest.approx(brute, rel=1e-3)
+        assert k_constant(0.97).value == pytest.approx(brute, rel=1e-3)
+
+    @pytest.mark.parametrize("r_max", [1e-3, 0.3, 0.5, 0.75, 0.9, 0.97, 0.99, 0.999,
+                                       1.0 - 1e-6])
+    def test_matches_interval_scan(self, r_max):
+        assert k_constant(r_max).value == pytest.approx(scan_k_constant(r_max), rel=1e-9)
+
+    @pytest.mark.parametrize("gap", [10.0**-e * s for e in (6, 9, 12, 15) for s in (1.0, 3.7)])
+    def test_matches_decimal_oracle_near_one(self, gap):
+        r_max = 1.0 - gap
+        assert k_constant(r_max).value == pytest.approx(decimal_k_constant(r_max), rel=1e-14)
+
+    def test_right_end_limits_increase(self):
+        # the lemma behind the closed form: f(m) strictly increases in m
+        m = np.arange(1.0, 10.0**6 + 1)
+        f = ((m / (m + 1)) / -np.expm1(2 * m * np.log1p(-1 / (m + 1)))) ** 2
+        assert (np.diff(f) > 0).all()
+        assert f[-1] < K_LIMIT
+
+    def test_candidates_and_argmax(self):
+        # one interval: the value at r_max itself
+        scan = k_constant(0.3)
+        assert scan.m_max == 1
+        assert (scan.value, scan.argmax_r) == ((0.3 / (1 - 0.3**2)) ** 2, 0.3)
+        # at the left end of interval 2 the left limit of interval 1 wins
+        scan = k_constant(0.5)
+        assert scan.m_max == 2
+        assert scan.value == pytest.approx(4.0 / 9.0, rel=1e-15)
+        assert scan.value > k_term(0.5)
+        assert scan.argmax_r == 0.5
+        # inside interval 4 the left limit of interval 3 still wins ...
+        scan = k_constant(0.76)
+        assert scan.value == pytest.approx((0.75 / (1 - 0.75**6)) ** 2, rel=1e-15)
+        assert (scan.m_max, scan.argmax_r) == (4, 0.75)
+        # ... and near its right end the value at r_max does
+        scan = k_constant(0.795)
+        assert scan.value == pytest.approx((0.795 / (1 - 0.795**8)) ** 2, rel=1e-15)
+        assert (scan.m_max, scan.argmax_r) == (4, 0.795)
+
+    # 1 - 2^-40 is the left end of interval 2^40, where the left limit wins
+    @pytest.mark.parametrize("r_max", [1.0 - 1e-12, 1.0 - 2.0**-40])
+    def test_near_one_is_cheap_and_below_limit(self, r_max):
+        t0 = time.perf_counter()
+        scan = k_constant(r_max)
+        assert time.perf_counter() - t0 < 0.01
+        assert scan.m_max > 10**11
+        assert scan.value <= K_LIMIT
+        assert K_LIMIT - scan.value < 1e-9
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            k_constant(1.0, 4)
+            k_constant(1.0)
         with pytest.raises(ValueError):
-            k_constant(0.5, 1)
+            k_constant(0.0)
 
 
 def box(values, arc):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hardyhilbert import cli, harness
+from hardyhilbert.bmoa import carleson_constant, write_ratio_csv
 from hardyhilbert.hardyspace import AnalyticPoly, write_polynomial_csv
 from hardyhilbert.inequalities import best_constant_scan, scan_to_csv
 from hardyhilbert.seqspace import (
@@ -32,9 +33,9 @@ def poly_file(tmp_path):
     return str(path)
 
 
-def rows_text(header, rows, end="\n"):
+def rows_text(header, rows):
     """CSV text the way the CLI first wrote it: str() of each cell, comma-joined."""
-    return "".join(",".join(str(x) for x in row) + end for row in [header] + rows)
+    return "".join(",".join(str(x) for x in row) + "\n" for row in [header] + rows)
 
 
 def run(capsys, argv):
@@ -158,7 +159,7 @@ class TestHilbertNorm:
         assert out == rows_text(header, rows)
         path = tmp_path / "scan.csv"
         scan_to_csv(path, best_constant_scan(classic_sequence(15), sizes))
-        assert path.read_bytes() == rows_text(header, rows, end="\r\n").encode()
+        assert path.read_bytes() == rows_text(header, rows).encode()
 
     def test_json_rows_monotone(self, capsys):
         code, out, _ = run(capsys, ["hilbert-norm", "--n-list", "2,4,8"])
@@ -201,6 +202,16 @@ class TestCarleson:
         assert code == 0
         assert out.splitlines()[0] == "length,center,box_integral,ratio"
 
+    def test_csv_bytes_match_module_file(self, capsys, tmp_path):
+        out_path, module_path = tmp_path / "cli.csv", tmp_path / "module.csv"
+        code, _, _ = run(capsys, ["carleson", "--depth", "3", "--centers", "2",
+                                  "--classic-n", "16", "--format", "csv", "--out", str(out_path)])
+        assert code == 0
+        write_ratio_csv(module_path, carleson_constant(classic_sequence(16), depth=3,
+                                                       centers_per_length=2))
+        assert out_path.read_bytes() == module_path.read_bytes()
+        assert b"\r" not in out_path.read_bytes()
+
 
 class TestKconst:
     def test_limit_reported(self, capsys):
@@ -209,6 +220,12 @@ class TestKconst:
         payload = json.loads(out)
         assert payload["limit"] == pytest.approx((1 - np.exp(-2.0)) ** -2, abs=1e-12)
         assert payload["value"] < payload["limit"]
+        assert payload["params"] == {"rmax": 0.99, "m_max": 99}
+
+    def test_samples_flag_removed(self, capsys):
+        code, out, _ = run(capsys, ["kconst", "--rmax", "0.99", "--samples", "4"])
+        assert code == 2
+        assert out == ""
 
 
 class TestFactorize:

@@ -251,7 +251,7 @@ class TestPolynomialCsv:
         f = AnalyticPoly([1.0 + 2.0j, -0.5, 0.0, 3.0j])
         path = tmp_path / "poly.csv"
         write_polynomial_csv(path, f)
-        assert path.read_text().splitlines()[0] == "index,re,im"
+        assert path.read_bytes() == b"index,re,im\n0,1.0,2.0\n1,-0.5,0.0\n2,0.0,0.0\n3,0.0,3.0\n"
         back = read_polynomial_csv(path)
         assert np.array_equal(back.coeffs, f.coeffs)
 

@@ -350,6 +350,7 @@ class TestCsvRoundTrip:
         assert np.array_equal(back.values, c.values)
         header = path.read_text().splitlines()[0]
         assert header == "index,value"
+        assert path.read_bytes().startswith(b"index,value\n0,1.0\n1,0.5\n")
 
     def test_trace_export_reads_as_exported_sequence(self, tmp_path):
         t = slow_decay_sequence(0.6, 1.5, 30)
