@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 
 from . import bmoa, harness, hardyspace, inequalities, seqspace
 from ._version import __version__
@@ -19,17 +20,29 @@ from .hardyspace import ConvergenceError, FactorizationSingular
 
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
+        with open(args.out, "w", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _emit_json(args, payload: dict) -> None:
-    _emit(args, json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
+def _emit_json(args, payload: dict, last: tuple[str, list[float]] | None = None) -> None:
+    """``payload`` as key-sorted, indented, strict JSON.
+
+    ``last`` = (key, values) adds a list of finite floats under a key that
+    sorts after every key of the nonempty ``payload``.  It is spliced in with
+    the bytes json.dumps(indent=2) would give, without running each float
+    through json's pure-Python indented encoder.
+    """
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    if last is not None:
+        key, values = last
+        items = ",\n    ".join(map(float.__repr__, values))
+        text = f"{text[:-2]},\n  {json.dumps(key)}: [\n    {items}\n  ]\n}}"
+    _emit(args, text + "\n")
 
 
-def _emit_rows(args, rows: list[list]) -> None:
+def _emit_rows(args, rows) -> None:
     """CSV rows, header first."""
     _emit(args, "".join(seqspace.csv_lines(rows)))
 
@@ -46,16 +59,14 @@ def _cmd_xnorm(args) -> int:
     ratios = seqspace.prefix_ratios(c)
     if args.format == "csv":
         print(f"xnorm {seqspace.xnorm(c)!r} over N={len(c)}", file=sys.stderr)
-        _emit_rows(args, [["index", "ratio"]] +
-                   [[i, repr(float(v))] for i, v in enumerate(ratios)])
+        _emit_rows(args, chain([["index", "ratio"]], enumerate(map(repr, ratios.tolist()))))
     else:
         _emit_json(args, {
             "n": len(c),
             "norm": seqspace.xnorm(c),
             "norm_sq": c.xnorm_sq,
-            "prefix_ratios": [float(v) for v in ratios],
             "params": {"input": args.file},
-        })
+        }, last=("prefix_ratios", ratios.tolist()))
     return 0
 
 

@@ -334,8 +334,7 @@ def write_polynomial_csv(path, f: AnalyticPoly) -> None:
 
 
 def read_polynomial_csv(path) -> AnalyticPoly:
-    rec = _read_indexed_csv(path, ["index", "re", "im"],
-                            lambda row: (int(row[0]), float(row[1]), float(row[2])), "polynomial")
+    rec = _read_indexed_csv(path, ["index", "re", "im"], "polynomial")
     coeffs = rec["re"] + 1j * rec["im"]
     if not np.isfinite(coeffs).all():
         raise ValueError("polynomial CSV coefficients must be finite")

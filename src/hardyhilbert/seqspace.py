@@ -32,7 +32,7 @@ power picks use scalar ** for the same last-ulp reason (replay_values).
 
 from __future__ import annotations
 
-import csv
+import warnings
 from array import array
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -397,30 +397,38 @@ def csv_lines(rows):
 # file round-trips through read_sequence_csv as the exported sequence.
 
 def write_sequence_csv(path, c: XSequence) -> None:
-    rows = chain([("index", "value")], enumerate(repr(float(v)) for v in c.values))
+    rows = chain([("index", "value")], enumerate(map(repr, c.values.tolist())))
     with open(path, "w", newline="") as fh:
         fh.writelines(csv_lines(rows))
 
 
-def _read_indexed_csv(path, header: list[str], parse, what: str) -> np.ndarray:
+def _read_indexed_csv(path, header: list[str], what: str) -> np.ndarray:
     """Records of an index-keyed CSV, in index order.
 
-    ``parse`` turns a row into (index, one float per other header column);
-    columns beyond the header are ignored.  The index column must hold
-    exactly 0..n-1, each once, in any order.  Rows stream into one
-    structured array, so no list of parsed rows is ever held.
+    The first line must start with the ``header`` columns, unquoted; any
+    further columns, in the header and in the rows, are ignored.  Every other
+    line is a row: an integer index in the int64 range, then one float per
+    remaining header column.  Lines end in LF or CRLF, a cell may be
+    double-quoted, blank lines are skipped and ``#`` starts no comment (such
+    a row is an error).  The index column must hold exactly 0..n-1, each
+    once, in any order.  numpy's C parser streams the rows from the open file
+    into one structured array, so the text is never held whole.
     """
+    columns = ",".join(header)
     dtype = [("index", np.int64)] + [(name, float) for name in header[1:]]
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, [])[: len(header)] != header:
-            raise ValueError(f"{what} CSV must start with header '{','.join(header)}'")
+        if fh.readline().rstrip("\r\n").split(",")[: len(header)] != header:
+            raise ValueError(f"{what} CSV must start with header '{columns}'")
         try:
-            rec = np.fromiter(map(parse, reader), dtype=dtype)
-        except IndexError:
-            raise ValueError(f"{what} CSV rows need columns {','.join(header)}") from None
-        except OverflowError:
-            raise ValueError(f"{what} CSV index outside the int64 range") from None
+            with warnings.catch_warnings():
+                # a header-only file: its empty result is rejected by the caller
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                        UserWarning)
+                rec = np.loadtxt(fh, delimiter=",", usecols=range(len(header)), dtype=dtype,
+                                 comments=None, quotechar='"', ndmin=1)
+        except ValueError as exc:
+            raise ValueError(f"{what} CSV rows need columns {columns}, an integer index in "
+                             f"the int64 range and float values: {exc}") from None
     idx, n = rec["index"], rec.size
     outside = (idx < 0) | (idx >= n)
     if outside.any():
@@ -433,9 +441,7 @@ def _read_indexed_csv(path, header: list[str], parse, what: str) -> np.ndarray:
 
 
 def read_sequence_csv(path) -> XSequence:
-    rec = _read_indexed_csv(path, ["index", "value"],
-                            lambda row: (int(row[0]), float(row[1])), "sequence")
-    return XSequence(rec["value"])
+    return XSequence(_read_indexed_csv(path, ["index", "value"], "sequence")["value"])
 
 
 def trace_csv(t: SlowDecayTrace) -> str:

@@ -8,7 +8,9 @@ from hardyhilbert.bmoa import carleson_constant, write_ratio_csv
 from hardyhilbert.hardyspace import AnalyticPoly, write_polynomial_csv
 from hardyhilbert.inequalities import best_constant_scan, scan_to_csv
 from hardyhilbert.seqspace import (
+    XSequence,
     classic_sequence,
+    read_sequence_csv,
     slow_decay_sequence,
     trace_to_xsequence,
     verify_margins,
@@ -64,6 +66,31 @@ class TestXnorm:
         code, _, err = run(capsys, ["xnorm", str(tmp_path / "nope.csv")])
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("n", [1, 2, 10**5])
+    def test_json_matches_indented_dumps(self, capsys, tmp_path, n):
+        # the ratios are spliced into the JSON; json.dumps is the byte oracle
+        rng = np.random.default_rng(n)
+        path = tmp_path / "seq.csv"
+        values = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-30, 4, n)
+        write_sequence_csv(path, XSequence(values))
+        c = read_sequence_csv(path)
+        payload = {"n": n, "norm": xnorm(c), "norm_sq": c.xnorm_sq,
+                   "prefix_ratios": c.ratios.tolist(), "params": {"input": str(path)}}
+        code, out, _ = run(capsys, ["xnorm", str(path)])
+        assert code == 0
+        assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    def test_csv_bytes(self, capsys, tmp_path):
+        path, target = tmp_path / "seq.csv", tmp_path / "ratios.csv"
+        write_sequence_csv(path, XSequence(0.3 / np.arange(1.0, 51.0)))
+        ratios = read_sequence_csv(path).ratios
+        golden = rows_text(["index", "ratio"], [[i, repr(float(v))] for i, v in enumerate(ratios)])
+        code, out, _ = run(capsys, ["xnorm", str(path), "--format", "csv"])
+        assert code == 0 and out == golden
+        code, out, _ = run(capsys, ["xnorm", str(path), "--format", "csv", "--out", str(target)])
+        assert code == 0 and out == ""
+        assert target.read_bytes() == golden.encode()  # LF, as on stdout
 
 
 BAD_SEQUENCE_ROWS = {

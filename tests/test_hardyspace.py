@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -267,9 +269,35 @@ class TestPolynomialCsv:
         ("1,1,0\n1,2,0\n", "index 1 appears 2 times"),
         ("0,1\n", "columns index,re,im"),
         ("0,1,0\n1,nan,0\n", "finite"),
+        ("#0,1,0\n0,1,0\n", "columns index,re,im"),   # '#' starts no comment
     ])
     def test_bad_rows_rejected(self, tmp_path, body, match):
         path = tmp_path / "bad.csv"
         path.write_text("index,re,im\n" + body)
         with pytest.raises(ValueError, match=match):
             read_polynomial_csv(path)
+
+    def test_header_only_rejected_without_warning(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("index,re,im\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="nonempty"):
+                read_polynomial_csv(path)
+
+    @pytest.mark.parametrize("text", [
+        b"index,re,im\r\n1,-0.5,0.0\r\n0,1.0,2.0\r\n",     # CRLF line ends
+        b'index,re,im\n"1","-0.5",0.0\n0,1.0,"2.0"\n',    # quoted cells
+        b"index,re,im\n\n1,-0.5,0.0\n\n0,1.0,2.0\n",      # blank lines are skipped
+        b"index,re,im,note\n0,1.0,2.0,a\n1,-0.5,0.0\n",   # extra columns ignored
+    ])
+    def test_accepted_layouts(self, tmp_path, text):
+        path = tmp_path / "poly.csv"
+        path.write_bytes(text)
+        assert read_polynomial_csv(path).coeffs.tolist() == [1.0 + 2.0j, -0.5 + 0.0j]
+
+    def test_single_row(self, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("index,re,im\n0,0.5,-1.5\n")
+        assert read_polynomial_csv(path).coeffs.tolist() == [0.5 - 1.5j]
+

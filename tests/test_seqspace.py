@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -380,9 +382,42 @@ class TestCsvRoundTrip:
         ("0,1.0\n99999999999999999999,0.5\n", "int64 range"),
         ("0,1.0\n1\n", "columns index,value"),
         ("0,1.0\n1,nan\n", "finite"),
+        ("0,1.0\n# note\n1,0.5\n", "columns index,value"),   # '#' starts no comment
     ])
     def test_bad_rows_rejected(self, tmp_path, body, match):
         path = tmp_path / "bad.csv"
         path.write_text("index,value\n" + body)
         with pytest.raises(ValueError, match=match):
             read_sequence_csv(path)
+
+    def test_header_only_rejected_without_warning(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("index,value\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="nonempty"):
+                read_sequence_csv(path)
+
+    @pytest.mark.parametrize("text", [
+        b"index,value\r\n1,0.5\r\n0,1.0\r\n",                 # CRLF line ends
+        b'index,value\n"1",0.5\n0,"1.0"\n',                   # quoted cells
+        b"index,value\n\n1,0.5\n\n0,1.0\n\n",                 # blank lines are skipped
+        b"index,value,choice\n0,1.0,power\n1,0.5,harmonic\n",  # extra columns ignored
+        b"index,value,note\n0,1.0\n1,0.5,x,y\n",
+    ])
+    def test_accepted_layouts(self, tmp_path, text):
+        path = tmp_path / "seq.csv"
+        path.write_bytes(text)
+        assert read_sequence_csv(path).values.tolist() == [1.0, 0.5]
+
+    def test_single_row(self, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("index,value\n0,0.25\n")
+        assert read_sequence_csv(path).values.tolist() == [0.25]
+
+    def test_large_trace_reads_back_bit_identical(self, tmp_path):
+        t = slow_decay_sequence(0.8, 1.6, 10**5)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(path, t)
+        back = read_sequence_csv(path)
+        assert back.values.tobytes() == trace_to_xsequence(t).values.tobytes()
