@@ -23,7 +23,7 @@ print("=" * 70)
 sizes = [2**j for j in range(1, 11)]
 c = classic_sequence(2 * sizes[-1] - 1)
 scan = best_constant_scan(c, sizes)
-print(f"{'N':>6} {'B_N':>16} {'pi - B_N':>12} {'iterations':>11}")
+print(f"{'N':>6} {'B_N':>16} {'pi - B_N':>12} {'H products':>11}")
 for est in scan:
     print(f"{est.N:>6} {est.value:>16.12f} {np.pi - est.value:>12.6f} {est.iterations:>11}")
 print(f"\nmonotone up, always below pi = {np.pi:.12f}")

@@ -196,6 +196,19 @@ class TestHilbertNorm:
         assert values == sorted(values)
         assert all(r["converged"] for r in rows)
 
+    def test_method_echo_is_lanczos(self, capsys):
+        code, out, _ = run(capsys, ["hilbert-norm", "--n-list", "2,300"])  # both routes
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["params"]["method"] == "lanczos"
+        assert all(r["converged"] for r in payload["rows"])
+
+    def test_power_iteration_method_removed(self, capsys):
+        code, out, err = run(capsys, ["hilbert-norm", "--n-list", "2", "--method", "power_iteration"])
+        assert code == 2
+        assert out == ""
+        assert "invalid choice" in err
+
 
 class TestEquiv:
     def test_two_by_two_gap(self, capsys):
@@ -211,6 +224,13 @@ class TestEquiv:
         code2, out2, _ = run(capsys, ["equiv", "--n", "4"])
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_method_echo_is_lanczos(self, capsys):
+        code, out, _ = run(capsys, ["equiv", "--n", "4"])
+        assert code == 0
+        assert json.loads(out)["params"]["method"] == "lanczos"
+        code, _, _ = run(capsys, ["equiv", "--n", "4", "--method", "power_iteration"])
+        assert code == 2
 
 
 class TestCarleson:
@@ -344,3 +364,37 @@ class TestUsageContract:
     def test_factorize_rejects_csv_format(self, capsys, poly_file):
         code, _, _ = run(capsys, ["factorize", poly_file, "--format", "csv"])
         assert code == 2
+
+
+class TestParserReuse:
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_repeated_calls_match_first_calls(self, capsys, classic_file, tmp_path):
+        # one process, one parser: a usage error, a success, CSV, --out, then
+        # a call without --out; every round must give the first round's bytes
+        target = tmp_path / "scan.csv"
+        calls = [
+            ["hilbert-norm", "--n-list", "2,4", "--bogus"],
+            ["hilbert-norm", "--n-list", "2,4"],
+            ["xnorm", classic_file, "--format", "csv"],
+            ["hilbert-norm", "--n-list", "2,4", "--format", "csv", "--out", str(target)],
+            ["kconst", "--rmax", "0.9"],
+        ]
+        rounds = []
+        for _ in range(3):
+            results = []
+            for argv in calls:
+                if target.exists():
+                    target.unlink()
+                code, out, err = run(capsys, argv)
+                written = target.read_bytes() if target.exists() else None
+                results.append((code, out, err, written))
+            rounds.append(results)
+        first = rounds[0]
+        assert [r[0] for r in first] == [2, 0, 0, 0, 0]
+        assert "unrecognized arguments" in first[0][2]
+        assert first[3][1] == "" and first[3][3].startswith(b"N,norm,residual,iterations\n")
+        assert first[4][3] is None and json.loads(first[4][1])["params"]["rmax"] == 0.9
+        assert rounds[1] == first
+        assert rounds[2] == first

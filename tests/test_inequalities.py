@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
+from hardyhilbert import inequalities
 from hardyhilbert.hardyspace import AnalyticPoly, cauchy_product
 from hardyhilbert.inequalities import (
     DENSE_EIGEN,
-    POWER_ITERATION,
+    FFT_MIN_N,
+    LANCZOS,
+    RAYLEIGH_TOL,
+    RESIDUAL_TOL,
+    ROUNDING_FLOOR,
     best_constant_scan,
     equivalence_witness,
     hankel_matvec,
@@ -15,9 +20,42 @@ from hardyhilbert.inequalities import (
     matrix_norm,
     scan_to_csv,
 )
-from hardyhilbert.seqspace import XSequence, classic_sequence
+from hardyhilbert.seqspace import XSequence, classic_sequence, slow_decay_sequence, trace_to_xsequence
 
 CLASSIC_N2 = (4.0 + np.sqrt(13.0)) / 6.0  # closed-form top eigenvalue of [[1,1/2],[1/2,1/3]]
+
+
+def power_top_pair(c, N):
+    """Independent oracle: the top Hankel pair by plain power iteration.
+
+    Starts from the all-ones vector and stops on the same tolerances as
+    matrix_norm (Rayleigh quotient settled, residual small, both raised to
+    the rounding floor).  Each product goes through hankel_matvec on the
+    route matrix_norm takes at that size.  Returns (lam, v, residual,
+    iterations); raises if the loop does not converge.
+    """
+    gen = c.values[: 2 * N - 1]
+    route = "fft" if N >= FFT_MIN_N else "direct"
+    sqrt_n = np.sqrt(N)
+    v = np.ones(N) / sqrt_n
+    lam_prev = np.inf
+    for it in range(1, 10**5 + 1):
+        w = hankel_matvec(gen, v, route)
+        lam = float(v @ w)
+        res = float(np.linalg.norm(w - lam * v))
+        floor = ROUNDING_FLOOR * abs(lam)
+        if res <= max(RESIDUAL_TOL, floor * sqrt_n) and abs(lam - lam_prev) < max(RAYLEIGH_TOL, floor):
+            return lam, v, res, it
+        lam_prev = lam
+        v = w / np.linalg.norm(w)
+    raise AssertionError(f"power iteration did not converge at N = {N}")
+
+
+def seeded_slow_decay(N, seed=11):
+    """A slow-decay weight covering 2N-1 indices, (r, beta) drawn from the seed."""
+    rng = np.random.default_rng(seed)
+    r, beta = rng.uniform(0.62, 1.0), rng.uniform(1.1, 1.4)
+    return trace_to_xsequence(slow_decay_sequence(r, beta, 2 * N - 2))
 
 
 class TestHardySum:
@@ -132,7 +170,7 @@ class TestMatrixNorm:
         rng = np.random.default_rng(5)
         for N in (3, 16, 40, 256, 300, 512):  # both sides of FFT_MIN_N
             c = XSequence(rng.uniform(0.05, 1.0, 2 * N - 1))
-            p = matrix_norm(c, N, POWER_ITERATION)
+            p = matrix_norm(c, N, LANCZOS)
             d = matrix_norm(c, N, DENSE_EIGEN)
             assert p.converged and d.converged
             assert abs(p.value - d.value) <= 1e-10
@@ -142,7 +180,7 @@ class TestMatrixNorm:
         rng = np.random.default_rng(17)
         for N in (256, 300, 512):
             c = XSequence(100.0 * rng.uniform(0.05, 1.0, 2 * N - 1))
-            p = matrix_norm(c, N, POWER_ITERATION)
+            p = matrix_norm(c, N, LANCZOS)
             d = matrix_norm(c, N, DENSE_EIGEN)
             assert p.converged and d.converged
             assert p.iterations < 1000
@@ -174,6 +212,74 @@ class TestMatrixNorm:
             est = matrix_norm(c, N)
             assert not est.converged
             assert est.iterations == 1
+
+
+class TestLanczos:
+    @pytest.mark.parametrize("N", [1024, 4096, 8192])
+    @pytest.mark.parametrize("weight", ["classic", "slow"])
+    def test_matches_power_oracle(self, N, weight):
+        # fft route, beyond the reach of the dense oracle
+        c = classic_sequence(2 * N - 1) if weight == "classic" else seeded_slow_decay(N)
+        lam, v, _, power_products = power_top_pair(c, N)
+        est = matrix_norm(c, N)
+        assert est.converged
+        assert abs(est.value - lam) <= 1e-12 * lam
+        assert np.linalg.norm(est.top_vector - v) <= 1e-9
+        assert est.iterations < power_products / 2
+
+    @pytest.mark.parametrize("N", [64, 300])
+    def test_restarts_match_dense(self, monkeypatch, N):
+        monkeypatch.setattr(inequalities, "KRYLOV_DIM", 4)
+        rng = np.random.default_rng(23)
+        for c in (classic_sequence(2 * N - 1), XSequence(rng.uniform(0.05, 1.0, 2 * N - 1))):
+            est = matrix_norm(c, N)
+            d = matrix_norm(c, N, DENSE_EIGEN)
+            assert est.converged
+            assert est.iterations > 4 + 1  # more than one cycle of 4 products and a check
+            assert abs(est.value - d.value) <= 1e-10
+
+    def test_fft_route_top_vector_nonnegative_unit(self):
+        N = 300
+        est = matrix_norm(seeded_slow_decay(N), N)
+        assert est.converged
+        assert np.all(est.top_vector >= 0)
+        assert np.linalg.norm(est.top_vector) == pytest.approx(1.0, abs=1e-12)
+        assert est.residual <= RESIDUAL_TOL
+
+    def test_products_capped(self, monkeypatch):
+        monkeypatch.setattr(inequalities, "MAX_ITERATIONS", 3)
+        est = matrix_norm(classic_sequence(2 * 300 - 1), 300)
+        assert not est.converged
+        assert est.iterations == 3
+        assert np.isfinite(est.value) and np.all(est.top_vector >= 0)
+
+    @pytest.mark.parametrize("N, route", [(100, "direct"), (1024, "fft")])
+    def test_value_is_rayleigh_quotient_of_top_vector(self, N, route):
+        # the reported pair is v'Hv and ||Hv - lam v|| of the returned vector,
+        # with the same product bit for bit, not the Ritz value of the basis
+        c = seeded_slow_decay(N)
+        est = matrix_norm(c, N)
+        v = est.top_vector
+        w = hankel_matvec(c.values, v, route)
+        assert est.value == float(v @ w)
+        assert est.residual == float(np.linalg.norm(w - est.value * v))
+
+    @pytest.mark.parametrize("N", [8, 300])
+    def test_split_spectrum_top_vector_clipped(self, N):
+        # weights only at even indices split H into even and odd blocks; the
+        # top vector lives on the even block, and the rounding left on the
+        # odd block is clipped, not reported as negative entries
+        k = np.arange(2 * N - 1)
+        c = XSequence(np.where(k % 2 == 0, 1.0 / (k + 1), 0.0))
+        est = matrix_norm(c, N)
+        assert est.converged
+        assert np.all(est.top_vector >= 0)
+        assert np.linalg.norm(est.top_vector) == pytest.approx(1.0, abs=1e-12)
+        assert abs(est.value - matrix_norm(c, N, DENSE_EIGEN).value) <= 1e-12
+
+    def test_unknown_method(self):
+        with pytest.raises(ValueError):
+            matrix_norm(classic_sequence(3), 2, "power_iteration")
 
 
 class TestEquivalenceWitness:
