@@ -92,7 +92,7 @@ def _cmd_slowdecay(args) -> int:
                 "increasing_over_power_decades": report.increasing_over_power_decades,
                 "strictly_growing": report.strictly_growing,
             },
-            "export_norm": seqspace.xnorm(trace.to_xsequence()),
+            "export_norm": seqspace.xnorm(seqspace.trace_to_xsequence(trace)),
         })
     return 0 if cert.ok else 1
 

@@ -1,9 +1,12 @@
 """Randomized property suite over the whole workbench.
 
-Every case draws its own generator from (seed, property id, case index),
-so the same configuration reproduces the same report bit for bit no
-matter how cases are scheduled.  Failures are recorded as data (inputs
-kept in re-runnable form), never raised.
+Each property is a check ``(rng, case) -> (margin, witness_inputs)`` that
+holds only its own maths; one driver, ``_run_property``, runs every check.
+It draws each case's generator from (seed, property id, case index), so
+the same configuration reproduces the same report bit for bit no matter
+how cases are scheduled.  A case passes only when its margin is <= 0, so
+a NaN margin fails.  Failures are recorded as data (inputs kept in
+re-runnable form), never raised.
 
 Engine calls go through the module objects (seqspace.xnorm, ...), which
 keeps the properties honest under instrumentation and lets a test inject
@@ -13,6 +16,7 @@ a corrupted operation to confirm the suite notices.
 from __future__ import annotations
 
 import json
+import math
 import platform
 from dataclasses import asdict, dataclass, field
 
@@ -32,7 +36,7 @@ DEFAULT_CASES = {
     "carleson_bounded": 3,
 }
 
-DEFAULT_TOLERANCES = {
+TOLERANCES = {
     "bridge_rel": 1e-12,
     "norm_rel": 1e-12,
     "pairing_rel": 1e-12,
@@ -42,6 +46,9 @@ DEFAULT_TOLERANCES = {
     "carleson_scale_rel": 1e-10,
     "box_closed_form_rel": 1e-12,
 }
+MAX_SEQUENCE_LEN = 96
+MAX_POLY_DEGREE = 10
+GRID_SIZE = 4096
 
 _PROPERTY_IDS = {name: i for i, name in enumerate(DEFAULT_CASES)}
 _MAX_WITNESSES = 5
@@ -51,17 +58,13 @@ _SEED_MASK = (1 << 64) - 1
 @dataclass
 class SuiteConfig:
     seed: int = 0
-    cases: dict = field(default_factory=dict)        # overrides of DEFAULT_CASES
-    tolerances: dict = field(default_factory=dict)   # overrides of DEFAULT_TOLERANCES
-    max_sequence_len: int = 96
-    max_poly_degree: int = 10
-    grid_size: int = 4096
+    cases: dict = field(default_factory=dict)  # overrides of DEFAULT_CASES
 
     def case_count(self, name: str) -> int:
-        return int(self.cases.get(name, DEFAULT_CASES[name]))
-
-    def tol(self, name: str) -> float:
-        return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
+        n = int(self.cases.get(name, DEFAULT_CASES[name]))
+        if n < 1:
+            raise ValueError(f"{name}: case count must be at least 1, got {n}")
+        return n
 
 
 @dataclass
@@ -82,14 +85,15 @@ class SuiteReport:
 
     def to_dict(self) -> dict:
         return {
-            "properties": [asdict(p) for p in self.properties],
+            "properties": [{**asdict(p), "worst_margin": _payload(p.worst_margin)}
+                           for p in self.properties],
             "pass": self.passed,
             "seed": self.seed,
             "fingerprint": self.fingerprint,
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2, allow_nan=False)
 
 
 def _case_rng(seed: int, prop: str, case: int) -> np.random.Generator:
@@ -141,201 +145,128 @@ def sample_polynomial(rng: np.random.Generator, degree: int,
         d = max(1, d // 2)
 
 
-def _record(witnesses: list, case: int, **inputs) -> None:
-    if len(witnesses) < _MAX_WITNESSES:
-        witnesses.append({"case": case, **inputs})
+def _payload(value):
+    """JSON form of a witness input: sequences, polynomials and arrays become
+    lists, and a non-finite float becomes None (JSON null)."""
+    if isinstance(value, seqspace.XSequence):
+        value = value.values
+    if isinstance(value, hardyspace.AnalyticPoly):
+        return {"re": _payload(value.coeffs.real), "im": _payload(value.coeffs.imag)}
+    if isinstance(value, np.ndarray):
+        return [_payload(v) for v in value.tolist()]
+    if isinstance(value, float):
+        return float(value) if math.isfinite(value) else None
+    return value
 
 
-def _seq_payload(c: seqspace.XSequence) -> list:
-    return [float(v) for v in c.values]
+# Each check returns (margin, witness inputs).  The margin may be a sequence
+# of component margins; the driver takes their maximum, NaN included.
+
+def _bridge_identity(rng, case):
+    la, lb = int(rng.integers(1, 65)), int(rng.integers(1, 65))
+    a, b = rng.random(la), rng.random(lb)
+    c = sample_xsequence(rng, la + lb - 1)
+    lhs = inequalities.hilbert_form(a, b, c)
+    product = hardyspace.cauchy_product(a, b)
+    rhs = inequalities.hardy_sum(hardyspace.AnalyticPoly(product), c)
+    rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
+    return rel - TOLERANCES["bridge_rel"], dict(a=a, b=b, c=c, lhs=lhs, rhs=rhs)
 
 
-def _poly_payload(f: hardyspace.AnalyticPoly) -> dict:
-    return {"re": [float(v) for v in f.coeffs.real],
-            "im": [float(v) for v in f.coeffs.imag]}
+def _norm_scaling(rng, case):
+    N = int(rng.integers(1, MAX_SEQUENCE_LEN + 1))
+    raw = rng.uniform(0.0, 1.0, N)
+    raw[int(rng.integers(0, N))] += 0.5  # keep the norm away from zero
+    x = seqspace.XSequence(raw)
+    lam = float(rng.uniform(0.0, 4.0))
+    scaled = seqspace.XSequence(lam * raw)
+    homog = abs(seqspace.xnorm(scaled) - lam * seqspace.xnorm(x))
+    homog_rel = homog / max(lam * seqspace.xnorm(x), 1e-300) if lam > 0 else homog
+    extended = seqspace.XSequence(np.concatenate([raw, rng.uniform(0.0, 1.0, int(rng.integers(1, 17)))]))
+    ext_violation = seqspace.xnorm(x) - seqspace.xnorm(extended)
+    ratio_gap = abs(float(seqspace.prefix_ratios(x).max()) - x.xnorm_sq)
+    margins = (homog_rel - TOLERANCES["norm_rel"], ext_violation - 1e-14, ratio_gap)
+    return margins, dict(values=x, lam=lam)
 
 
-def _prop_bridge_identity(config: SuiteConfig) -> PropertyResult:
-    name = "bridge_identity"
-    tol = config.tol("bridge_rel")
-    n_cases = config.case_count(name)
-    failures, worst, wits = 0, -np.inf, []
-    for i in range(n_cases):
-        rng = _case_rng(config.seed, name, i)
-        la, lb = int(rng.integers(1, 65)), int(rng.integers(1, 65))
-        a, b = rng.random(la), rng.random(lb)
-        c = sample_xsequence(rng, la + lb - 1)
-        lhs = inequalities.hilbert_form(a, b, c)
-        product = hardyspace.cauchy_product(a, b)
-        rhs = inequalities.hardy_sum(hardyspace.AnalyticPoly(product), c)
-        rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-        margin = rel - tol
-        worst = max(worst, margin)
-        if margin > 0:
-            failures += 1
-            _record(wits, i, a=list(map(float, a)), b=list(map(float, b)),
-                    c=_seq_payload(c), lhs=lhs, rhs=rhs)
-    return PropertyResult(name, n_cases, failures, float(worst), wits)
+def _slow_decay_certificate(rng, case):
+    r = float(rng.uniform(0.5, 1.0))
+    beta = float(rng.uniform(1.05, 3.0))
+    N = int(rng.integers(50, 3001))
+    t = seqspace.slow_decay_sequence(r, beta, N)
+    m_nonneg = 0.0 if np.all(t.margins >= 0.0) else float(-t.margins.min())
+    cert = seqspace.verify_margins(t)
+    m_cert = 0.0 if cert.ok else max(1e-300, -cert.min_margin)
+    replay = seqspace.replay_values(r, t.choice)
+    m_replay = 0.0 if np.array_equal(replay, t.values) else 1.0
+    exported = seqspace.trace_to_xsequence(t)
+    m_bound = seqspace.xnorm(exported) - 2.0 * np.sqrt(beta)
+    rep = seqspace.infinitude_report(t, s=r + float(rng.uniform(0.01, 0.15)))
+    consistent = (
+        rep.power_count == rep.power_positions.size
+        and (rep.power_count == 0 or rep.largest_power_index == int(rep.power_positions[-1]))
+        and all(d2.running_max >= d1.running_max - 1e-15
+                for d1, d2 in zip(rep.decades, rep.decades[1:]))
+    )
+    m_report = 0.0 if consistent else 1.0
+    return (m_nonneg, m_cert, m_replay, m_bound, m_report), dict(r=r, beta=beta, N=N)
 
 
-def _prop_norm_scaling(config: SuiteConfig) -> PropertyResult:
-    name = "norm_scaling"
-    tol = config.tol("norm_rel")
-    n_cases = config.case_count(name)
-    failures, worst, wits = 0, -np.inf, []
-    for i in range(n_cases):
-        rng = _case_rng(config.seed, name, i)
-        N = int(rng.integers(1, config.max_sequence_len + 1))
-        raw = rng.uniform(0.0, 1.0, N)
-        raw[int(rng.integers(0, N))] += 0.5  # keep the norm away from zero
-        x = seqspace.XSequence(raw)
-        lam = float(rng.uniform(0.0, 4.0))
-        scaled = seqspace.XSequence(lam * raw)
-        homog = abs(seqspace.xnorm(scaled) - lam * seqspace.xnorm(x))
-        homog_rel = homog / max(lam * seqspace.xnorm(x), 1e-300) if lam > 0 else homog
-        extended = seqspace.XSequence(np.concatenate([raw, rng.uniform(0.0, 1.0, int(rng.integers(1, 17)))]))
-        ext_violation = seqspace.xnorm(x) - seqspace.xnorm(extended)
-        ratio_gap = abs(float(seqspace.prefix_ratios(x).max()) - x.xnorm_sq)
-        margin = max(homog_rel - tol, ext_violation - 1e-14, ratio_gap)
-        worst = max(worst, margin)
-        if margin > 0:
-            failures += 1
-            _record(wits, i, values=_seq_payload(x), lam=lam)
-    return PropertyResult(name, n_cases, failures, float(worst), wits)
+def _pairing_phase_identity(rng, case):
+    f = sample_polynomial(rng, int(rng.integers(1, 17)))
+    c = sample_xsequence(rng, f.degree + 1)
+    sq = hardyspace.hp_norm(f, 2) ** 2
+    rel_self = abs(hardyspace.dual_pairing(f, f) - sq) / max(sq, 1e-300)
+    alpha = hardyspace.phase_sequence(f)
+    aligned = hardyspace.AnalyticPoly(alpha * c.values)
+    pairing = hardyspace.dual_pairing(f, aligned)
+    target = inequalities.hardy_sum(f, c)
+    rel_aligned = abs(pairing - target) / max(target, 1e-300)
+    tol = TOLERANCES["pairing_rel"]
+    return (rel_self - tol, rel_aligned - tol), dict(f=f, c=c)
 
 
-def _prop_slow_decay_certificate(config: SuiteConfig) -> PropertyResult:
-    name = "slow_decay_certificate"
-    n_cases = config.case_count(name)
-    failures, worst, wits = 0, -np.inf, []
-    for i in range(n_cases):
-        rng = _case_rng(config.seed, name, i)
-        r = float(rng.uniform(0.5, 1.0))
-        beta = float(rng.uniform(1.05, 3.0))
-        N = int(rng.integers(50, 3001))
-        t = seqspace.slow_decay_sequence(r, beta, N)
-        m_nonneg = 0.0 if np.all(t.margins >= 0.0) else float(-t.margins.min())
-        cert = seqspace.verify_margins(t)
-        m_cert = 0.0 if cert.ok else max(1e-300, -cert.min_margin)
-        replay = seqspace.replay_values(r, t.choice)
-        m_replay = 0.0 if np.array_equal(replay, t.values) else 1.0
-        exported = seqspace.trace_to_xsequence(t)
-        m_bound = seqspace.xnorm(exported) - 2.0 * np.sqrt(beta)
-        rep = seqspace.infinitude_report(t, s=r + float(rng.uniform(0.01, 0.15)))
-        consistent = (
-            rep.power_count == rep.power_positions.size
-            and (rep.power_count == 0 or rep.largest_power_index == int(rep.power_positions[-1]))
-            and all(d2.running_max >= d1.running_max - 1e-15
-                    for d1, d2 in zip(rep.decades, rep.decades[1:]))
-        )
-        m_report = 0.0 if consistent else 1.0
-        margin = max(m_nonneg, m_cert, m_replay, m_bound, m_report)
-        worst = max(worst, margin)
-        if margin > 0:
-            failures += 1
-            _record(wits, i, r=r, beta=beta, N=N)
-    return PropertyResult(name, n_cases, failures, float(worst), wits)
+def _hardy_degree_bound(rng, case):
+    f = sample_polynomial(rng, int(rng.integers(1, MAX_POLY_DEGREE + 1)),
+                          for_factorization=True)
+    c = sample_xsequence(rng, 2 * f.degree + 1)
+    check = inequalities.hardy_degree_bound_check(f, c)
+    margin = 0.0 if check.skipped else (check.lhs - check.rhs) / max(check.rhs, 1e-300)
+    return margin, dict(f=f, c=c, lhs=check.lhs, rhs=check.rhs)
 
 
-def _prop_pairing_phase_identity(config: SuiteConfig) -> PropertyResult:
-    name = "pairing_phase_identity"
-    tol = config.tol("pairing_rel")
-    n_cases = config.case_count(name)
-    failures, worst, wits = 0, -np.inf, []
-    for i in range(n_cases):
-        rng = _case_rng(config.seed, name, i)
-        f = sample_polynomial(rng, int(rng.integers(1, 17)))
-        c = sample_xsequence(rng, f.degree + 1)
-        sq = hardyspace.hp_norm(f, 2) ** 2
-        rel_self = abs(hardyspace.dual_pairing(f, f) - sq) / max(sq, 1e-300)
-        alpha = hardyspace.phase_sequence(f)
-        aligned = hardyspace.AnalyticPoly(alpha * c.values)
-        pairing = hardyspace.dual_pairing(f, aligned)
-        target = inequalities.hardy_sum(f, c)
-        rel_aligned = abs(pairing - target) / max(target, 1e-300)
-        margin = max(rel_self, rel_aligned) - tol
-        worst = max(worst, margin)
-        if margin > 0:
-            failures += 1
-            _record(wits, i, f=_poly_payload(f), c=_seq_payload(c))
-    return PropertyResult(name, n_cases, failures, float(worst), wits)
+def _factorization_contract(rng, case):
+    f = sample_polynomial(rng, int(rng.integers(1, MAX_POLY_DEGREE + 1)),
+                          for_factorization=True)
+    g, h = hardyspace.riesz_factorize(f)
+    fv = hardyspace.boundary_grid(f, GRID_SIZE).samples
+    gv = hardyspace.boundary_grid(g, GRID_SIZE).samples
+    hv = hardyspace.boundary_grid(h, GRID_SIZE).samples
+    f2 = hardyspace.hp_norm(f, 2)
+    f1 = hardyspace.hp_norm(f, 1)
+    residual = float(np.abs(fv - gv * hv).max())
+    defect = abs(f1 - hardyspace.hp_norm(g, 2) * hardyspace.hp_norm(h, 2))
+    product = hardyspace.cauchy_product(g.coeffs, h.coeffs)
+    padded = np.zeros(product.size, dtype=complex)
+    padded[: f.coeffs.size] = f.coeffs
+    coeff_err = float(np.abs(product - padded).max())
+    tol = TOLERANCES["factor_rel"]
+    margins = (residual - tol * f2, defect - tol * f1, coeff_err - tol * f2)
+    return margins, dict(f=f, residual=residual, defect=defect)
 
 
-def _prop_hardy_degree_bound(config: SuiteConfig) -> PropertyResult:
-    name = "hardy_degree_bound"
-    n_cases = config.case_count(name)
-    failures, worst, wits = 0, -np.inf, []
-    for i in range(n_cases):
-        rng = _case_rng(config.seed, name, i)
-        f = sample_polynomial(rng, int(rng.integers(1, config.max_poly_degree + 1)),
-                              for_factorization=True)
-        c = sample_xsequence(rng, 2 * f.degree + 1)
-        check = inequalities.hardy_degree_bound_check(f, c)
-        if check.skipped:
-            margin = 0.0
-        else:
-            margin = (check.lhs - check.rhs) / max(check.rhs, 1e-300)
-        worst = max(worst, margin)
-        if margin > 0:
-            failures += 1
-            _record(wits, i, f=_poly_payload(f), c=_seq_payload(c),
-                    lhs=check.lhs, rhs=check.rhs)
-    return PropertyResult(name, n_cases, failures, float(worst), wits)
-
-
-def _prop_factorization_contract(config: SuiteConfig) -> PropertyResult:
-    name = "factorization_contract"
-    tol = config.tol("factor_rel")
-    n_cases = config.case_count(name)
-    failures, worst, wits = 0, -np.inf, []
-    for i in range(n_cases):
-        rng = _case_rng(config.seed, name, i)
-        f = sample_polynomial(rng, int(rng.integers(1, config.max_poly_degree + 1)),
-                              for_factorization=True)
-        g, h = hardyspace.riesz_factorize(f)
-        M = config.grid_size
-        fv = hardyspace.boundary_grid(f, M).samples
-        gv = hardyspace.boundary_grid(g, M).samples
-        hv = hardyspace.boundary_grid(h, M).samples
-        f2 = hardyspace.hp_norm(f, 2)
-        f1 = hardyspace.hp_norm(f, 1)
-        residual = float(np.abs(fv - gv * hv).max())
-        defect = abs(f1 - hardyspace.hp_norm(g, 2) * hardyspace.hp_norm(h, 2))
-        product = hardyspace.cauchy_product(g.coeffs, h.coeffs)
-        padded = np.zeros(product.size, dtype=complex)
-        padded[: f.coeffs.size] = f.coeffs
-        coeff_err = float(np.abs(product - padded).max())
-        margin = max(residual - tol * f2, defect - tol * f1, coeff_err - tol * f2)
-        worst = max(worst, margin)
-        if margin > 0:
-            failures += 1
-            _record(wits, i, f=_poly_payload(f), residual=residual, defect=defect)
-    return PropertyResult(name, n_cases, failures, float(worst), wits)
-
-
-def _prop_witness_closure(config: SuiteConfig) -> PropertyResult:
-    name = "witness_closure"
-    tol = config.tol("witness_gap")
-    mono_tol = config.tol("scan_monotone")
-    n_cases = config.case_count(name)
-    failures, worst, wits = 0, -np.inf, []
-    for i in range(n_cases):
-        rng = _case_rng(config.seed, name, i)
-        N = int(rng.integers(2, 25))
-        if i % 2 == 0:
-            c = seqspace.classic_sequence(2 * N - 1)
-        else:
-            c = sample_xsequence(rng, 2 * N - 1)
-        report = inequalities.equivalence_witness(c, N)
-        margin = report.gap - tol
-        scan = inequalities.best_constant_scan(c, sorted({max(1, N // 2), N}))
-        for lo, hi in zip(scan, scan[1:]):
-            margin = max(margin, lo.value - hi.value - mono_tol)
-        worst = max(worst, margin)
-        if margin > 0:
-            failures += 1
-            _record(wits, i, c=_seq_payload(c), N=N, gap=report.gap)
-    return PropertyResult(name, n_cases, failures, float(worst), wits)
+def _witness_closure(rng, case):
+    N = int(rng.integers(2, 25))
+    if case % 2 == 0:
+        c = seqspace.classic_sequence(2 * N - 1)
+    else:
+        c = sample_xsequence(rng, 2 * N - 1)
+    report = inequalities.equivalence_witness(c, N)
+    scan = inequalities.best_constant_scan(c, sorted({max(1, N // 2), N}))
+    margins = [report.gap - TOLERANCES["witness_gap"]]
+    margins += [lo.value - hi.value - TOLERANCES["scan_monotone"]
+                for lo, hi in zip(scan, scan[1:])]
+    return margins, dict(c=c, N=N, gap=report.gap)
 
 
 def _annulus_box_sum(c: seqspace.XSequence, length: float) -> float:
@@ -346,70 +277,75 @@ def _annulus_box_sum(c: seqspace.XSequence, length: float) -> float:
     return float(2.0 * np.pi * np.sum(k**2 * c.values[1:] ** 2 * R))
 
 
-def _prop_carleson_bounded(config: SuiteConfig) -> PropertyResult:
-    name = "carleson_bounded"
-    scale_tol = config.tol("carleson_scale_rel")
-    box_tol = config.tol("box_closed_form_rel")
-    n_cases = config.case_count(name)
-    failures, worst, wits = 0, -np.inf, []
+def _carleson_bounded(rng, case):
+    """Variant 1 sweeps a slow-decay sequence, variants 0 and 2 the classic
+    one; variant 2 adds the lam^2 scaling of every box ratio."""
     sweep = {"depth": 6, "centers_per_length": 4}
     tile = 1.0 / sweep["centers_per_length"]
     kscan = bmoa.k_constant(0.999)
-    k_margin = kscan.value - kscan.limit * (1.0 + 1e-9)
-    for i in range(n_cases):
-        rng = _case_rng(config.seed, name, i)
-        variant = i % 3
-        if variant == 0:
-            c = seqspace.classic_sequence(96)
-        elif variant == 1:
-            c = seqspace.trace_to_xsequence(
-                seqspace.slow_decay_sequence(float(rng.uniform(0.5, 1.0)),
-                                             float(rng.uniform(1.1, 2.5)), 95))
-        else:
-            c = seqspace.classic_sequence(96)
-        report = bmoa.carleson_constant(c, **sweep)
-        margin = max(k_margin, 0.0 if bmoa.sweep_is_bounded(report) else 1.0)
-        if variant == 2:
-            lam = float(rng.uniform(0.5, 2.0))
-            scaled = bmoa.carleson_constant(seqspace.XSequence(lam * c.values), **sweep)
-            for rec, rec_s in zip(report.records, scaled.records):
-                rel = abs(rec_s.ratio - lam**2 * rec.ratio) / max(report.sup_ratio, 1e-300)
-                margin = max(margin, rel - scale_tol)
-        # the full box and the tiling of an annulus have closed forms of their own
-        k = np.arange(1, len(c), dtype=float)
-        full = float(np.pi * np.sum(k * c.values[1:] ** 2 / (k + 1.0)))
-        full_rec = next(r for r in report.records if r.arc.length_norm == 1.0)
-        margin = max(margin, abs(full_rec.box_integral - full) / max(full, 1e-300) - box_tol)
-        annulus = _annulus_box_sum(c, tile)
-        tiled = sum(r.box_integral for r in report.records if r.arc.length_norm == tile)
-        margin = max(margin, abs(tiled - annulus) / max(annulus, 1e-300) - box_tol)
-        g = hardyspace.AnalyticPoly(c.values)
-        bmo = bmoa.bmo_seminorm(g, 4, 2048)
-        bmo_scaled = bmoa.bmo_seminorm(hardyspace.AnalyticPoly(2.0 * c.values), 4, 2048)
-        margin = max(margin, abs(bmo_scaled - 2.0 * bmo) / max(bmo, 1e-300) - 1e-12)
-        worst = max(worst, margin)
-        if margin > 0:
-            failures += 1
-            _record(wits, i, c=_seq_payload(c), variant=variant)
-    return PropertyResult(name, n_cases, failures, float(worst), wits)
+    variant = case % 3
+    if variant == 1:
+        c = seqspace.trace_to_xsequence(
+            seqspace.slow_decay_sequence(float(rng.uniform(0.5, 1.0)),
+                                         float(rng.uniform(1.1, 2.5)), 95))
+    else:
+        c = seqspace.classic_sequence(96)
+    report = bmoa.carleson_constant(c, **sweep)
+    margins = [kscan.value - kscan.limit * (1.0 + 1e-9),
+               0.0 if bmoa.sweep_is_bounded(report) else 1.0]
+    if variant == 2:
+        lam = float(rng.uniform(0.5, 2.0))
+        scaled = bmoa.carleson_constant(seqspace.XSequence(lam * c.values), **sweep)
+        margins += [abs(rec_s.ratio - lam**2 * rec.ratio) / max(report.sup_ratio, 1e-300)
+                    - TOLERANCES["carleson_scale_rel"]
+                    for rec, rec_s in zip(report.records, scaled.records)]
+    # the full box and the tiling of an annulus have closed forms of their own
+    box_tol = TOLERANCES["box_closed_form_rel"]
+    k = np.arange(1, len(c), dtype=float)
+    full = float(np.pi * np.sum(k * c.values[1:] ** 2 / (k + 1.0)))
+    full_rec = next(r for r in report.records if r.arc.length_norm == 1.0)
+    margins.append(abs(full_rec.box_integral - full) / max(full, 1e-300) - box_tol)
+    annulus = _annulus_box_sum(c, tile)
+    tiled = sum(r.box_integral for r in report.records if r.arc.length_norm == tile)
+    margins.append(abs(tiled - annulus) / max(annulus, 1e-300) - box_tol)
+    bmo = bmoa.bmo_seminorm(hardyspace.AnalyticPoly(c.values), 4, 2048)
+    bmo_scaled = bmoa.bmo_seminorm(hardyspace.AnalyticPoly(2.0 * c.values), 4, 2048)
+    margins.append(abs(bmo_scaled - 2.0 * bmo) / max(bmo, 1e-300) - 1e-12)
+    return margins, dict(c=c, variant=variant)
 
 
-_PROPERTY_FUNCS = {
-    "bridge_identity": _prop_bridge_identity,
-    "norm_scaling": _prop_norm_scaling,
-    "slow_decay_certificate": _prop_slow_decay_certificate,
-    "pairing_phase_identity": _prop_pairing_phase_identity,
-    "hardy_degree_bound": _prop_hardy_degree_bound,
-    "factorization_contract": _prop_factorization_contract,
-    "witness_closure": _prop_witness_closure,
-    "carleson_bounded": _prop_carleson_bounded,
+_CHECKS = {
+    "bridge_identity": _bridge_identity,
+    "norm_scaling": _norm_scaling,
+    "slow_decay_certificate": _slow_decay_certificate,
+    "pairing_phase_identity": _pairing_phase_identity,
+    "hardy_degree_bound": _hardy_degree_bound,
+    "factorization_contract": _factorization_contract,
+    "witness_closure": _witness_closure,
+    "carleson_bounded": _carleson_bounded,
 }
+
+
+def _run_property(name: str, config: SuiteConfig) -> PropertyResult:
+    """Run one property's cases: count the failures, keep the worst margin
+    (a NaN sticks) and the first failures' inputs in JSON form."""
+    check, n_cases = _CHECKS[name], config.case_count(name)
+    failures, worst, wits = 0, -np.inf, []
+    for i in range(n_cases):
+        margin, inputs = check(_case_rng(config.seed, name, i), i)
+        margin = np.max(margin)
+        worst = np.maximum(worst, margin)
+        if not margin <= 0:
+            failures += 1
+            if len(wits) < _MAX_WITNESSES:
+                wits.append({"case": i, **{k: _payload(v) for k, v in inputs.items()}})
+    return PropertyResult(name, n_cases, failures, float(worst), wits)
 
 
 def run_suite(config: SuiteConfig | None = None) -> SuiteReport:
     """Run every property and aggregate a deterministic machine-readable verdict."""
     config = config or SuiteConfig()
-    results = [_PROPERTY_FUNCS[name](config) for name in DEFAULT_CASES]
+    results = [_run_property(name, config) for name in DEFAULT_CASES]
     fingerprint = {
         "package": __version__,
         "numpy": np.__version__,

@@ -127,9 +127,6 @@ class SlowDecayTrace:
     def N(self) -> int:
         return self.values.size
 
-    def to_xsequence(self) -> XSequence:
-        return trace_to_xsequence(self)
-
 
 def _harmonic_increments(n: np.ndarray) -> np.ndarray:
     """The harmonic steps' increments (n*(1/n))**2, as the scalar rule computes them.

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hardyhilbert import cli, harness
+from hardyhilbert import cli, harness, inequalities
 from hardyhilbert.bmoa import carleson_constant, write_ratio_csv
 from hardyhilbert.hardyspace import AnalyticPoly, write_polynomial_csv
 from hardyhilbert.inequalities import best_constant_scan, scan_to_csv
@@ -338,6 +338,20 @@ class TestSuiteCommand:
         code, out, _ = run(capsys, ["suite", "--seed", "0"])
         assert code == 1
         assert json.loads(out)["pass"] is False
+
+    def test_nan_margin_exit_code(self, capsys, monkeypatch):
+        for name in list(harness.DEFAULT_CASES):
+            monkeypatch.setitem(harness.DEFAULT_CASES, name, 1)
+        monkeypatch.setattr(inequalities, "hilbert_form", lambda a, b, c: float("nan"))
+        code, out, _ = run(capsys, ["suite", "--seed", "9"])
+        assert code == 1
+
+        def reject(token):
+            raise ValueError(token)
+
+        payload = json.loads(out, parse_constant=reject)
+        assert payload["pass"] is False
+        assert payload["properties"][0]["worst_margin"] is None
 
 
 class TestUsageContract:

@@ -1,7 +1,10 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
-from hardyhilbert import bmoa, hardyspace, inequalities, seqspace
+from hardyhilbert import bmoa, harness, hardyspace, inequalities, seqspace
 from hardyhilbert.harness import (
     DEFAULT_CASES,
     SuiteConfig,
@@ -97,6 +100,84 @@ class TestMutationDetection:
         lhs = inequalities.hilbert_form(wit["a"], wit["b"], seqspace.XSequence(wit["c"]))
         assert lhs == pytest.approx(wit["rhs"], rel=1e-12)  # clean build reproduces the truth
         assert wit["lhs"] != pytest.approx(wit["rhs"], rel=1e-12)
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-strict JSON constant {token}")
+
+
+def strict_json(text):
+    return json.loads(text, parse_constant=_reject_constant)
+
+
+# the inputs each property records with a failing case, besides "case"
+WITNESS_KEYS = {
+    "bridge_identity": {"a", "b", "c", "lhs", "rhs"},
+    "norm_scaling": {"values", "lam"},
+    "slow_decay_certificate": {"r", "beta", "N"},
+    "pairing_phase_identity": {"f", "c"},
+    "hardy_degree_bound": {"f", "c", "lhs", "rhs"},
+    "factorization_contract": {"f", "residual", "defect"},
+    "witness_closure": {"c", "N", "gap"},
+    "carleson_bounded": {"c", "variant"},
+}
+
+
+class TestNanMargin:
+    def test_nan_form_fails_every_case(self, monkeypatch):
+        monkeypatch.setattr(inequalities, "hilbert_form", lambda a, b, c: float("nan"))
+        report = run_suite(SMALL)
+        bridge = next(p for p in report.properties if p.name == "bridge_identity")
+        assert bridge.failures == bridge.cases == SMALL.cases["bridge_identity"]
+        assert math.isnan(bridge.worst_margin)
+        assert not report.passed
+        payload = strict_json(report.to_json())
+        prop = next(p for p in payload["properties"] if p["name"] == "bridge_identity")
+        assert prop["worst_margin"] is None
+        assert len(prop["witnesses"]) == 5
+        assert all(w["lhs"] is None and isinstance(w["rhs"], float) for w in prop["witnesses"])
+
+    def test_report_never_writes_nan(self):
+        raw = harness.PropertyResult("bridge_identity", 1, 1, 1.0, [{"lhs": float("nan")}])
+        report = harness.SuiteReport([raw], passed=False, seed=0, fingerprint={})
+        with pytest.raises(ValueError):
+            report.to_json()
+
+
+class TestCaseCounts:
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_count_below_one_rejected(self, n):
+        config = SuiteConfig(cases={"bridge_identity": n})
+        with pytest.raises(ValueError, match="bridge_identity"):
+            config.case_count("bridge_identity")
+        with pytest.raises(ValueError):
+            run_suite(config)
+
+
+class TestWitnessPaths:
+    def test_every_property_records_its_inputs(self, monkeypatch):
+        def failing(check):
+            def shifted(rng, case):
+                margin, inputs = check(rng, case)
+                return np.max(margin) + 1.0, inputs
+            return shifted
+
+        assert list(harness._CHECKS) == list(DEFAULT_CASES)
+        for name, check in list(harness._CHECKS.items()):
+            monkeypatch.setitem(harness._CHECKS, name, failing(check))
+        report = run_suite(SMALL)
+        assert not report.passed
+        payload = strict_json(report.to_json())
+        for prop in payload["properties"]:
+            name, cases = prop["name"], prop["cases"]
+            assert prop["failures"] == cases, name
+            assert [w["case"] for w in prop["witnesses"]] == list(range(min(cases, 5))), name
+            for wit in prop["witnesses"]:
+                assert set(wit) == {"case"} | WITNESS_KEYS[name], name
+                if "f" in wit:
+                    assert set(wit["f"]) == {"re", "im"}
+                if "c" in wit:
+                    assert all(isinstance(v, float) for v in wit["c"])
 
 
 class TestCoverageFloor:
