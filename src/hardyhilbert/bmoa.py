@@ -6,7 +6,11 @@ from a weight sequence, the measure (1 - r^2) |g'|^2 r dr dtheta has a
 polynomial density, so its integral over R(I) is summed in closed form
 (see ``_box_integrals``); the ratio integral/|I|, swept over a dyadic arc
 family, estimates the least Carleson constant and hence the embedding norm
-of c -> g into the mean-oscillation space.
+of c -> g into the mean-oscillation space.  The closed form needs, for each
+distinct arc length L, the diagonal sums D_L[m] = sum_j b_j b_{j+m} R_L(2j+m);
+a sweep gets them for every length at once from one matrix product per row
+block of the products b_j b_{j+m} (at most ``_BLOCK`` entries a block), so
+its working memory is O(n * lengths + _BLOCK) and each arc costs one O(n) dot.
 
 The constant K = sup_{0<=r<1} ( r / (1 - r^{2 floor(1/(1-r))}) )^2 is
 evaluated in closed form: the floor term is constant on
@@ -28,11 +32,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .hardyspace import AnalyticPoly, _next_pow2, boundary_grid
 from .seqspace import XSequence, csv_lines
 
 K_LIMIT = (1.0 - math.exp(-2.0)) ** -2
+_BLOCK = 2**20      # entries per block of coefficient products in _diagonal_sums
 
 
 @dataclass
@@ -52,6 +58,8 @@ def dyadic_arc_family(depth: int, centers_per_length: int = 8) -> list[Arc]:
     """Arcs of length 2^-j, j = 0..depth, with equispaced centers per length."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
+    if centers_per_length < 1:
+        raise ValueError(f"centers per length must be at least 1, got {centers_per_length}")
     arcs = [Arc(0.0, 1.0)]
     for j in range(1, depth + 1):
         arcs.extend(Arc(2.0 * np.pi * k / centers_per_length, 2.0**-j)
@@ -120,6 +128,58 @@ def k_constant(r_max: float) -> KConstantScan:
                          r_max=r_max, m_max=m_max)
 
 
+def _radial_factors(lengths: np.ndarray, n: int) -> np.ndarray:
+    """R_L(s) = (1 - r0^s)/s - (1 - r0^(s+2))/(s+2), r0 = 1 - L, for s = 2..2n.
+
+    One row per length, column s - 2.  Powers go through expm1/log1p; a
+    length-1 row has r0 = 0 and stays 1/s - 1/(s+2), so log1p(-1) is never
+    evaluated.
+    """
+    s = np.arange(2, 2 * n + 3, dtype=float)
+    one_minus = np.ones((lengths.size, s.size))
+    short = lengths < 1.0
+    one_minus[short] = -np.expm1(np.outer(np.log1p(-lengths[short]), s))
+    return one_minus[:, :-2] / s[:-2] - one_minus[:, 2:] / s[2:]
+
+
+def _diagonal_sums(b: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """D[L, m] = sum_j b_j b_{j+m} R[L, 2j+m] for every row L of R at once.
+
+    Writing m = 2p + odd and q = j + p (0-based j),
+
+        D[L, 2p+odd] = sum_q b_{q-p} b_{q+p+odd} R[L, 2q+odd],
+
+    so for each parity the products form a matrix P[p, q], nonzero for
+    p <= q < n - odd - p, whose rows dotted with the stride-2 slice of R
+    give the sums.  P is built in row blocks of at most ``_BLOCK`` entries
+    (one row when a row alone is longer), each trimmed to the nonzero
+    columns of its first row, and each block yields its D columns for every
+    length from one matrix product.  Working memory is O(n * lengths +
+    _BLOCK): one block buffer, never an n x n array.
+    """
+    n = b.size
+    D = np.empty((R.shape[0], n))
+    zeros = np.zeros(n)
+    lower = sliding_window_view(np.concatenate([zeros, b]), n)    # [k, q] = b_{q+k-n}
+    upper = sliding_window_view(np.concatenate([b, zeros]), n)    # [k, q] = b_{q+k}
+    # one buffer for every block: a fresh multi-MB array per block costs
+    # more in page faults than the products written into it
+    buf = np.empty(max(n, min(_BLOCK, n * (n + 1) // 2)))
+    for odd in (0, 1):
+        rows = (n - odd + 1) // 2       # p = 0..rows-1 keeps m = 2p + odd < n
+        R_par = np.ascontiguousarray(R[:, odd::2])     # BLAS needs unit stride
+        p0 = 0
+        while p0 < rows:
+            q0, q1 = p0, n - odd - p0
+            p1 = min(rows, p0 + max(1, _BLOCK // (q1 - q0)))
+            block = buf[:(p1 - p0) * (q1 - q0)].reshape(p1 - p0, q1 - q0)
+            np.multiply(lower[n - p0:n - p1:-1, q0:q1], upper[p0 + odd:p1 + odd, q0:q1],
+                        out=block)
+            D[:, 2 * p0 + odd:2 * p1 + odd:2] = R_par[:, q0:q1] @ block.T
+            p0 = p1
+    return D
+
+
 def _box_integrals(values: np.ndarray, arcs: list[Arc]) -> np.ndarray:
     """Exact box integrals of g = sum values_n z^n over every arc of a family.
 
@@ -131,10 +191,10 @@ def _box_integrals(values: np.ndarray, arcs: list[Arc]) -> np.ndarray:
         Theta(m) = 2 e^{imc} sin(m pi |I|)/m,          Theta(0) = 2 pi |I|.
 
     Real coefficients pair (j, k) with (k, j), so the double sum folds into
-    the diagonal sums D[m] = sum_j b_j b_{j+m} R(2j+m), computed once per
-    distinct length; each center then costs O(N):
-    I = 2 pi |I| D[0] + sum_{m>=1} 4 D[m] cos(mc) sin(m pi |I|)/m.  The
-    diagonals are read through strided views, so no N x N array is formed.
+    the diagonal sums D_L[m] = sum_j b_j b_{j+m} R_L(2j+m) of each distinct
+    length L, all lengths from one blocked pass (``_diagonal_sums``).  Each
+    arc then costs one dot with the cos(mc) vector of its center:
+    I = 2 pi |I| D[0] + sum_{m>=1} 4 D[m] cos(mc) sin(m pi |I|)/m.
     """
     a = np.asarray(values, dtype=float)
     out = np.zeros(len(arcs))
@@ -142,23 +202,14 @@ def _box_integrals(values: np.ndarray, arcs: list[Arc]) -> np.ndarray:
     if n < 1:
         return out
     b = np.arange(1, n + 1) * a[1:]
-    b_pad = np.concatenate([b, np.zeros(n)])
-    step = b_pad.strides[0]
-    shifted = np.lib.stride_tricks.as_strided(b_pad, shape=(n, n), strides=(step, step))
-    s = np.arange(2, 3 * n + 2, dtype=float)    # every j + k reached by R(2j + m)
+    lengths, length_idx = np.unique([arc.length_norm for arc in arcs], return_inverse=True)
+    centers, center_idx = np.unique([arc.center for arc in arcs], return_inverse=True)
+    D = _diagonal_sums(b, _radial_factors(lengths, n))
     m = np.arange(1, n)
-    lengths = np.array([arc.length_norm for arc in arcs])
-    for length in np.unique(lengths):
-        if length >= 1.0:
-            one_minus = np.ones_like(s)
-        else:
-            one_minus = -np.expm1(s * math.log1p(-length))
-        R = one_minus[:-2] / s[:-2] - one_minus[2:] / s[2:]     # R(s), s = 2..3n-1
-        R_diag = np.lib.stride_tricks.as_strided(R, shape=(n, n), strides=(step, 2 * step))
-        D = np.einsum("j,mj,mj->m", b, shifted, R_diag)
-        weights = 4.0 * D[1:] * np.sin(np.pi * np.mod(m * length, 2.0)) / m
-        for i in np.flatnonzero(lengths == length):
-            out[i] = 2.0 * np.pi * length * D[0] + weights @ np.cos(m * arcs[i].center)
+    weights = 4.0 * D[:, 1:] * np.sin(np.pi * np.mod(np.outer(lengths, m), 2.0)) / m
+    cosines = np.cos(np.outer(centers, m))
+    for i, (li, ci) in enumerate(zip(length_idx, center_idx)):
+        out[i] = 2.0 * np.pi * lengths[li] * D[li, 0] + weights[li] @ cosines[ci]
     return out
 
 

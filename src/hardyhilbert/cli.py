@@ -52,7 +52,8 @@ def _load_sequence(args, default_len: int) -> seqspace.XSequence:
     path = getattr(args, "sequence", None)
     if path:
         return seqspace.read_sequence_csv(path)
-    return seqspace.classic_sequence(getattr(args, "classic_n", None) or default_len)
+    n = getattr(args, "classic_n", None)
+    return seqspace.classic_sequence(default_len if n is None else n)
 
 
 def _cmd_xnorm(args) -> int:

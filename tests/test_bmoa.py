@@ -5,6 +5,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
+from hardyhilbert import bmoa
 from hardyhilbert.bmoa import (
     Arc,
     K_LIMIT,
@@ -17,7 +18,12 @@ from hardyhilbert.bmoa import (
     write_ratio_csv,
 )
 from hardyhilbert.hardyspace import AnalyticPoly
-from hardyhilbert.seqspace import XSequence, classic_sequence
+from hardyhilbert.seqspace import (
+    XSequence,
+    classic_sequence,
+    slow_decay_sequence,
+    trace_to_xsequence,
+)
 
 
 class TestArc:
@@ -35,6 +41,11 @@ class TestArc:
         assert len(arcs) == 1 + 3 * 4
         lengths = sorted({a.length_norm for a in arcs}, reverse=True)
         assert lengths == [1.0, 0.5, 0.25, 0.125]
+
+    @pytest.mark.parametrize("centers", [0, -2])
+    def test_dyadic_family_needs_a_center(self, centers):
+        with pytest.raises(ValueError, match="centers per length"):
+            dyadic_arc_family(0, centers_per_length=centers)
 
 
 def scan_k_constant(r_max):
@@ -221,6 +232,65 @@ class TestBoxIntegral:
         coeffs = np.array([0.5, 1.0, 0.25])
         arc = Arc(0.3, 0.125)
         assert box(3.0 * coeffs, arc) == pytest.approx(9.0 * box(coeffs, arc), rel=1e-12)
+
+
+def diagonal_box_integrals(values, arcs):
+    """Oracle for the blocked engine: each distinct length's diagonal sums
+    D[m] = sum_j b_j b_{j+m} R(2j+m) from one einsum over strided n x n views,
+    then the same per-arc closed form."""
+    a = np.asarray(values, dtype=float)
+    out = np.zeros(len(arcs))
+    n = a.size - 1
+    if n < 1:
+        return out
+    b = np.arange(1, n + 1) * a[1:]
+    b_pad = np.concatenate([b, np.zeros(n)])
+    step = b_pad.strides[0]
+    shifted = np.lib.stride_tricks.as_strided(b_pad, shape=(n, n), strides=(step, step))
+    s = np.arange(2, 3 * n + 2, dtype=float)
+    m = np.arange(1, n)
+    lengths = np.array([arc.length_norm for arc in arcs])
+    for length in np.unique(lengths):
+        if length >= 1.0:
+            one_minus = np.ones_like(s)
+        else:
+            one_minus = -np.expm1(s * math.log1p(-length))
+        R = one_minus[:-2] / s[:-2] - one_minus[2:] / s[2:]
+        R_diag = np.lib.stride_tricks.as_strided(R, shape=(n, n), strides=(step, 2 * step))
+        D = np.einsum("j,mj,mj->m", b, shifted, R_diag)
+        weights = 4.0 * D[1:] * np.sin(np.pi * np.mod(m * length, 2.0)) / m
+        for i in np.flatnonzero(lengths == length):
+            out[i] = 2.0 * np.pi * length * D[0] + weights @ np.cos(m * arcs[i].center)
+    return out
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(2026)
+    yield "classic-1024", classic_sequence(1024).values, dyadic_arc_family(12)
+    r, beta = rng.uniform(0.5, 1.0), rng.uniform(1.05, 3.0)
+    slow = trace_to_xsequence(slow_decay_sequence(r, beta, 800))
+    yield "slow-decay", slow.values, dyadic_arc_family(10)
+    # n = len(values) - 1 weighted terms, both parities of n
+    for n in (1, 2, 3, 4, 5, 17, 96):
+        arcs = dyadic_arc_family(6, centers_per_length=3) + [
+            Arc(rng.uniform(0.0, 2.0 * np.pi), rng.uniform(0.01, 1.0)) for _ in range(4)]
+        yield f"random-{n}", rng.standard_normal(n + 1), arcs
+
+
+ORACLE_CASES = list(_oracle_cases())
+
+
+class TestBlockedBoxIntegrals:
+    @pytest.mark.parametrize("block", [None, 64])
+    @pytest.mark.parametrize("case", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+    def test_matches_diagonal_oracle(self, monkeypatch, block, case):
+        # block 64 splits n = 96 and n = 1024 into many trimmed row blocks
+        if block is not None:
+            monkeypatch.setattr(bmoa, "_BLOCK", block)
+        _, values, arcs = case
+        expected = diagonal_box_integrals(values, arcs)
+        got = bmoa._box_integrals(values, arcs)
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 class TestCarlesonConstant:

@@ -123,6 +123,24 @@ class TestBadInput:
         assert out == ""
         assert err.startswith("error: polynomial CSV")
 
+    @pytest.mark.parametrize("centers", ["0", "-2"])
+    def test_carleson_centers_below_one(self, capsys, centers):
+        code, out, err = run(capsys, ["carleson", "--depth", "2", "--centers", centers,
+                                      "--classic-n", "16"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: centers per length")
+
+    @pytest.mark.parametrize("command", ["carleson", "hilbert-norm", "equiv", "hardy-check"])
+    def test_classic_n_zero_is_usage_error(self, capsys, poly_file, command):
+        # 0 must reach classic_sequence, not fall back to the default length
+        extra = {"carleson": ["--depth", "2"], "hilbert-norm": ["--n-list", "2,4"],
+                 "equiv": ["--n", "2"], "hardy-check": [poly_file]}[command]
+        code, out, err = run(capsys, [command] + extra + ["--classic-n", "0"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: N must be positive\n"
+
 
 class TestSlowdecay:
     def test_json_report(self, capsys):
