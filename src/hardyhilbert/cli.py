@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from itertools import chain
 
@@ -27,20 +28,61 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_json(args, payload: dict, last: tuple[str, list[float]] | None = None) -> None:
-    """``payload`` as key-sorted, indented, strict JSON.
+def _emit_json(args, payload: dict, splice: str | None = None) -> None:
+    """``payload`` as key-sorted, indented, strict JSON, with the bytes of
+    ``json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)``.
 
-    ``last`` = (key, values) adds a list of finite floats under a key that
-    sorts after every key of the nonempty ``payload``.  It is spliced in with
-    the bytes json.dumps(indent=2) would give, without running each float
-    through json's pure-Python indented encoder.
+    ``splice`` names a top-level key whose value is one large list, either
+    of floats or of flat records (dicts) of floats.  json's indented encoder
+    is pure Python and handles each item in turn; instead the rest of the
+    payload is dumped with a placeholder string in the list's place, the
+    items are formatted with ``float.__repr__`` (as json does) at the list's
+    indentation, and the text replaces the placeholder.  A non-finite item
+    raises ValueError, as ``allow_nan=False`` does.
     """
-    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
-    if last is not None:
-        key, values = last
-        items = ",\n    ".join(map(float.__repr__, values))
-        text = f"{text[:-2]},\n  {json.dumps(key)}: [\n    {items}\n  ]\n}}"
+    if splice is None:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    else:
+        text = json.dumps({**payload, splice: _PLACEHOLDER}, sort_keys=True, indent=2,
+                          allow_nan=False)
+        text = text.replace(json.dumps(_PLACEHOLDER), _list_text(payload[splice]), 1)
     _emit(args, text + "\n")
+
+
+# a string no other value of a payload holds: file paths cannot contain NUL
+_PLACEHOLDER = "\0spliced list\0"
+_ITEM = "\n    "        # a top-level list's items sit at depth 2 of indent=2
+_FIELD = "\n      "      # and a record's fields at depth 3
+
+
+def _list_text(items: list) -> str:
+    """json.dumps(items, indent=2) for a list at a top-level key of a payload."""
+    if not items:
+        return "[]"
+    if isinstance(items[0], dict):
+        body = ("," + _ITEM).join(map(_record_text, items))
+    else:
+        body = ("," + _ITEM).join(map(float.__repr__, items))
+        if "n" in body:  # nan, inf or -inf: no finite float's repr has an n
+            raise ValueError("Out of range float values are not JSON compliant")
+    return "[" + _ITEM + body + "\n  ]"
+
+
+def _record_text(record: dict) -> str:
+    keys = tuple(sorted(record))
+    values = [record[k] for k in keys]
+    if not all(map(math.isfinite, values)):
+        raise ValueError("Out of range float values are not JSON compliant")
+    return _record_template(keys) % tuple(map(float.__repr__, values))
+
+
+@functools.cache
+def _record_template(keys: tuple[str, ...]) -> str:
+    """Indented text of a record with these sorted keys, %s for each value."""
+    if not keys:
+        return "{}"
+    fields = (f"{_FIELD}{json.dumps(k)}: ".replace("%", "%%") + "%s" for k in keys)
+    return "{" + ",".join(fields) + _ITEM + "}"
 
 
 def _emit_rows(args, rows) -> None:
@@ -68,7 +110,8 @@ def _cmd_xnorm(args) -> int:
             "norm": seqspace.xnorm(c),
             "norm_sq": c.xnorm_sq,
             "params": {"input": args.file},
-        }, last=("prefix_ratios", ratios.tolist()))
+            "prefix_ratios": ratios.tolist(),
+        }, splice="prefix_ratios")
     return 0
 
 
@@ -143,7 +186,7 @@ def _cmd_carleson(args) -> int:
     else:
         payload = report.to_dict()
         payload["bounded"] = bounded
-        _emit_json(args, payload)
+        _emit_json(args, payload, splice="arcs")
     return 0 if bounded else 1
 
 

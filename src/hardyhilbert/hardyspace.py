@@ -35,6 +35,7 @@ TRAP_RTOL = 1e-13
 KINK_NEAR = 1e-2  # |.|rho|-1| below this reroutes the |f| mean to panel quadrature
 CIRCLE_REJECT = 1e-10
 FACTOR_RESIDUAL_REL = 1e-8
+_FACTOR_GRID_CAP = 2**18  # finest grid factorization_report doubles up to
 _TRAP_M_CAP = 2**22
 
 
@@ -254,20 +255,50 @@ def factorization_report(f: AnalyticPoly, M: int | None = None) -> RieszFactoriz
 
     Then ||f||_1 = ||g||_2 ||h||_2 holds by construction, up to the
     certified residual.  Inputs with a zero within CIRCLE_REJECT of the
-    circle are rejected; a residual above FACTOR_RESIDUAL_REL * ||f||_2
-    raises ConvergenceError (zeros extremely close to the circle make the
-    outer square root's Taylor tail decay too slowly for the grid).
+    circle are rejected.  The outer square root's Taylor tail is cut at the
+    grid, so a zero near the circle needs a finer one: without ``M`` the
+    grid starts at max(4096, 16(d+1)) and doubles, up to _FACTOR_GRID_CAP,
+    while the residual exceeds FACTOR_RESIDUAL_REL * ||f||_2.  A residual
+    still above that on the last grid (or on the given ``M``) raises
+    ConvergenceError.  ``grid_size`` is the grid that passed.
     """
     if f.is_zero:
         raise ValueError("cannot factorize the zero polynomial")
     d = f.degree
-    M = _resolve_grid(d, M, max(4096, _next_pow2(16 * (d + 1))))
+    grid = _resolve_grid(d, M, max(4096, _next_pow2(16 * (d + 1))))
     rts = require_circle_free(f)
     inside = rts[np.abs(rts) < 1.0]
     if inside.size:
         inside = inside[np.lexsort((inside.imag, inside.real))]
-    half_h, half_g = inside[0::2], inside[1::2]
+    limit = FACTOR_RESIDUAL_REL * hp_norm(f, 2)
+    while True:
+        g, h, residual = _factor_on_grid(f, inside, grid)
+        if residual <= limit:
+            break
+        if M is not None or 2 * grid > _FACTOR_GRID_CAP:
+            raise ConvergenceError(
+                f"factor product misses f by {residual:.3e} (limit {limit:.3e}) "
+                f"on a {grid}-point grid",
+                residual=residual,
+            )
+        grid *= 2
+    defect = abs(hp_norm(f, 1, grid) - hp_norm(g, 2) * hp_norm(h, 2))
+    return RieszFactorization(
+        g=g,
+        h=h,
+        residual_max=residual,
+        norm_defect=defect,
+        blaschke_degree=int(inside.size),
+        grid_size=grid,
+    )
 
+
+def _factor_on_grid(f: AnalyticPoly, inside: np.ndarray, M: int):
+    """The factor pair on an M-point grid and max |f - g h| over that grid.
+
+    ``inside`` holds the zeros in the disc, sorted; they alternate between
+    the Blaschke products of h and g.
+    """
     z = np.exp(2j * np.pi * np.arange(M) / M)
     fv = np.fft.ifft(f.coeffs, n=M) * M
     chat = np.fft.fft(np.log(np.abs(fv))) / M
@@ -282,7 +313,7 @@ def factorization_report(f: AnalyticPoly, M: int | None = None) -> RieszFactoriz
             B *= (z - rho) / (1.0 - np.conj(rho) * z)
         return B
 
-    Bg, Bh = blaschke(half_g), blaschke(half_h)
+    Bg, Bh = blaschke(inside[1::2]), blaschke(inside[0::2])
     j = int(np.argmax(np.abs(fv)))
     lam = fv[j] / (Bg[j] * Bh[j] * sqrt_outer[j] ** 2)
     lam /= abs(lam)
@@ -299,22 +330,7 @@ def factorization_report(f: AnalyticPoly, M: int | None = None) -> RieszFactoriz
 
     gv = np.fft.ifft(g.coeffs, n=M) * M
     hv = np.fft.ifft(h.coeffs, n=M) * M
-    residual = float(np.abs(fv - gv * hv).max())
-    f2 = hp_norm(f, 2)
-    if residual > FACTOR_RESIDUAL_REL * f2:
-        raise ConvergenceError(
-            f"factor product misses f by {residual:.3e} (limit {FACTOR_RESIDUAL_REL * f2:.3e})",
-            residual=residual,
-        )
-    defect = abs(hp_norm(f, 1, M) - hp_norm(g, 2) * hp_norm(h, 2))
-    return RieszFactorization(
-        g=g,
-        h=h,
-        residual_max=residual,
-        norm_defect=defect,
-        blaschke_degree=int(inside.size),
-        grid_size=M,
-    )
+    return g, h, float(np.abs(fv - gv * hv).max())
 
 
 def riesz_factorize(f: AnalyticPoly, M: int | None = None) -> tuple[AnalyticPoly, AnalyticPoly]:

@@ -57,14 +57,14 @@ _GUARD = 1.0 - 2.0**-40
 
 
 class XSequence:
-    """Finite nonnegative sequence with cached weighted prefix sums.
+    """Finite nonnegative sequence with cached weighted prefix ratios.
 
-    Storage is the modulus (inputs pass through abs).  ``prefix_weighted[n]``
-    holds sum_{k<=n} ((k+1)*c_k)^2 accumulated in extended precision, and
-    ``xnorm_sq`` is the largest prefix ratio prefix_weighted[n]/(n+1).
+    Storage is the modulus (inputs pass through abs).  ``ratios[n]`` is
+    sum_{k<=n} ((k+1)*c_k)^2 / (n+1), the sum accumulated in extended
+    precision, and ``xnorm_sq`` is the largest of them.
     """
 
-    __slots__ = ("values", "prefix_weighted", "ratios", "xnorm_sq")
+    __slots__ = ("values", "ratios", "xnorm_sq")
 
     def __init__(self, values):
         v = np.abs(np.asarray(values, dtype=float))
@@ -76,7 +76,6 @@ class XSequence:
         k1 = np.arange(1, v.size + 1, dtype=float)
         with np.errstate(over="ignore"):  # an overflow is rejected below
             wide = np.cumsum(((k1 * v) ** 2).astype(np.longdouble))
-        self.prefix_weighted = wide.astype(float)
         self.ratios = (wide / k1).astype(float)
         self.xnorm_sq = float(self.ratios.max())
         if not np.isfinite(self.xnorm_sq):  # NaN and inf propagate into the max

@@ -1,10 +1,11 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from hardyhilbert import cli, harness, inequalities
-from hardyhilbert.bmoa import carleson_constant, write_ratio_csv
+from hardyhilbert.bmoa import carleson_constant, sweep_is_bounded, write_ratio_csv
 from hardyhilbert.hardyspace import AnalyticPoly, write_polynomial_csv
 from hardyhilbert.inequalities import best_constant_scan, scan_to_csv
 from hardyhilbert.seqspace import (
@@ -276,6 +277,71 @@ class TestCarleson:
                                                        centers_per_length=2))
         assert out_path.read_bytes() == module_path.read_bytes()
         assert b"\r" not in out_path.read_bytes()
+
+
+def carleson_payload(c, depth, centers):
+    report = carleson_constant(c, depth=depth, centers_per_length=centers)
+    payload = report.to_dict()
+    payload["bounded"] = sweep_is_bounded(report)
+    return payload
+
+
+class TestCarlesonJsonBytes:
+    """The arc records are spliced into the JSON; json.dumps is the byte oracle."""
+
+    @pytest.mark.parametrize("depth, centers, n", [
+        (0, 8, 64),       # one arc, the whole circle
+        (5, 1, 64),       # one center per length
+        (12, 8, 1024),    # the classic sweep, many row blocks
+        (3, 2, 1),        # no derivative: every box is 0.0
+    ])
+    def test_classic(self, capsys, depth, centers, n):
+        code, out, _ = run(capsys, ["carleson", "--depth", str(depth), "--centers", str(centers),
+                                    "--classic-n", str(n)])
+        assert code == 0
+        payload = carleson_payload(classic_sequence(n), depth, centers)
+        assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    def test_sequence_input(self, capsys, tmp_path):
+        path = tmp_path / "slow.csv"
+        write_sequence_csv(path, trace_to_xsequence(slow_decay_sequence(0.6, 1.5, 300)))
+        code, out, _ = run(capsys, ["carleson", "--depth", "6", "--sequence", str(path)])
+        assert code == 0
+        payload = carleson_payload(read_sequence_csv(path), 6, 8)
+        assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    def test_zero_sequence(self, capsys, tmp_path):
+        path = tmp_path / "zero.csv"
+        write_sequence_csv(path, XSequence(np.zeros(40)))
+        code, out, _ = run(capsys, ["carleson", "--depth", "4", "--sequence", str(path)])
+        assert code == 0
+        payload = carleson_payload(read_sequence_csv(path), 4, 8)
+        assert all(arc["box_integral"] == 0.0 for arc in payload["arcs"])
+        assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+class TestJsonSplice:
+    @pytest.mark.parametrize("payload", [
+        {"a": 1, "list": [], "z": "last"},
+        {"list": [0.1, -2.5e-300, 1e300, 3.0], "a": {"nested": [1, 2]}},
+        {"b": True, "list": [{"y": 1.5, "x": -0.0}, {}, {"%s": 2.0, "b\"q": 0.5}]},
+        {"list": [{"only": 7.25}]},
+    ])
+    def test_matches_indented_dumps(self, capsys, payload):
+        cli._emit_json(SimpleNamespace(out=None), payload, splice="list")
+        assert capsys.readouterr().out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("items", [
+        [1.0, float("nan")],
+        [float("inf")],
+        [-float("inf"), 2.0],
+        [{"a": 1.0}, {"a": float("nan")}],
+        [{"a": 1.0, "b": -float("inf")}],
+    ])
+    def test_non_finite_item_raises(self, capsys, items):
+        with pytest.raises(ValueError):
+            cli._emit_json(SimpleNamespace(out=None), {"n": 1, "list": items}, splice="list")
+        assert capsys.readouterr().out == ""
 
 
 class TestKconst:

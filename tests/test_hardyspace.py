@@ -5,6 +5,7 @@ import pytest
 
 from hardyhilbert.hardyspace import (
     AnalyticPoly,
+    FACTOR_RESIDUAL_REL,
     ConvergenceError,
     FactorizationSingular,
     boundary_grid,
@@ -228,6 +229,12 @@ class TestRieszFactorize:
         assert err.value.residual is not None
         assert err.value.residual > 0
 
+    def test_near_circle_root_fails_on_the_finest_grid(self):
+        # without M the grid doubles up to 2^18 before giving up
+        f = AnalyticPoly(np.poly([(1 - 1e-7) * np.exp(0.7j)])[::-1])
+        with pytest.raises(ConvergenceError, match="262144-point grid"):
+            factorization_report(f)
+
     def test_product_bound_cauchy_schwarz(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
@@ -235,6 +242,45 @@ class TestRieszFactorize:
             h = AnalyticPoly(rng.normal(size=7) + 1j * rng.normal(size=7))
             f = AnalyticPoly(cauchy_product(g.coeffs, h.coeffs))
             assert hp_norm(f, 1) <= hp_norm(g, 2) * hp_norm(h, 2) * (1 + 1e-10)
+
+
+def gaussian_polynomial_sets():
+    """20 complex Gaussian polynomials each of degree 8 and 16, seed 11.
+
+    At the first grid (4096 points) only 14 and 5 of them factor; at 2^14
+    points, 20 and 17; at 2^16, all of them.
+    """
+    rng = np.random.default_rng(11)
+    return {d: [AnalyticPoly(rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1))
+                for _ in range(20)] for d in (8, 16)}
+
+
+class TestFactorGridDoubling:
+    @pytest.mark.parametrize("degree", [8, 16])
+    def test_seeded_gaussian_sets_all_factor(self, degree):
+        grids = []
+        for f in gaussian_polynomial_sets()[degree]:
+            rep = factorization_report(f)
+            assert rep.residual_max <= FACTOR_RESIDUAL_REL * hp_norm(f, 2)
+            prod = cauchy_product(rep.g.coeffs, rep.h.coeffs)[: degree + 1]
+            assert np.abs(prod - f.coeffs).max() <= 1e-7 * hp_norm(f, 2)
+            grids.append(rep.grid_size)
+        assert min(grids) == 4096 and max(grids) > 4096  # some inputs needed a finer grid
+
+    def test_reported_grid_reproduces_the_report(self):
+        for f in gaussian_polynomial_sets()[16][:6]:
+            rep = factorization_report(f)
+            again = factorization_report(f, M=rep.grid_size)
+            assert again.grid_size == rep.grid_size
+            assert np.array_equal(again.g.coeffs, rep.g.coeffs)
+            assert np.array_equal(again.h.coeffs, rep.h.coeffs)
+            assert again.residual_max == rep.residual_max
+
+    def test_given_grid_is_not_refined(self):
+        f = next(f for f in gaussian_polynomial_sets()[16]
+                 if factorization_report(f).grid_size > 4096)
+        with pytest.raises(ConvergenceError, match="4096-point grid"):
+            factorization_report(f, M=4096)
 
 
 class TestCircleGuard:
