@@ -34,7 +34,6 @@ from .hardyspace import (
     hp_norm,
     phase_sequence,
     read_polynomial_csv,
-    riesz_factorize,
     write_polynomial_csv,
 )
 from .harness import (
@@ -49,7 +48,6 @@ from .inequalities import (
     OperatorNormEstimate,
     best_constant_scan,
     equivalence_witness,
-    hankel_matvec,
     hardy_degree_bound_check,
     hardy_ratio,
     hardy_sum,
@@ -71,7 +69,6 @@ from .seqspace import (
     trace_to_xsequence,
     verify_margins,
     write_sequence_csv,
-    write_trace_csv,
     xnorm,
 )
 
@@ -81,14 +78,14 @@ __all__ = [
     "dyadic_arc_family", "k_constant", "k_term", "sweep_is_bounded",
     "AnalyticPoly", "BoundaryGrid", "ConvergenceError", "FactorizationSingular",
     "boundary_grid", "cauchy_product", "dual_pairing", "factorization_report",
-    "hp_norm", "phase_sequence", "read_polynomial_csv", "riesz_factorize",
+    "hp_norm", "phase_sequence", "read_polynomial_csv",
     "write_polynomial_csv",
     "SuiteConfig", "SuiteReport", "run_suite", "sample_polynomial", "sample_xsequence",
     "EquivalenceReport", "OperatorNormEstimate", "best_constant_scan",
-    "equivalence_witness", "hankel_matvec", "hardy_degree_bound_check", "hardy_ratio",
-    "hardy_sum", "hilbert_form", "matrix_norm",
+    "equivalence_witness", "hardy_degree_bound_check", "hardy_ratio", "hardy_sum",
+    "hilbert_form", "matrix_norm",
     "HARMONIC", "POWER", "SlowDecayTrace", "XSequence", "classic_sequence",
     "infinitude_report", "prefix_ratios", "read_sequence_csv", "replay_values",
     "slow_decay_sequence", "trace_csv", "trace_to_xsequence", "verify_margins",
-    "write_sequence_csv", "write_trace_csv", "xnorm",
+    "write_sequence_csv", "xnorm",
 ]

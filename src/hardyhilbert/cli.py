@@ -4,6 +4,11 @@ Data goes to the output stream (--out PATH, default stdout) in exactly the
 requested format; diagnostics and findings go to stderr.  Exit codes:
 0 success, 1 property failure, 2 usage error, 3 numerical non-convergence.
 Reports embed the defaults they ran with, so reruns are reproducible.
+
+Every subcommand's JSON payload and CSV rows are laid out here and nowhere
+else; the engines return plain dataclasses.  The interchange CSVs
+(sequences, traces, polynomials) are read and written by ``seqspace`` and
+``hardyspace``, each writer next to its reader.
 """
 
 from __future__ import annotations
@@ -148,7 +153,8 @@ def _cmd_hilbert_norm(args) -> int:
     c = _load_sequence(args, 2 * max(sizes) - 1)
     estimates = inequalities.best_constant_scan(c, sizes, method=args.method)
     if args.format == "csv":
-        _emit_rows(args, inequalities.scan_rows(estimates))
+        _emit_rows(args, chain([["N", "norm", "residual", "iterations"]],
+                               ([e.N, e.value, e.residual, e.iterations] for e in estimates)))
     else:
         _emit_json(args, {
             "rows": [{"N": e.N, "norm": e.value, "residual": e.residual,
@@ -162,16 +168,15 @@ def _cmd_hilbert_norm(args) -> int:
 def _cmd_equiv(args) -> int:
     c = _load_sequence(args, 2 * args.n - 1)
     report = inequalities.equivalence_witness(c, args.n, M=args.grid, method=args.method)
-    payload = report.to_dict()
-    payload["converged"] = report.estimate.converged
-    payload["params"] = {"grid": args.grid, "method": args.method,
-                         "residual_tol": inequalities.RESIDUAL_TOL}
+    fields = {"N": report.N, "matrix_norm": report.matrix_norm,
+              "hardy_ratio": report.hardy_ratio, "gap": report.gap,
+              "witness_degree": report.witness.degree}
     if args.format == "csv":
-        _emit_rows(args, [["N", "matrix_norm", "hardy_ratio", "gap", "witness_degree"],
-                          [report.N, repr(report.matrix_norm), repr(report.hardy_ratio),
-                           repr(report.gap), report.witness.degree]])
+        _emit_rows(args, [list(fields), list(fields.values())])
     else:
-        _emit_json(args, payload)
+        _emit_json(args, {**fields, "converged": report.estimate.converged,
+                          "params": {"grid": args.grid, "method": args.method,
+                                     "residual_tol": inequalities.RESIDUAL_TOL}})
     return 0 if report.estimate.converged else 3
 
 
@@ -182,26 +187,34 @@ def _cmd_carleson(args) -> int:
     if report.finding:
         print(report.finding, file=sys.stderr)
     if args.format == "csv":
-        _emit_rows(args, report.rows())
+        _emit_rows(args, chain([["length", "center", "box_integral", "ratio"]],
+                               ([r.arc.length_norm, r.arc.center, r.box_integral, r.ratio]
+                                for r in report.records)))
     else:
-        payload = report.to_dict()
-        payload["bounded"] = bounded
-        _emit_json(args, payload, splice="arcs")
+        _emit_json(args, {
+            "arcs": [{"center": r.arc.center, "length": r.arc.length_norm,
+                      "box_integral": r.box_integral, "ratio": r.ratio}
+                     for r in report.records],
+            "sup_ratio": report.sup_ratio,
+            "k_constant": report.k_constant,
+            "bound_2k": report.bound_2k,
+            "pass": report.passes_2k,
+            "eta_estimate": report.eta_estimate,
+            "xnorm_sq": report.xnorm_sq,
+            "finding": report.finding,
+            "bounded": bounded,
+            "params": {"arcs": len(report.records)},
+        }, splice="arcs")
     return 0 if bounded else 1
 
 
 def _cmd_kconst(args) -> int:
     scan = bmoa.k_constant(args.rmax)
+    fields = {"value": scan.value, "limit": scan.limit, "argmax_r": scan.argmax_r}
     if args.format == "csv":
-        _emit_rows(args, [["value", "limit", "argmax_r"],
-                          [repr(scan.value), repr(scan.limit), repr(scan.argmax_r)]])
+        _emit_rows(args, [list(fields), list(fields.values())])
     else:
-        _emit_json(args, {
-            "value": scan.value,
-            "limit": scan.limit,
-            "argmax_r": scan.argmax_r,
-            "params": {"rmax": scan.r_max, "m_max": scan.m_max},
-        })
+        _emit_json(args, {**fields, "params": {"rmax": scan.r_max, "m_max": scan.m_max}})
     return 0
 
 

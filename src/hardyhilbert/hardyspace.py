@@ -333,12 +333,6 @@ def _factor_on_grid(f: AnalyticPoly, inside: np.ndarray, M: int):
     return g, h, float(np.abs(fv - gv * hv).max())
 
 
-def riesz_factorize(f: AnalyticPoly, M: int | None = None) -> tuple[AnalyticPoly, AnalyticPoly]:
-    """The factor pair (g, h) of factorization_report."""
-    rep = factorization_report(f, M)
-    return rep.g, rep.h
-
-
 # ---------------------------------------------------------------------------
 # CSV interchange: header index,re,im, one row per coefficient from index 0.
 

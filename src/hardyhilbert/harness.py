@@ -238,7 +238,8 @@ def _hardy_degree_bound(rng, case):
 def _factorization_contract(rng, case):
     f = sample_polynomial(rng, int(rng.integers(1, MAX_POLY_DEGREE + 1)),
                           for_factorization=True)
-    g, h = hardyspace.riesz_factorize(f)
+    rep = hardyspace.factorization_report(f)
+    g, h = rep.g, rep.h
     fv = hardyspace.boundary_grid(f, GRID_SIZE).samples
     gv = hardyspace.boundary_grid(g, GRID_SIZE).samples
     hv = hardyspace.boundary_grid(h, GRID_SIZE).samples

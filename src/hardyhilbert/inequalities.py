@@ -42,7 +42,7 @@ from .hardyspace import (
     hp_norm,
     require_circle_free,
 )
-from .seqspace import XSequence, csv_lines, xnorm
+from .seqspace import XSequence, xnorm
 
 LANCZOS = "lanczos"
 DENSE_EIGEN = "dense_eigen"
@@ -106,7 +106,8 @@ def _hankel_operator(gen: np.ndarray, N: int, method: str):
     generator once and then costs one rfft and one irfft per product: the
     linear convolution of gen[:2N-1] with reversed v has length 3N-2, and
     with L >= 2N-1 its circular wrap-around only lands on outputs below N-1
-    or above 2N-2, so the wanted outputs N-1..2N-2 are exact.
+    or above 2N-2, so the wanted outputs N-1..2N-2 are exact.  The two
+    routes agree to 1e-13, and the tests use each as the other's oracle.
     """
     gen = np.asarray(gen, dtype=float)
     if gen.size < 2 * N - 1:
@@ -119,18 +120,6 @@ def _hankel_operator(gen: np.ndarray, N: int, method: str):
         spectrum = np.fft.rfft(gen, L)
         return lambda v: np.fft.irfft(spectrum * np.fft.rfft(v[::-1], L), L)[N - 1 : 2 * N - 1]
     raise ValueError(f"unknown matvec method {method!r}")
-
-
-def hankel_matvec(gen: np.ndarray, v: np.ndarray, method: str = "direct") -> np.ndarray:
-    """(Hv)[n] = sum_m gen[n+m] v[m] for the Hankel matrix generated by gen.
-
-    direct is the O(N^2) correlation; fft is the O(N log N) route on a
-    power-of-two transform of length >= 2N-1.  The two must agree to 1e-13
-    (covered by tests).  matrix_norm builds the same operator once per call
-    and takes the fft route from N >= FFT_MIN_N.
-    """
-    v = np.asarray(v, dtype=float)
-    return _hankel_operator(gen, v.size, method)(v)
 
 
 @dataclass
@@ -278,15 +267,6 @@ class EquivalenceReport:
     witness: AnalyticPoly
     estimate: OperatorNormEstimate
 
-    def to_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "matrix_norm": self.matrix_norm,
-            "hardy_ratio": self.hardy_ratio,
-            "gap": self.gap,
-            "witness_degree": self.witness.degree,
-        }
-
 
 def equivalence_witness(c: XSequence, N: int, M: int | None = None,
                         method: str = LANCZOS) -> EquivalenceReport:
@@ -315,17 +295,6 @@ def best_constant_scan(c: XSequence, N_list, method: str = LANCZOS) -> list[Oper
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("truncation sizes must be strictly ascending")
     return [matrix_norm(c, n, method) for n in sizes]
-
-
-def scan_rows(estimates: list[OperatorNormEstimate]) -> list[list]:
-    """CSV rows of a scan, header first: N, norm and residual as repr, iterations."""
-    return [["N", "norm", "residual", "iterations"]] + [
-        [e.N, repr(e.value), repr(e.residual), e.iterations] for e in estimates]
-
-
-def scan_to_csv(path, estimates: list[OperatorNormEstimate]) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.writelines(csv_lines(scan_rows(estimates)))
 
 
 @dataclass

@@ -378,10 +378,11 @@ def infinitude_report(t: SlowDecayTrace, s: float) -> InfinitudeReport:
 def csv_lines(rows):
     """CSV lines of ``rows``, header included: cells by str(), LF line ends.
 
-    The one row writer for the CLI tables and the sequence, polynomial, scan
-    and ratio files (traces use the faster trace_csv).  Lines are yielded
-    one at a time, so a file writer streams.  No cell written here holds a
-    comma, quote or line break, so none is quoted.
+    The one row writer for the CLI's tables and for the sequence and
+    polynomial interchange files (traces use the faster trace_csv).  A
+    float cell's str() is its repr, so it reads back bit for bit.  Lines
+    are yielded one at a time, so a file writer streams.  No cell written
+    here holds a comma, quote or line break, so none is quoted.
     """
     for row in rows:
         yield ",".join(map(str, row)) + "\n"
@@ -444,14 +445,10 @@ def trace_csv(t: SlowDecayTrace) -> str:
     """The trace as CSV text, header index,value,choice.
 
     Row 0 is the exported head c_0 := c_1; row i is c_i with its choice
-    label, the value written as repr.  The one formatter for both the CLI
-    and write_trace_csv.
+    label, the value written as repr.  read_sequence_csv reads it back as
+    the exported sequence, ignoring the choice column.
     """
     values, flags = t.values.tolist(), t.choice.tolist()
     rows = [f"{i},{v!r},{_LABELS[f]}\n" for i, v, f in zip(range(1, t.N + 1), values, flags)]
     return f"index,value,choice\n0,{values[0]!r},{_LABELS[flags[0]]}\n" + "".join(rows)
 
-
-def write_trace_csv(path, t: SlowDecayTrace) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(trace_csv(t))

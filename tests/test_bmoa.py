@@ -15,7 +15,6 @@ from hardyhilbert.bmoa import (
     k_constant,
     k_term,
     sweep_is_bounded,
-    write_ratio_csv,
 )
 from hardyhilbert.hardyspace import AnalyticPoly
 from hardyhilbert.seqspace import (
@@ -322,23 +321,28 @@ class TestCarlesonConstant:
 
     def test_report_schema(self):
         report = carleson_constant(classic_sequence(16), depth=2, centers_per_length=2)
-        payload = report.to_dict()
-        assert set(payload) >= {"arcs", "sup_ratio", "k_constant", "bound_2k", "pass"}
-        assert set(payload["arcs"][0]) == {"center", "length", "box_integral", "ratio"}
-        assert payload["sup_ratio"] == max(a["ratio"] for a in payload["arcs"])
+        family = dyadic_arc_family(2, 2)
+        assert [r.arc for r in report.records] == family
+        assert all(r.ratio == r.box_integral / r.arc.length_norm for r in report.records)
+        assert report.sup_ratio == max(r.ratio for r in report.records)
 
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError):
             carleson_constant(classic_sequence(4), arc_family=[])
 
-    def test_ratio_csv(self, tmp_path):
-        report = carleson_constant(classic_sequence(8), depth=1, centers_per_length=2)
-        path = tmp_path / "ratios.csv"
-        write_ratio_csv(path, report)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "length,center,box_integral,ratio"
-        assert len(lines) == 1 + len(report.records)
-        assert [float(x) for x in lines[-1].split(",")] == report.rows()[-1]
+    def test_long_sequence_refused_before_the_sweep(self):
+        c = XSequence(np.full(bmoa.CARLESON_N_CAP + 1, 1e-3))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"exceeds the Carleson sweep cap CARLESON_N_CAP "
+                                             f"= {bmoa.CARLESON_N_CAP}"):
+            carleson_constant(c, depth=12)
+        assert time.perf_counter() - start < 1.0
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(bmoa, "CARLESON_N_CAP", 8)
+        assert carleson_constant(classic_sequence(8), depth=2).sup_ratio > 0
+        with pytest.raises(ValueError, match="sequence length 9 exceeds"):
+            carleson_constant(classic_sequence(9), depth=2)
 
 
 class TestBmoSeminorm:

@@ -1,22 +1,24 @@
+import argparse
 import json
+import time
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from hardyhilbert import cli, harness, inequalities
-from hardyhilbert.bmoa import carleson_constant, sweep_is_bounded, write_ratio_csv
+from hardyhilbert import bmoa, cli, harness, inequalities
+from hardyhilbert.bmoa import carleson_constant, sweep_is_bounded
 from hardyhilbert.hardyspace import AnalyticPoly, write_polynomial_csv
-from hardyhilbert.inequalities import best_constant_scan, scan_to_csv
+from hardyhilbert.inequalities import best_constant_scan
 from hardyhilbert.seqspace import (
     XSequence,
     classic_sequence,
     read_sequence_csv,
     slow_decay_sequence,
+    trace_csv,
     trace_to_xsequence,
     verify_margins,
     write_sequence_csv,
-    write_trace_csv,
     xnorm,
 )
 from test_seqspace import loop_slow_decay
@@ -142,6 +144,16 @@ class TestBadInput:
         assert out == ""
         assert err == "error: N must be positive\n"
 
+    def test_carleson_sequence_over_cap_is_usage_error(self, capsys):
+        cap = bmoa.CARLESON_N_CAP
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["carleson", "--depth", "12", "--classic-n", str(cap + 1)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: sequence length {cap + 1} exceeds the Carleson sweep cap "
+                       f"CARLESON_N_CAP = {cap}\n")
+
 
 class TestSlowdecay:
     def test_json_report(self, capsys):
@@ -168,13 +180,12 @@ class TestSlowdecay:
         rows = [[0, repr(float(want.values[0])), labels[0]]]
         rows += [[i + 1, repr(float(want.values[i])), labels[i]] for i in range(n)]
         golden = rows_text(["index", "value", "choice"], rows).encode()
-        out_path, module_path = tmp_path / "cli.csv", tmp_path / "module.csv"
+        out_path = tmp_path / "cli.csv"
         code, out, _ = run(capsys, ["slowdecay", "--r", str(r), "--beta", str(beta),
                                     "--n", str(n), "--format", "csv", "--out", str(out_path)])
         assert code == 0 and out == ""
-        write_trace_csv(module_path, slow_decay_sequence(r, beta, n))
         assert out_path.read_bytes() == golden
-        assert module_path.read_bytes() == golden
+        assert trace_csv(slow_decay_sequence(r, beta, n)).encode() == golden
 
     def test_json_matches_loop_oracle(self, capsys):
         r, beta, n = 0.75, 2.0, 20000
@@ -195,7 +206,7 @@ class TestHilbertNorm:
         assert lines[0] == "N,norm,residual,iterations"
         assert lines[1].startswith("1,1.0,")
 
-    def test_csv_bytes(self, capsys, tmp_path):
+    def test_csv_bytes(self, capsys):
         sizes = [1, 2, 4, 8]
         rows = [[e.N, repr(e.value), repr(e.residual), e.iterations]
                 for e in best_constant_scan(classic_sequence(15), sizes)]
@@ -203,9 +214,6 @@ class TestHilbertNorm:
         code, out, _ = run(capsys, ["hilbert-norm", "--n-list", "1,2,4,8", "--format", "csv"])
         assert code == 0
         assert out == rows_text(header, rows)
-        path = tmp_path / "scan.csv"
-        scan_to_csv(path, best_constant_scan(classic_sequence(15), sizes))
-        assert path.read_bytes() == rows_text(header, rows).encode()
 
     def test_json_rows_monotone(self, capsys):
         code, out, _ = run(capsys, ["hilbert-norm", "--n-list", "2,4,8"])
@@ -268,22 +276,31 @@ class TestCarleson:
         assert code == 0
         assert out.splitlines()[0] == "length,center,box_integral,ratio"
 
-    def test_csv_bytes_match_module_file(self, capsys, tmp_path):
-        out_path, module_path = tmp_path / "cli.csv", tmp_path / "module.csv"
+    def test_csv_bytes_match_report_rows(self, capsys, tmp_path):
+        out_path = tmp_path / "cli.csv"
         code, _, _ = run(capsys, ["carleson", "--depth", "3", "--centers", "2",
                                   "--classic-n", "16", "--format", "csv", "--out", str(out_path)])
         assert code == 0
-        write_ratio_csv(module_path, carleson_constant(classic_sequence(16), depth=3,
-                                                       centers_per_length=2))
-        assert out_path.read_bytes() == module_path.read_bytes()
-        assert b"\r" not in out_path.read_bytes()
+        report = carleson_constant(classic_sequence(16), depth=3, centers_per_length=2)
+        rows = [[repr(x) for x in (r.arc.length_norm, r.arc.center, r.box_integral, r.ratio)]
+                for r in report.records]
+        golden = rows_text(["length", "center", "box_integral", "ratio"], rows)
+        assert len(rows) == 1 + 3 * 2
+        assert out_path.read_bytes() == golden.encode()  # LF line ends
 
 
 def carleson_payload(c, depth, centers):
+    """The sweep's JSON payload, laid out from the report's fields."""
     report = carleson_constant(c, depth=depth, centers_per_length=centers)
-    payload = report.to_dict()
-    payload["bounded"] = sweep_is_bounded(report)
-    return payload
+    return {
+        "arcs": [{"center": r.arc.center, "length": r.arc.length_norm,
+                  "box_integral": r.box_integral, "ratio": r.ratio} for r in report.records],
+        "sup_ratio": report.sup_ratio, "k_constant": report.k_constant,
+        "bound_2k": report.bound_2k, "pass": report.passes_2k,
+        "eta_estimate": report.eta_estimate, "xnorm_sq": report.xnorm_sq,
+        "finding": report.finding, "bounded": sweep_is_bounded(report),
+        "params": {"arcs": len(report.records)},
+    }
 
 
 class TestCarlesonJsonBytes:
@@ -496,3 +513,64 @@ class TestParserReuse:
         assert first[4][3] is None and json.loads(first[4][1])["params"]["rmax"] == 0.9
         assert rounds[1] == first
         assert rounds[2] == first
+
+
+# Every subcommand, its JSON top-level keys, and its CSV header (None: JSON only).
+# "{sequence}" and "{poly}" stand for input files made by the fixtures.
+OUTPUT_LAYOUTS = {
+    "xnorm": (["xnorm", "{sequence}"],
+              ["n", "norm", "norm_sq", "params", "prefix_ratios"],
+              "index,ratio"),
+    "slowdecay": (["slowdecay", "--r", "0.6", "--beta", "1.5", "--n", "300"],
+                  ["certificate", "export_norm", "infinitude", "params"],
+                  "index,value,choice"),
+    "hilbert-norm": (["hilbert-norm", "--n-list", "2,4,8"],
+                     ["params", "rows"],
+                     "N,norm,residual,iterations"),
+    "equiv": (["equiv", "--n", "4"],
+              ["N", "converged", "gap", "hardy_ratio", "matrix_norm", "params", "witness_degree"],
+              "N,matrix_norm,hardy_ratio,gap,witness_degree"),
+    "carleson": (["carleson", "--depth", "3", "--centers", "2", "--classic-n", "16"],
+                 ["arcs", "bound_2k", "bounded", "eta_estimate", "finding", "k_constant",
+                  "params", "pass", "sup_ratio", "xnorm_sq"],
+                 "length,center,box_integral,ratio"),
+    "kconst": (["kconst", "--rmax", "0.99"],
+               ["argmax_r", "limit", "params", "value"],
+               "value,limit,argmax_r"),
+    "factorize": (["factorize", "{poly}"],
+                  ["blaschke_degree", "degrees", "norm_defect", "params", "residual_max"],
+                  None),
+    "hardy-check": (["hardy-check", "{poly}", "--sequence", "{sequence}"],
+                    ["degree_bound", "hardy_ratio", "hardy_sum", "params"],
+                    "hardy_sum,hardy_ratio,verdict,lhs,rhs"),
+    "suite": (["suite", "--seed", "3"],
+              ["fingerprint", "pass", "properties", "seed"],
+              "name,cases,failures,worst_margin"),
+}
+
+
+def test_layout_table_names_every_subcommand():
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert sorted(subparsers.choices) == sorted(OUTPUT_LAYOUTS)
+
+
+@pytest.mark.parametrize("command, fmt", [
+    (command, fmt) for command, (_, _, header) in OUTPUT_LAYOUTS.items()
+    for fmt in (["json", "csv"] if header else ["json"])])
+def test_out_file_matches_stdout_and_layout(capsys, monkeypatch, tmp_path, classic_file,
+                                            poly_file, command, fmt):
+    for name in list(harness.DEFAULT_CASES):   # a short suite: its layout is what counts
+        monkeypatch.setitem(harness.DEFAULT_CASES, name, 1)
+    template, keys, header = OUTPUT_LAYOUTS[command]
+    argv = [a.format(sequence=classic_file, poly=poly_file) for a in template]
+    argv += ["--format", fmt]
+    code, out, err = run(capsys, argv)
+    assert code == 0
+    target = tmp_path / f"out.{fmt}"
+    assert run(capsys, argv + ["--out", str(target)]) == (code, "", err)
+    assert target.read_bytes() == out.encode()
+    if fmt == "json":
+        assert sorted(json.loads(out)) == keys
+    else:
+        assert out.split("\n", 1)[0] == header

@@ -16,7 +16,6 @@ from hardyhilbert.hardyspace import (
     phase_sequence,
     read_polynomial_csv,
     require_circle_free,
-    riesz_factorize,
     write_polynomial_csv,
 )
 
@@ -168,7 +167,8 @@ class TestPhaseSequence:
 
 class TestRieszFactorize:
     def test_monomial_splits_symmetrically(self):
-        g, h = riesz_factorize(AnalyticPoly([0.0, 0.0, 1.0]))
+        rep = factorization_report(AnalyticPoly([0.0, 0.0, 1.0]))
+        g, h = rep.g, rep.h
         for factor in (g, h):
             assert factor.degree == 1
             assert abs(factor.coeffs[0]) < 1e-12
@@ -186,7 +186,8 @@ class TestRieszFactorize:
 
     def test_constant(self):
         c = 3.0 + 4.0j
-        g, h = riesz_factorize(AnalyticPoly([c]))
+        rep = factorization_report(AnalyticPoly([c]))
+        g, h = rep.g, rep.h
         assert g.degree == 0 and h.degree == 0
         assert g.coeffs[0] * h.coeffs[0] == pytest.approx(c, rel=1e-14)
         assert abs(g.coeffs[0]) == pytest.approx(abs(h.coeffs[0]), rel=1e-14)
@@ -207,18 +208,18 @@ class TestRieszFactorize:
 
     def test_outer_square_root_positive_at_zero(self):
         f = poly_from_roots(np.random.default_rng(12), [1.4, 1.7], lead=2.0j)
-        _, h = riesz_factorize(f)
+        h = factorization_report(f).h
         assert h.coeffs[0].real > 0
         assert abs(h.coeffs[0].imag) < 1e-12 * abs(h.coeffs[0])
 
     def test_circle_root_rejected(self):
         with pytest.raises(FactorizationSingular) as err:
-            riesz_factorize(AnalyticPoly([1.0, 1.0]))  # zero at -1
+            factorization_report(AnalyticPoly([1.0, 1.0]))  # zero at -1
         assert "-1" in str(err.value)
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
-            riesz_factorize(AnalyticPoly([0.0]))
+            factorization_report(AnalyticPoly([0.0]))
 
     def test_near_circle_root_hits_convergence_guard(self):
         # a zero 1e-7 from the circle passes the singularity gate but the

@@ -28,7 +28,7 @@ SMALL = SuiteConfig(seed=42, cases={
 COVERAGE = {
     seqspace: ["xnorm", "prefix_ratios", "classic_sequence", "slow_decay_sequence",
                "verify_margins", "infinitude_report"],
-    hardyspace: ["hp_norm", "cauchy_product", "dual_pairing", "riesz_factorize",
+    hardyspace: ["hp_norm", "cauchy_product", "dual_pairing", "factorization_report",
                  "phase_sequence"],
     bmoa: ["k_constant", "carleson_constant", "bmo_seminorm"],
     inequalities: ["hardy_sum", "hardy_ratio", "hilbert_form", "matrix_norm",

@@ -12,17 +12,21 @@ from hardyhilbert.inequalities import (
     ROUNDING_FLOOR,
     best_constant_scan,
     equivalence_witness,
-    hankel_matvec,
     hardy_degree_bound_check,
     hardy_ratio,
     hardy_sum,
     hilbert_form,
     matrix_norm,
-    scan_to_csv,
 )
 from hardyhilbert.seqspace import XSequence, classic_sequence, slow_decay_sequence, trace_to_xsequence
 
 CLASSIC_N2 = (4.0 + np.sqrt(13.0)) / 6.0  # closed-form top eigenvalue of [[1,1/2],[1/2,1/3]]
+
+
+def hankel_matvec(gen, v, method):
+    """(Hv)[n] = sum_m gen[n+m] v[m] by the operator matrix_norm builds on ``method``'s route."""
+    v = np.asarray(v, dtype=float)
+    return inequalities._hankel_operator(gen, v.size, method)(v)
 
 
 def power_top_pair(c, N):
@@ -304,7 +308,6 @@ class TestEquivalenceWitness:
     def test_witness_degree(self):
         rep = equivalence_witness(classic_sequence(9), 5)
         assert rep.witness.degree == 8
-        assert rep.to_dict()["witness_degree"] == 8
 
 
 class TestBestConstantScan:
@@ -331,13 +334,6 @@ class TestBestConstantScan:
         assert all(np.isfinite(v) for v in values)
         assert all(b >= a for a, b in zip(values, values[1:]))
         assert all(e.converged for e in scan)
-
-    def test_csv_schema(self, tmp_path):
-        path = tmp_path / "scan.csv"
-        scan_to_csv(path, best_constant_scan(classic_sequence(7), [1, 2, 4]))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "N,norm,residual,iterations"
-        assert lines[1].startswith("1,1.0,")
 
 
 class TestDegreeBound:

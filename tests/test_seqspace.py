@@ -17,7 +17,6 @@ from hardyhilbert.seqspace import (
     trace_to_xsequence,
     verify_margins,
     write_sequence_csv,
-    write_trace_csv,
     xnorm,
 )
 
@@ -357,7 +356,7 @@ class TestCsvRoundTrip:
     def test_trace_export_reads_as_exported_sequence(self, tmp_path):
         t = slow_decay_sequence(0.6, 1.5, 30)
         path = tmp_path / "trace.csv"
-        write_trace_csv(path, t)
+        path.write_text(trace_csv(t), newline="")
         lines = path.read_text().splitlines()
         assert lines[0] == "index,value,choice"
         assert lines[1].endswith("power")
@@ -418,6 +417,6 @@ class TestCsvRoundTrip:
     def test_large_trace_reads_back_bit_identical(self, tmp_path):
         t = slow_decay_sequence(0.8, 1.6, 10**5)
         path = tmp_path / "trace.csv"
-        write_trace_csv(path, t)
+        path.write_text(trace_csv(t), newline="")
         back = read_sequence_csv(path)
         assert back.values.tobytes() == trace_to_xsequence(t).values.tobytes()
