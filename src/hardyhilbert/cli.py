@@ -20,64 +20,80 @@ import math
 import sys
 from itertools import chain
 
+import numpy as np
+
 from . import bmoa, harness, hardyspace, inequalities, seqspace
 from ._version import __version__
 from .hardyspace import ConvergenceError, FactorizationSingular
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, chunks) -> None:
+    """Write an iterable of text chunks to --out (default stdout).
+
+    The file is opened, so created or truncated, only here; a payload that
+    is refused must raise before this is called.
+    """
     if getattr(args, "out", None):
         with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _emit_json(args, payload: dict, splice: str | None = None) -> None:
     """``payload`` as key-sorted, indented, strict JSON, with the bytes of
     ``json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)``.
 
-    ``splice`` names a top-level key whose value is one large list, either
-    of floats or of flat records (dicts) of floats.  json's indented encoder
-    is pure Python and handles each item in turn; instead the rest of the
-    payload is dumped with a placeholder string in the list's place, the
-    items are formatted with ``float.__repr__`` (as json does) at the list's
-    indentation, and the text replaces the placeholder.  A non-finite item
-    raises ValueError, as ``allow_nan=False`` does.
+    ``splice`` names a top-level key whose value is one large list: a list
+    or 1-d array of floats, or a list of flat records (dicts) of floats.
+    json's indented encoder is pure Python and handles each item in turn;
+    instead the rest of the payload is dumped with a placeholder string in
+    the list's place, the text is split at the placeholder, and the items,
+    formatted with ``float.__repr__`` (as json does) at the list's
+    indentation, are written between the two halves.  Floats go out one
+    block of seqspace's block size at a time, so the list's text is never
+    held whole.  A non-finite item raises ValueError, as ``allow_nan=False``
+    does, and is found before a byte is written.
     """
     if splice is None:
-        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
-    else:
-        text = json.dumps({**payload, splice: _PLACEHOLDER}, sort_keys=True, indent=2,
-                          allow_nan=False)
-        text = text.replace(json.dumps(_PLACEHOLDER), _list_text(payload[splice]), 1)
-    _emit(args, text + "\n")
+        _emit(args, [json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"])
+        return
+    items = _list_chunks(payload[splice])
+    text = json.dumps({**payload, splice: _PLACEHOLDER}, sort_keys=True, indent=2,
+                      allow_nan=False)
+    head, tail = text.split(json.dumps(_PLACEHOLDER), 1)
+    _emit(args, chain([head], items, [tail + "\n"]))
 
 
 # a string no other value of a payload holds: file paths cannot contain NUL
 _PLACEHOLDER = "\0spliced list\0"
 _ITEM = "\n    "        # a top-level list's items sit at depth 2 of indent=2
 _FIELD = "\n      "      # and a record's fields at depth 3
+_NOT_JSON = "Out of range float values are not JSON compliant"
 
 
-def _list_text(items: list) -> str:
-    """json.dumps(items, indent=2) for a list at a top-level key of a payload."""
-    if not items:
-        return "[]"
+def _list_chunks(items):
+    """Text chunks of json.dumps(items, indent=2) for a list at a top-level
+    key of a payload; raises on a non-finite item before returning."""
+    if len(items) == 0:
+        return ["[]"]
     if isinstance(items[0], dict):
-        body = ("," + _ITEM).join(map(_record_text, items))
-    else:
-        body = ("," + _ITEM).join(map(float.__repr__, items))
-        if "n" in body:  # nan, inf or -inf: no finite float's repr has an n
-            raise ValueError("Out of range float values are not JSON compliant")
-    return "[" + _ITEM + body + "\n  ]"
+        return ["[" + _ITEM + ("," + _ITEM).join(map(_record_text, items)) + "\n  ]"]
+    values = np.asarray(items, dtype=float)
+    # NaN propagates into both extremes, and an infinity is one of them
+    if not (math.isfinite(values.min()) and math.isfinite(values.max())):
+        raise ValueError(_NOT_JSON)
+    sep = "," + _ITEM
+    body = ((sep if a else "") + sep.join(map(float.__repr__, values[a:b].tolist()))
+            for a, b in seqspace._blocks(values.size))
+    return chain(["[" + _ITEM], body, ["\n  ]"])
 
 
 def _record_text(record: dict) -> str:
     keys = tuple(sorted(record))
     values = [record[k] for k in keys]
     if not all(map(math.isfinite, values)):
-        raise ValueError("Out of range float values are not JSON compliant")
+        raise ValueError(_NOT_JSON)
     return _record_template(keys) % tuple(map(float.__repr__, values))
 
 
@@ -92,7 +108,7 @@ def _record_template(keys: tuple[str, ...]) -> str:
 
 def _emit_rows(args, rows) -> None:
     """CSV rows, header first."""
-    _emit(args, "".join(seqspace.csv_lines(rows)))
+    _emit(args, ["".join(seqspace.csv_lines(rows))])
 
 
 def _load_sequence(args, default_len: int) -> seqspace.XSequence:
@@ -108,14 +124,16 @@ def _cmd_xnorm(args) -> int:
     ratios = seqspace.prefix_ratios(c)
     if args.format == "csv":
         print(f"xnorm {seqspace.xnorm(c)!r} over N={len(c)}", file=sys.stderr)
-        _emit_rows(args, chain([["index", "ratio"]], enumerate(map(repr, ratios.tolist()))))
+        rows = ("".join(seqspace.csv_lines(zip(range(a, b), map(repr, ratios[a:b].tolist()))))
+                for a, b in seqspace._blocks(len(c)))
+        _emit(args, chain(["index,ratio\n"], rows))
     else:
         _emit_json(args, {
             "n": len(c),
             "norm": seqspace.xnorm(c),
             "norm_sq": c.xnorm_sq,
             "params": {"input": args.file},
-            "prefix_ratios": ratios.tolist(),
+            "prefix_ratios": ratios,
         }, splice="prefix_ratios")
     return 0
 
@@ -175,7 +193,7 @@ def _cmd_equiv(args) -> int:
         _emit_rows(args, [list(fields), list(fields.values())])
     else:
         _emit_json(args, {**fields, "converged": report.estimate.converged,
-                          "params": {"grid": args.grid, "method": args.method,
+                          "params": {"grid": report.grid, "method": args.method,
                                      "residual_tol": inequalities.RESIDUAL_TOL}})
     return 0 if report.estimate.converged else 3
 
@@ -248,7 +266,7 @@ def _cmd_hardy_check(args) -> int:
         "hardy_ratio": ratio,
         "degree_bound": {"verdict": verdict, "lhs": check.lhs, "rhs": check.rhs,
                          "slack": check.slack, "reason": check.reason},
-        "params": {"degree": f.degree, "tolerance": 1e-8},
+        "params": {"degree": f.degree, "tolerance": inequalities.DEGREE_BOUND_TOL},
     }
     if args.format == "csv":
         _emit_rows(args, [["hardy_sum", "hardy_ratio", "verdict", "lhs", "rhs"],
@@ -269,7 +287,7 @@ def _cmd_suite(args) -> int:
                    [[p.name, p.cases, p.failures, repr(p.worst_margin)]
                     for p in report.properties])
     else:
-        _emit(args, report.to_json() + "\n")
+        _emit(args, [report.to_json() + "\n"])
     return 0 if report.passed else 1
 
 

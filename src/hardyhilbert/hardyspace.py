@@ -113,7 +113,11 @@ def _next_pow2(n: int) -> int:
     return 1 << max(0, int(n - 1).bit_length())
 
 
-def _resolve_grid(degree: int, M, default: int) -> int:
+# Smallest grid boundary_grid and hp_norm start from when no M is given.
+_MIN_GRID = 4096
+
+
+def _resolve_grid(degree: int, M, default: int = _MIN_GRID) -> int:
     need = 4 * (degree + 1)
     if M is None:
         M = max(default, _next_pow2(need))
@@ -124,7 +128,7 @@ def _resolve_grid(degree: int, M, default: int) -> int:
 
 def boundary_grid(f: AnalyticPoly, M: int | None = None) -> BoundaryGrid:
     """Evaluate f on the uniform boundary grid via a zero-padded inverse FFT."""
-    M = _resolve_grid(f.degree, M, 4096)
+    M = _resolve_grid(f.degree, M)
     samples = np.fft.ifft(f.coeffs, n=M) * M
     return BoundaryGrid(M=M, samples=samples)
 
@@ -189,7 +193,7 @@ def hp_norm(f: AnalyticPoly, p: int, M: int | None = None) -> float:
         return float(np.linalg.norm(f.coeffs))
     if p != 1:
         raise ValueError(f"p must be 1 or 2, got {p}")
-    M = _resolve_grid(f.degree, M, 4096)
+    M = _resolve_grid(f.degree, M)
     t1 = _trap_mean_abs(f, M)
     t2 = _trap_mean_abs(f, 2 * M)
     if abs(t2 - t1) <= TRAP_RTOL * max(t2, 1e-300):
@@ -265,7 +269,7 @@ def factorization_report(f: AnalyticPoly, M: int | None = None) -> RieszFactoriz
     if f.is_zero:
         raise ValueError("cannot factorize the zero polynomial")
     d = f.degree
-    grid = _resolve_grid(d, M, max(4096, _next_pow2(16 * (d + 1))))
+    grid = _resolve_grid(d, M, max(_MIN_GRID, _next_pow2(16 * (d + 1))))
     rts = require_circle_free(f)
     inside = rts[np.abs(rts) < 1.0]
     if inside.size:

@@ -38,6 +38,7 @@ import numpy as np
 from .hardyspace import (
     AnalyticPoly,
     FactorizationSingular,
+    _resolve_grid,
     cauchy_product,
     hp_norm,
     require_circle_free,
@@ -48,6 +49,8 @@ LANCZOS = "lanczos"
 DENSE_EIGEN = "dense_eigen"
 
 RESIDUAL_TOL = 1e-12
+# Relative slack of hardy_degree_bound_check's right-hand side.
+DEGREE_BOUND_TOL = 1e-8
 RAYLEIGH_TOL = 1e-14
 # Rounding floor of an iterative eigensolve per unit of |lam|: the Rayleigh
 # quotient cannot settle below this, nor the residual below it times sqrt(N).
@@ -257,7 +260,8 @@ class EquivalenceReport:
     proper best-constant scale (for the unit-norm classic sequence the
     division is by 1).  ``witness`` is f = g^2 built from the top vector;
     ``gap`` is |hardy_ratio(witness) - matrix_norm| and vanishes up to
-    solver residual whenever the estimate converged.
+    solver residual whenever the estimate converged.  ``grid`` is the
+    boundary grid the witness's 1-norm started from.
     """
 
     N: int
@@ -266,6 +270,7 @@ class EquivalenceReport:
     gap: float
     witness: AnalyticPoly
     estimate: OperatorNormEstimate
+    grid: int
 
 
 def equivalence_witness(c: XSequence, N: int, M: int | None = None,
@@ -283,10 +288,11 @@ def equivalence_witness(c: XSequence, N: int, M: int | None = None,
     if xn == 0.0:
         raise ValueError("witness undefined for the zero sequence")
     witness = AnalyticPoly(cauchy_product(est.top_vector, est.top_vector))
-    ratio = hardy_ratio(witness, c, M)
+    grid = _resolve_grid(witness.degree, M)
+    ratio = hardy_ratio(witness, c, grid)
     bhat = est.value / xn
     return EquivalenceReport(N=N, matrix_norm=bhat, hardy_ratio=ratio,
-                             gap=abs(ratio - bhat), witness=witness, estimate=est)
+                             gap=abs(ratio - bhat), witness=witness, estimate=est, grid=grid)
 
 
 def best_constant_scan(c: XSequence, N_list, method: str = LANCZOS) -> list[OperatorNormEstimate]:
@@ -308,7 +314,7 @@ class DegreeBoundCheck:
 
 
 def hardy_degree_bound_check(f: AnalyticPoly, c: XSequence,
-                             tol: float = 1e-8) -> DegreeBoundCheck:
+                             tol: float = DEGREE_BOUND_TOL) -> DegreeBoundCheck:
     """Check hardy_sum(f, c) <= matrix_norm(c, deg f + 1) * ||f||_1 * (1 + tol).
 
     A degree-d weighted sum only sees c_0..c_d, so by zero-extending the

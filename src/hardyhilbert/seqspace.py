@@ -28,6 +28,13 @@ A run is skipped once it is forecast to last, or has lasted, _LONG_RUN
 steps; shorter runs (about ten steps at r = 0.95, beta = 1.3) are taken one
 scalar step at a time, which is cheaper than a numpy call.  Values at
 power picks use scalar ** for the same last-ulp reason (replay_values).
+
+The long per-term passes over a finished sequence (weighted prefix sums,
+budget margins, running maxima of n^s c_n, the trace CSV) run in blocks of
+_BLOCK terms, so their temporaries take O(_BLOCK) memory at any length.
+A block's extended-precision prefix sums start from the last sum of the
+block before, and np.add.accumulate adds strictly in order, so they are
+bit for bit those of one np.cumsum over the whole sequence.
 """
 
 from __future__ import annotations
@@ -54,6 +61,31 @@ _LONG_RUN = 32
 # certainly below it, so the vectorized affordability test never misses a
 # power pick.
 _GUARD = 1.0 - 2.0**-40
+# Terms per block of the long per-term passes: about 0.5 MB per float64
+# temporary; N_CAP terms at once would take 0.8 GB per temporary.
+_BLOCK = 2**16
+
+
+def _blocks(n: int):
+    """(start, stop) of consecutive blocks of at most _BLOCK terms covering 0..n-1."""
+    return ((a, min(a + _BLOCK, n)) for a in range(0, n, _BLOCK))
+
+
+def _weighted_prefix_sums(values: np.ndarray):
+    """Per block: its start, k = start+1..stop as floats, and the running sums.
+
+    The sums are sum_{j<=k} (j*values[j-1])^2 in extended precision; each
+    block's first term adds the previous block's last sum, in the order
+    np.cumsum adds it.
+    """
+    carry = np.longdouble(0.0)
+    for start, stop in _blocks(values.size):
+        k = np.arange(start + 1.0, stop + 1.0)
+        sums = np.square(k * values[start:stop]).astype(np.longdouble)
+        sums[0] += carry
+        np.add.accumulate(sums, out=sums)
+        carry = sums[-1]
+        yield start, k, sums
 
 
 class XSequence:
@@ -61,7 +93,9 @@ class XSequence:
 
     Storage is the modulus (inputs pass through abs).  ``ratios[n]`` is
     sum_{k<=n} ((k+1)*c_k)^2 / (n+1), the sum accumulated in extended
-    precision, and ``xnorm_sq`` is the largest of them.
+    precision block by block, and ``xnorm_sq`` is the largest of them.
+    Beside ``values`` and ``ratios`` the build holds one block's
+    temporaries, about 2 MB.
     """
 
     __slots__ = ("values", "ratios", "xnorm_sq")
@@ -73,10 +107,10 @@ class XSequence:
         if v.size > N_CAP:
             raise ValueError(f"sequence length {v.size} exceeds cap {N_CAP}")
         self.values = v
-        k1 = np.arange(1, v.size + 1, dtype=float)
+        self.ratios = np.empty(v.size)
         with np.errstate(over="ignore"):  # an overflow is rejected below
-            wide = np.cumsum(((k1 * v) ** 2).astype(np.longdouble))
-        self.ratios = (wide / k1).astype(float)
+            for start, k, sums in _weighted_prefix_sums(v):
+                self.ratios[start : start + k.size] = np.divide(sums, k, out=sums)
         self.xnorm_sq = float(self.ratios.max())
         if not np.isfinite(self.xnorm_sq):  # NaN and inf propagate into the max
             raise ValueError("sequence values must be finite with finite weighted prefix sums")
@@ -298,13 +332,20 @@ def verify_margins(t: SlowDecayTrace, rel_tol: float = 1e-13) -> MarginCertifica
     Independent of the margins the generator recorded.  ``ok`` allows a
     relative slop of ``rel_tol`` so that exact-equality cases (e.g. the
     all-harmonic sequence at budget slope 1) are not rejected on roundoff.
+    The margins are taken block by block from the prefix sums XSequence
+    uses; the worst is the first smallest (or first NaN) margin, as
+    np.argmin picks it.
     """
-    k1 = np.arange(1, t.N + 1, dtype=float)
-    sums = np.cumsum(((k1 * t.values) ** 2).astype(np.longdouble))
-    margins = (t.beta * k1 - sums).astype(float)
-    worst = int(np.argmin(margins))
-    ok = bool(np.all(margins >= -rel_tol * np.maximum(1.0, t.beta * k1)))
-    return MarginCertificate(ok=ok, min_margin=float(margins[worst]), argmin_index=worst + 1)
+    ok, worst, lows = True, [], []
+    for start, k, sums in _weighted_prefix_sums(t.values):
+        budget = t.beta * k
+        margins = (budget - sums).astype(float)
+        ok &= bool(np.all(margins >= -rel_tol * np.maximum(1.0, budget)))
+        j = int(np.argmin(margins))
+        worst.append(start + j)
+        lows.append(margins[j])
+    b = int(np.argmin(lows))   # ties and NaN resolve to the earliest block
+    return MarginCertificate(ok=ok, min_margin=float(lows[b]), argmin_index=worst[b] + 1)
 
 
 @dataclass
@@ -339,8 +380,6 @@ def infinitude_report(t: SlowDecayTrace, s: float) -> InfinitudeReport:
     if s <= t.r:
         raise ValueError(f"s must exceed r = {t.r}, got s = {s}")
     positions = np.nonzero(t.choice)[0] + 1
-    n = np.arange(1, t.N + 1, dtype=float)
-    running = np.maximum.accumulate(n**s * t.values)
 
     bounds = []
     b = 10
@@ -349,12 +388,19 @@ def infinitude_report(t: SlowDecayTrace, s: float) -> InfinitudeReport:
         b *= 10
     bounds.append(t.N)
 
-    decades = []
-    prev_bound = 0
-    for b in bounds:
-        has_power = bool(np.any((positions > prev_bound) & (positions <= b)))
-        decades.append(DecadeStat(bound=b, running_max=float(running[b - 1]), contains_power=has_power))
-        prev_bound = b
+    # running maximum of n^s c_n, carried from block to block, read at each bound
+    at_bound = {}
+    carry = None
+    for start, stop in _blocks(t.N):
+        running = np.arange(start + 1.0, stop + 1.0) ** s * t.values[start:stop]
+        if carry is not None:
+            running[0] = np.maximum(carry, running[0])
+        np.maximum.accumulate(running, out=running)
+        carry = running[-1]
+        at_bound.update((b, float(running[b - 1 - start])) for b in bounds if start < b <= stop)
+    picks_to = np.searchsorted(positions, [0] + bounds, side="right")
+    decades = [DecadeStat(bound=b, running_max=at_bound[b], contains_power=bool(hi > lo))
+               for b, lo, hi in zip(bounds, picks_to[:-1], picks_to[1:])]
 
     inc_power = all(
         decades[j].running_max > decades[j - 1].running_max
@@ -441,14 +487,18 @@ def read_sequence_csv(path) -> XSequence:
     return XSequence(_read_indexed_csv(path, ["index", "value"], "sequence")["value"])
 
 
-def trace_csv(t: SlowDecayTrace) -> str:
-    """The trace as CSV text, header index,value,choice.
+def trace_csv(t: SlowDecayTrace):
+    """The trace as CSV text, header index,value,choice, yielded in chunks.
 
+    The text is the chunks joined: the header with row 0, then one chunk
+    per block of _BLOCK rows, so a writer never holds the whole text.
     Row 0 is the exported head c_0 := c_1; row i is c_i with its choice
     label, the value written as repr.  read_sequence_csv reads it back as
     the exported sequence, ignoring the choice column.
     """
-    values, flags = t.values.tolist(), t.choice.tolist()
-    rows = [f"{i},{v!r},{_LABELS[f]}\n" for i, v, f in zip(range(1, t.N + 1), values, flags)]
-    return f"index,value,choice\n0,{values[0]!r},{_LABELS[flags[0]]}\n" + "".join(rows)
+    yield f"index,value,choice\n0,{float(t.values[0])!r},{_LABELS[t.choice[0]]}\n"
+    for start, stop in _blocks(t.N):
+        rows = zip(range(start + 1, stop + 1), t.values[start:stop].tolist(),
+                   t.choice[start:stop].tolist())
+        yield "".join([f"{i},{v!r},{_LABELS[f]}\n" for i, v, f in rows])
 

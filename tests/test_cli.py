@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 import time
 from types import SimpleNamespace
@@ -6,10 +7,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hardyhilbert import bmoa, cli, harness, inequalities
+from hardyhilbert import bmoa, cli, harness, inequalities, seqspace
 from hardyhilbert.bmoa import carleson_constant, sweep_is_bounded
-from hardyhilbert.hardyspace import AnalyticPoly, write_polynomial_csv
-from hardyhilbert.inequalities import best_constant_scan
+from hardyhilbert.hardyspace import AnalyticPoly, hp_norm, write_polynomial_csv
+from hardyhilbert.inequalities import best_constant_scan, hardy_degree_bound_check
 from hardyhilbert.seqspace import (
     XSequence,
     classic_sequence,
@@ -185,7 +186,7 @@ class TestSlowdecay:
                                     "--n", str(n), "--format", "csv", "--out", str(out_path)])
         assert code == 0 and out == ""
         assert out_path.read_bytes() == golden
-        assert trace_csv(slow_decay_sequence(r, beta, n)).encode() == golden
+        assert "".join(trace_csv(slow_decay_sequence(r, beta, n))).encode() == golden
 
     def test_json_matches_loop_oracle(self, capsys):
         r, beta, n = 0.75, 2.0, 20000
@@ -196,6 +197,43 @@ class TestSlowdecay:
         payload = json.loads(out)
         assert payload["export_norm"] == xnorm(trace_to_xsequence(want))
         assert payload["certificate"]["min_margin"] == verify_margins(want).min_margin
+
+
+class TestSmallBlocks:
+    """Streamed trace and ratio output in blocks of 5 rows, against whole-text oracles."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(seqspace, "_BLOCK", 5)
+
+    def test_trace_csv_stdout_and_out_file(self, capsys, tmp_path):
+        r, beta, n = 0.6, 1.5, 22
+        want = loop_slow_decay(r, beta, n)
+        labels = ["power" if f else "harmonic" for f in want.choice]
+        rows = [[0, repr(float(want.values[0])), labels[0]]]
+        rows += [[i + 1, repr(float(want.values[i])), labels[i]] for i in range(n)]
+        golden = rows_text(["index", "value", "choice"], rows)
+        argv = ["slowdecay", "--r", str(r), "--beta", str(beta), "--n", str(n), "--format", "csv"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and out == golden
+        target = tmp_path / "trace.csv"
+        code, out, _ = run(capsys, argv + ["--out", str(target)])
+        assert code == 0 and out == ""
+        assert target.read_bytes() == golden.encode()
+
+    @pytest.mark.parametrize("n", [1, 5, 6, 22])
+    def test_xnorm_json_and_csv(self, capsys, tmp_path, n):
+        path = tmp_path / "seq.csv"
+        write_sequence_csv(path, XSequence(0.3 / np.arange(1.0, n + 1.0)))
+        c = read_sequence_csv(path)
+        payload = {"n": n, "norm": xnorm(c), "norm_sq": c.xnorm_sq,
+                   "prefix_ratios": c.ratios.tolist(), "params": {"input": str(path)}}
+        code, out, _ = run(capsys, ["xnorm", str(path)])
+        assert code == 0
+        assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        golden = rows_text(["index", "ratio"], [[i, repr(float(v))] for i, v in enumerate(c.ratios)])
+        code, out, _ = run(capsys, ["xnorm", str(path), "--format", "csv"])
+        assert code == 0 and out == golden
 
 
 class TestHilbertNorm:
@@ -258,6 +296,24 @@ class TestEquiv:
         assert json.loads(out)["params"]["method"] == "lanczos"
         code, _, _ = run(capsys, ["equiv", "--n", "4", "--method", "power_iteration"])
         assert code == 2
+
+    @pytest.mark.parametrize("argv, grid", [
+        (["--n", "4"], 4096),                       # the default starting grid
+        (["--n", "1100"], 16384),                   # 4 (deg + 1) = 8796 for degree 2198
+        (["--n", "4", "--grid", "5000"], 8192),     # a given grid rounds up to a power of two
+    ])
+    def test_grid_echo_is_the_grid_hp_norm_ran_on(self, capsys, monkeypatch, argv, grid):
+        seen = []
+
+        def recording_hp_norm(f, p, M=None):
+            seen.append(M)
+            return hp_norm(f, p, M)
+
+        monkeypatch.setattr(inequalities, "hp_norm", recording_hp_norm)
+        code, out, _ = run(capsys, ["equiv"] + argv)
+        assert code == 0
+        assert json.loads(out)["params"]["grid"] == grid
+        assert seen == [grid]
 
 
 class TestCarleson:
@@ -360,6 +416,36 @@ class TestJsonSplice:
             cli._emit_json(SimpleNamespace(out=None), {"n": 1, "list": items}, splice="list")
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("n", [1, 4, 5, 6, 22])
+    def test_array_in_small_blocks_matches_indented_dumps(self, capsys, monkeypatch, n):
+        monkeypatch.setattr(seqspace, "_BLOCK", 5)
+        items = np.random.default_rng(n).uniform(-1.0, 1.0, n) * 1e-3
+        cli._emit_json(SimpleNamespace(out=None), {"n": n, "list": items}, splice="list")
+        want = json.dumps({"n": n, "list": items.tolist()}, sort_keys=True, indent=2) + "\n"
+        assert capsys.readouterr().out == want
+
+    def test_nan_in_last_block_writes_nothing(self, capsys, monkeypatch):
+        monkeypatch.setattr(seqspace, "_BLOCK", 5)
+        items = np.arange(1.0, 23.0)
+        items[-1] = np.nan
+        with pytest.raises(ValueError, match="JSON compliant"):
+            cli._emit_json(SimpleNamespace(out=None), {"n": 1, "list": items}, splice="list")
+        assert capsys.readouterr().out == ""
+
+    def test_nan_in_last_block_leaves_out_file_alone(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(seqspace, "_BLOCK", 5)
+        items = np.arange(1.0, 23.0)
+        items[-1] = np.nan
+        fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"
+        kept.write_text("earlier output\n")
+        for target in (fresh, kept):
+            with pytest.raises(ValueError, match="JSON compliant"):
+                cli._emit_json(SimpleNamespace(out=str(target)), {"n": 1, "list": items},
+                               splice="list")
+        assert capsys.readouterr().out == ""
+        assert not fresh.exists()
+        assert kept.read_text() == "earlier output\n"
+
 
 class TestKconst:
     def test_limit_reported(self, capsys):
@@ -413,6 +499,13 @@ class TestHardyCheck:
         code, out, _ = run(capsys, ["hardy-check", str(path)])
         assert code == 3
         assert json.loads(out)["degree_bound"]["verdict"] == "skipped"
+
+    def test_tolerance_echo_is_the_check_default(self, capsys, poly_file):
+        code, out, _ = run(capsys, ["hardy-check", poly_file])
+        assert code == 0
+        default = inspect.signature(hardy_degree_bound_check).parameters["tol"].default
+        assert json.loads(out)["params"]["tolerance"] == default
+        assert default == inequalities.DEGREE_BOUND_TOL
 
 
 class TestSuiteCommand:

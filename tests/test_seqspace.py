@@ -356,7 +356,7 @@ class TestCsvRoundTrip:
     def test_trace_export_reads_as_exported_sequence(self, tmp_path):
         t = slow_decay_sequence(0.6, 1.5, 30)
         path = tmp_path / "trace.csv"
-        path.write_text(trace_csv(t), newline="")
+        path.write_text("".join(trace_csv(t)), newline="")
         lines = path.read_text().splitlines()
         assert lines[0] == "index,value,choice"
         assert lines[1].endswith("power")
@@ -417,6 +417,112 @@ class TestCsvRoundTrip:
     def test_large_trace_reads_back_bit_identical(self, tmp_path):
         t = slow_decay_sequence(0.8, 1.6, 10**5)
         path = tmp_path / "trace.csv"
-        path.write_text(trace_csv(t), newline="")
+        path.write_text("".join(trace_csv(t)), newline="")
         back = read_sequence_csv(path)
         assert back.values.tobytes() == trace_to_xsequence(t).values.tobytes()
+
+
+def full_prefix_sums(values):
+    """Oracle: k = 1..N and one full-array extended-precision cumsum of (k v)^2."""
+    k1 = np.arange(1, values.size + 1, dtype=float)
+    return k1, np.cumsum(((k1 * values) ** 2).astype(np.longdouble))
+
+
+def full_margin_certificate(t, rel_tol=1e-13):
+    """Oracle: verify_margins over whole arrays, as (ok, min_margin, argmin_index)."""
+    k1, sums = full_prefix_sums(t.values)
+    margins = (t.beta * k1 - sums).astype(float)
+    worst = int(np.argmin(margins))
+    ok = bool(np.all(margins >= -rel_tol * np.maximum(1.0, t.beta * k1)))
+    return ok, float(margins[worst]), worst + 1
+
+
+def hand_trace(values, beta):
+    values = np.asarray(values, dtype=float)
+    return SlowDecayTrace(r=0.6, beta=beta, values=values,
+                          choice=np.zeros(values.size, dtype=np.uint8), margins=np.zeros(values.size))
+
+
+SMALL_BLOCK = 5
+BLOCK_LENGTHS = [1, SMALL_BLOCK - 1, SMALL_BLOCK, SMALL_BLOCK + 1, 3 * SMALL_BLOCK + 7]
+
+
+class TestBlockBoundaries:
+    """The blockwise passes against full-array oracles, with blocks of 5 terms."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(seqspace, "_BLOCK", SMALL_BLOCK)
+
+    @pytest.mark.parametrize("N", BLOCK_LENGTHS)
+    def test_ratios_bit_identical(self, N):
+        rng = np.random.default_rng(N)
+        values = rng.uniform(0.0, 1.0, N) * 10.0 ** rng.integers(-30, 4, N)
+        k1, sums = full_prefix_sums(values)
+        want = (sums / k1).astype(float)
+        c = XSequence(values)
+        assert c.ratios.tobytes() == want.tobytes()
+        assert c.xnorm_sq == float(want.max())
+
+    @pytest.mark.parametrize("N", BLOCK_LENGTHS)
+    def test_margins_match(self, N):
+        rng = np.random.default_rng(N)
+        k = np.arange(1, N + 1)
+        traces = [slow_decay_sequence(0.6, 1.5, N),
+                  hand_trace(rng.uniform(0.0, 0.6, N) / k, 0.2),
+                  # (k c_k)^2 averages 0.25 > beta: the worst margin is in the last block
+                  hand_trace(rng.uniform(0.3, 0.7, N) / k, 0.2)]
+        for t in traces:
+            cert = verify_margins(t)
+            assert (cert.ok, cert.min_margin, cert.argmin_index) == full_margin_certificate(t)
+
+    def test_tie_across_blocks_resolves_to_first(self):
+        # beta = 6: the 16 at k = 2 and the 36 at k = 8 leave the margin -4
+        # at both, exactly; k = 2 is in the first block of 5, k = 8 in the second
+        values = np.zeros(3 * SMALL_BLOCK + 7)
+        values[1], values[7] = 2.0, 0.75
+        t = hand_trace(values, 6.0)
+        cert = verify_margins(t)
+        assert (cert.ok, cert.min_margin, cert.argmin_index) == (False, -4.0, 2)
+        assert full_margin_certificate(t) == (False, -4.0, 2)
+
+    @pytest.mark.parametrize("N", BLOCK_LENGTHS + [123])
+    def test_infinitude_decades_match(self, N):
+        t = slow_decay_sequence(0.6, 1.5, N)
+        s = 0.7
+        running = np.maximum.accumulate(np.arange(1, N + 1, dtype=float) ** s * t.values)
+        positions = np.nonzero(t.choice)[0] + 1
+        rep = infinitude_report(t, s)
+        prev = 0
+        for d in rep.decades:
+            assert d.running_max == float(running[d.bound - 1])
+            assert d.contains_power == bool(np.any((positions > prev) & (positions <= d.bound)))
+            prev = d.bound
+        assert rep.decades[-1].bound == N
+
+    @pytest.mark.parametrize("bad", [np.nan, 1e200])
+    def test_bad_last_term_rejected(self, bad):
+        N = 3 * SMALL_BLOCK + 7
+        values = 1.0 / np.arange(1.0, N + 1.0)
+        values[-1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            XSequence(values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)   # the overflow, as before
+            cert = verify_margins(hand_trace(values, 1.5))
+        assert not cert.ok
+        assert cert.argmin_index == N
+        if np.isnan(bad):
+            assert np.isnan(cert.min_margin)
+        else:
+            assert cert.min_margin == -np.inf
+
+    @pytest.mark.parametrize("N", BLOCK_LENGTHS)
+    def test_trace_csv_chunks_join_to_the_text(self, N):
+        t = slow_decay_sequence(0.6, 1.5, N)
+        labels = ["power" if f else "harmonic" for f in t.choice]
+        rows = [f"0,{float(t.values[0])!r},{labels[0]}\n"]
+        rows += [f"{i + 1},{float(v)!r},{labels[i]}\n" for i, v in enumerate(t.values)]
+        chunks = list(trace_csv(t))
+        assert len(chunks) == 1 + -(-N // SMALL_BLOCK)
+        assert "".join(chunks) == "index,value,choice\n" + "".join(rows)
