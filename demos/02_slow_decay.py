@@ -12,11 +12,10 @@ subsequence, far beyond the classic 1/(n+1) rate.
 import numpy as np
 
 from hardyhilbert import (
+    exported_xnorm,
     infinitude_report,
     slow_decay_sequence,
-    trace_to_xsequence,
     verify_margins,
-    xnorm,
 )
 
 print("=" * 70)
@@ -28,12 +27,11 @@ for r, beta in ((0.6, 1.5), (0.75, 2.0), (0.9, 1.2)):
     trace = slow_decay_sequence(r, beta, N)
     cert = verify_margins(trace)
     rep = infinitude_report(trace, s=r + 0.1)
-    exported = trace_to_xsequence(trace)
     print(f"\nr={r}, beta={beta}, N={N}:")
     print(f"  budget certificate: ok={cert.ok}, smallest slack {cert.min_margin:.3e} "
           f"at m={cert.argmin_index}")
     print(f"  power picks: {rep.power_count} (latest at n={rep.largest_power_index})")
-    print(f"  exported norm {xnorm(exported):.4f} <= 2*sqrt(beta) = {2*np.sqrt(beta):.4f}")
+    print(f"  exported norm {exported_xnorm(trace):.4f} <= 2*sqrt(beta) = {2*np.sqrt(beta):.4f}")
     print(f"  running max of n^{r + 0.1:.2f} * c_n per decade:")
     for d in rep.decades:
         mark = "power in decade" if d.contains_power else "no power"

@@ -60,6 +60,7 @@ from .seqspace import (
     SlowDecayTrace,
     XSequence,
     classic_sequence,
+    exported_xnorm,
     infinitude_report,
     prefix_ratios,
     read_sequence_csv,
@@ -85,7 +86,7 @@ __all__ = [
     "equivalence_witness", "hardy_degree_bound_check", "hardy_ratio", "hardy_sum",
     "hilbert_form", "matrix_norm",
     "HARMONIC", "POWER", "SlowDecayTrace", "XSequence", "classic_sequence",
-    "infinitude_report", "prefix_ratios", "read_sequence_csv", "replay_values",
+    "exported_xnorm", "infinitude_report", "prefix_ratios", "read_sequence_csv", "replay_values",
     "slow_decay_sequence", "trace_csv", "trace_to_xsequence", "verify_margins",
     "write_sequence_csv", "xnorm",
 ]

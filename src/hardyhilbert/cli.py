@@ -139,14 +139,15 @@ def _cmd_xnorm(args) -> int:
 
 
 def _cmd_slowdecay(args) -> int:
+    s = args.s if args.s is not None else args.r + 0.1
+    seqspace.check_growth_exponent(args.r, s, args.n)   # the CSV has no report, but --s is checked
     trace = seqspace.slow_decay_sequence(args.r, args.beta, args.n)
     cert = seqspace.verify_margins(trace)
-    s = args.s if args.s is not None else args.r + 0.1
-    report = seqspace.infinitude_report(trace, s)
     if args.format == "csv":
         print(f"certificate ok={cert.ok} min_margin={cert.min_margin!r}", file=sys.stderr)
         _emit(args, seqspace.trace_csv(trace))
     else:
+        report = seqspace.infinitude_report(trace, s)
         _emit_json(args, {
             "params": {"r": args.r, "beta": args.beta, "n": args.n, "s": s},
             "certificate": {"ok": cert.ok, "min_margin": cert.min_margin,
@@ -159,7 +160,7 @@ def _cmd_slowdecay(args) -> int:
                 "increasing_over_power_decades": report.increasing_over_power_decades,
                 "strictly_growing": report.strictly_growing,
             },
-            "export_norm": seqspace.xnorm(seqspace.trace_to_xsequence(trace)),
+            "export_norm": seqspace.exported_xnorm(trace),
         })
     return 0 if cert.ok else 1
 

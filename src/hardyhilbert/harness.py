@@ -194,17 +194,19 @@ def _slow_decay_certificate(rng, case):
     beta = float(rng.uniform(1.05, 3.0))
     N = int(rng.integers(50, 3001))
     t = seqspace.slow_decay_sequence(r, beta, N)
-    m_nonneg = 0.0 if np.all(t.margins >= 0.0) else float(-t.margins.min())
+    lowest = float(np.min([m.min() for m in t.margins()]))
+    m_nonneg = 0.0 if lowest >= 0.0 else -lowest
     cert = seqspace.verify_margins(t)
     m_cert = 0.0 if cert.ok else max(1e-300, -cert.min_margin)
-    replay = seqspace.replay_values(r, t.choice)
-    m_replay = 0.0 if np.array_equal(replay, t.values) else 1.0
-    exported = seqspace.trace_to_xsequence(t)
-    m_bound = seqspace.xnorm(exported) - 2.0 * np.sqrt(beta)
+    choice = np.concatenate(list(t.choice()))
+    replay = seqspace.replay_values(r, choice)
+    m_replay = 0.0 if np.array_equal(replay, np.concatenate(list(t.values()))) else 1.0
+    m_bound = seqspace.exported_xnorm(t) - 2.0 * np.sqrt(beta)
     rep = seqspace.infinitude_report(t, s=r + float(rng.uniform(0.01, 0.15)))
+    positions = np.flatnonzero(choice) + 1   # counted from the flags, not the runs
     consistent = (
-        rep.power_count == rep.power_positions.size
-        and (rep.power_count == 0 or rep.largest_power_index == int(rep.power_positions[-1]))
+        rep.power_count == positions.size
+        and rep.largest_power_index == (int(positions[-1]) if positions.size else 0)
         and all(d2.running_max >= d1.running_max - 1e-15
                 for d1, d2 in zip(rep.decades, rep.decades[1:]))
     )

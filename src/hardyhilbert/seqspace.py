@@ -14,31 +14,42 @@ budget beta*m: at each step it takes c_{n+1} = (n+1)^{-r} whenever the
 budget affords it, else falls back to c_{n+1} = 1/(n+1).  Ties go to the
 power choice (the affordability test is a plain <=).
 
-The choices come in runs, and the generator skips long runs with numpy
-while reproducing the step-by-step rule bit for bit.  The running sum is
-one sequential np.add.accumulate of the exact per-step increments, which
-rounds exactly as the scalar `s += ...` does.  A harmonic run ends at the
-first step where the power pick is affordable.  That step is located with
-np.power, which differs from scalar ** in the last ulp for about one n in
-twenty, so the vectorized powers are scaled down by a guard band (_GUARD)
-that makes the test a necessary condition, and the flagged step is decided
-by the scalar rule.  A power run adds its terms to the sum, so those are
-computed with scalar ** and the run ends at the first sum above beta*n.
-A run is skipped once it is forecast to last, or has lasted, _LONG_RUN
-steps; shorter runs (about ten steps at r = 0.95, beta = 1.3) are taken one
-scalar step at a time, which is cheaper than a numpy call.  Values at
-power picks use scalar ** for the same last-ulp reason (replay_values).
+The choices come in runs, and a trace is stored as its runs: the first
+step of each run and its choice (64, 4010 and 34482 runs at 10^6 terms for
+(r, beta) = (0.6, 1.5), (0.75, 2.0) and (0.9, 1.2)).  Values, choice flags
+and budget margins are rebuilt from the runs in blocks of _BLOCK steps
+whenever they are read, bit for bit what a plain loop computes, so no
+full-length array is kept at any length.
 
-The long per-term passes over a finished sequence (weighted prefix sums,
-budget margins, running maxima of n^s c_n, the trace CSV) run in blocks of
-_BLOCK terms, so their temporaries take O(_BLOCK) memory at any length.
-A block's extended-precision prefix sums start from the last sum of the
-block before, and np.add.accumulate adds strictly in order, so they are
-bit for bit those of one np.cumsum over the whole sequence.
+The generator skips long runs with numpy while reproducing the
+step-by-step rule bit for bit.  It holds the budget, the increments and
+the guard-banded powers of one block of _BLOCK steps at a time, and a
+skip looks no further than the end of its block.  The running sum is one
+sequential np.add.accumulate of the exact per-step increments, which
+rounds exactly as the scalar `s += ...` does.  A harmonic run ends at
+the first step where the power pick is affordable.  That step is located
+with np.power, which differs from scalar ** in the last ulp for about
+one n in twenty, so the vectorized powers are scaled down by a guard
+band (_GUARD) that makes the test a necessary condition, and the flagged
+step is decided by the scalar rule.  A power run adds its terms to the
+sum, so those are computed with scalar ** and the run ends at the first
+sum above beta*n.  A run is skipped once it is forecast to last, or has
+lasted, _LONG_RUN steps; shorter runs (about ten steps at r = 0.95,
+beta = 1.3) are taken one scalar step at a time, which is cheaper than a
+numpy call.  Values and margins at power picks use scalar ** for the
+same last-ulp reason (replay_values).
+
+The long per-term passes (weighted prefix sums, budget margins, running
+maxima of n^s c_n, the trace CSV) run in blocks of _BLOCK terms, so their
+temporaries take O(_BLOCK) memory at any length.  A block's running sums
+start from the last sum of the block before, and np.add.accumulate adds
+strictly in order, so they are bit for bit those of one pass over the
+whole sequence.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from array import array
 from dataclasses import dataclass
@@ -61,9 +72,13 @@ _LONG_RUN = 32
 # certainly below it, so the vectorized affordability test never misses a
 # power pick.
 _GUARD = 1.0 - 2.0**-40
-# Terms per block of the long per-term passes: about 0.5 MB per float64
-# temporary; N_CAP terms at once would take 0.8 GB per temporary.
+# Terms per block of the long per-term passes, and steps per block of the
+# slow-decay generator's per-step arrays: about 0.5 MB per float64 array;
+# N_CAP terms at once would take 0.8 GB per array.
 _BLOCK = 2**16
+# Rows per trace CSV chunk: their row strings take about 0.5 MB, where one
+# block's would take 6 MB.
+_CSV_ROWS = 2**12
 
 
 def _blocks(n: int):
@@ -71,21 +86,24 @@ def _blocks(n: int):
     return ((a, min(a + _BLOCK, n)) for a in range(0, n, _BLOCK))
 
 
-def _weighted_prefix_sums(values: np.ndarray):
-    """Per block: its start, k = start+1..stop as floats, and the running sums.
+def _weighted_prefix_sums(blocks):
+    """Per block of values: its start, k = start+1..stop as floats, and the running sums.
 
-    The sums are sum_{j<=k} (j*values[j-1])^2 in extended precision; each
-    block's first term adds the previous block's last sum, in the order
-    np.cumsum adds it.
+    ``blocks`` yields consecutive pieces of one sequence.  The sums are
+    sum_{j<=k} (j*values[j-1])^2 in extended precision; each block's first
+    term adds the previous block's last sum, in the order np.cumsum adds it,
+    so how the sequence is cut into blocks does not change a bit.
     """
     carry = np.longdouble(0.0)
-    for start, stop in _blocks(values.size):
-        k = np.arange(start + 1.0, stop + 1.0)
-        sums = np.square(k * values[start:stop]).astype(np.longdouble)
+    start = 0
+    for v in blocks:
+        k = np.arange(start + 1.0, start + v.size + 1.0)
+        sums = np.square(k * v).astype(np.longdouble)
         sums[0] += carry
         np.add.accumulate(sums, out=sums)
         carry = sums[-1]
         yield start, k, sums
+        start += v.size
 
 
 class XSequence:
@@ -109,7 +127,7 @@ class XSequence:
         self.values = v
         self.ratios = np.empty(v.size)
         with np.errstate(over="ignore"):  # an overflow is rejected below
-            for start, k, sums in _weighted_prefix_sums(v):
+            for start, k, sums in _weighted_prefix_sums(v[a:b] for a, b in _blocks(v.size)):
                 self.ratios[start : start + k.size] = np.divide(sums, k, out=sums)
         self.xnorm_sq = float(self.ratios.max())
         if not np.isfinite(self.xnorm_sq):  # NaN and inf propagate into the max
@@ -141,24 +159,89 @@ def classic_sequence(N: int) -> XSequence:
 
 @dataclass
 class SlowDecayTrace:
-    """Output of the slow-decay generator, 1-indexed internally.
+    """Output of the slow-decay generator, stored as its runs; 1-indexed.
 
-    ``values[i]`` is c_{i+1}; ``choice[i]`` is 1 for the power pick
-    c_n = n^{-r} and 0 for the harmonic fallback c_n = 1/n; ``margins[i]``
-    is the budget slack beta*(i+1) - sum_{k<=i+1} k^2 c_k^2 recorded with
-    the same float operations the generator used, so generated traces have
-    margins >= 0 bit-for-bit.
+    Step n takes the power pick c_n = n^{-r} (choice 1) or the harmonic
+    fallback c_n = 1/n (choice 0).  Run j covers the steps from
+    ``starts[j]`` up to the one before ``starts[j+1]`` (up to N for the
+    last run), all with choice ``flags[j]``; ``starts[0]`` is 1.  The trace
+    holds one start and one flag per run and nothing per step.
+
+    ``values()``, ``choice()`` and ``margins()`` yield c_n, the flags
+    (uint8) and the budget slack beta*n - sum_{k<=n} k^2 c_k^2 in blocks of
+    _BLOCK steps, rebuilt from the runs on each call.  The margins repeat
+    the generator's float operations, so a generated trace has margins >= 0
+    bit for bit.
     """
 
     r: float
     beta: float
-    values: np.ndarray
-    choice: np.ndarray
-    margins: np.ndarray
+    N: int
+    starts: np.ndarray   # int64: the first step of each run, increasing from 1
+    flags: np.ndarray    # uint8: the choice of each run
 
-    @property
-    def N(self) -> int:
-        return self.values.size
+    def __post_init__(self):
+        self.starts = np.asarray(self.starts, dtype=np.int64)
+        self.flags = np.asarray(self.flags, dtype=np.uint8)
+        s = self.starts
+        if not (self.N >= 1 and s.ndim == 1 and s.size == self.flags.size and s.size
+                and s[0] == 1 and s[-1] <= self.N and np.all(s[1:] > s[:-1])):
+            raise ValueError("a trace needs one flag per run and run starts that increase "
+                             "from step 1 and stay within 1..N")
+
+    def _flag_blocks(self):
+        """(start, flags) for steps start+1..start+flags.size, block by block."""
+        for start, stop in _blocks(self.N):
+            lo = int(np.searchsorted(self.starts, start + 1, side="right")) - 1
+            hi = int(np.searchsorted(self.starts, stop, side="right"))
+            edges = np.concatenate(([start + 1], self.starts[lo + 1 : hi], [stop + 1]))
+            yield start, np.repeat(self.flags[lo:hi], np.diff(edges))
+
+    def choice(self):
+        """The choice flags, block by block."""
+        for _, flags in self._flag_blocks():
+            yield flags
+
+    def values(self):
+        """c_1..c_N, block by block, with the bits of replay_values."""
+        for start, flags in self._flag_blocks():
+            yield _values_block(self.r, start, flags)
+
+    def margins(self):
+        """beta*n - sum_{k<=n} k^2 c_k^2 for n = 1..N, block by block.
+
+        The increments are those the generator adds, summed by one
+        np.add.accumulate per block from the float64 sum carried over.
+        """
+        expo = 2.0 - 2.0 * self.r
+        carry = 0.0
+        for start, flags in self._flag_blocks():
+            n = np.arange(start + 1.0, start + flags.size + 1.0)
+            sums = _harmonic_increments(n)
+            picks, powers = _scalar_powers(start, flags, expo)
+            sums[picks] = powers
+            sums[0] += carry
+            np.add.accumulate(sums, out=sums)
+            carry = float(sums[-1])
+            n *= self.beta
+            yield np.subtract(n, sums, out=n)
+
+
+def _scalar_powers(start: int, flags: np.ndarray, expo: float):
+    """Positions of the power picks in a block of steps start+1.., and n ** expo
+    at each, computed with scalar ** (np.power can differ in the last ulp)."""
+    picks = np.flatnonzero(flags)
+    steps = (picks + (start + 1.0)).tolist()
+    return picks, np.fromiter(map(pow, steps, repeat(expo)), float, picks.size)
+
+
+def _values_block(r: float, start: int, flags: np.ndarray) -> np.ndarray:
+    """c_n for steps n = start+1..start+flags.size: 1/n, or n ** -r at power picks."""
+    out = np.arange(start + 1.0, start + flags.size + 1.0)
+    np.divide(1.0, out, out=out)
+    picks, powers = _scalar_powers(start, flags, -r)
+    out[picks] = powers
+    return out
 
 
 def _harmonic_increments(n: np.ndarray) -> np.ndarray:
@@ -171,55 +254,76 @@ def _harmonic_increments(n: np.ndarray) -> np.ndarray:
     return np.square(out, out=out)
 
 
-def _skip_harmonic(i, s, L, inc, low, budget):
+class _StepBlock:
+    """The budget beta*n, the harmonic increments and the guard-banded powers
+    n**expo of the steps in one block of _BLOCK steps: the block of the step
+    asked for last.  A block is built once, however many skips look into it.
+    """
+
+    def __init__(self, N: int, expo: float, beta: float):
+        self.N, self.expo, self.beta = N, expo, beta
+        self.start = -1
+
+    def at(self, i: int):
+        """(start, budget, increments, guarded powers) of the block holding step i (0-based)."""
+        start = i - i % _BLOCK
+        if start != self.start:
+            n = np.arange(start + 1.0, min(start + _BLOCK, self.N) + 1.0)
+            self.start = start
+            self.budget = n * self.beta
+            self.inc = _harmonic_increments(n)
+            self.low = np.power(n, self.expo, out=n)   # reuses n's buffer
+            self.low *= _GUARD
+        return self.start, self.budget, self.inc, self.low
+
+
+def _skip_harmonic(i, s, L, steps):
     """Take harmonic steps from step i up to the first one that may afford a power pick.
 
-    Looks ``L`` steps ahead, doubling while no step qualifies.  ``low`` holds
-    the guard-banded powers, so a step passed over cannot be a power pick.
-    Returns that step and the exact running sum before it.
+    Looks ``L`` steps ahead, within the block of step i, doubling while no
+    step qualifies.  The powers are guard-banded, so a step passed over
+    cannot be a power pick.  Returns that step and the exact running sum
+    before it.
     """
-    N = inc.size
-    while i < N:
-        L = min(L, N - i)
+    while i < steps.N:
+        start, budget, inc, low = steps.at(i)
+        j = i - start
+        L = min(L, inc.size - j)
         sums = np.empty(L + 1)
         sums[0] = s
-        sums[1:] = inc[i : i + L]
+        sums[1:] = inc[j : j + L]
         np.add.accumulate(sums, out=sums)
-        maybe = np.add(sums[:-1], low[i : i + L]) <= budget[i : i + L]
+        maybe = np.add(sums[:-1], low[j : j + L]) <= budget[j : j + L]
         k = int(np.argmax(maybe))
         if maybe[k]:
             return i + k, float(sums[k])
         i, s, L = i + L, float(sums[L]), 2 * L
-    return N, s
+    return steps.N, s
 
 
-def _skip_power(i, s, L, expo, inc, budget, choice):
+def _skip_power(i, s, L, steps):
     """Take power steps from step i up to the first one the budget refuses.
 
-    The terms are scalar ** and their running sums exact, so the rule
-    s + t <= beta*n is evaluated as the scalar loop does.  Records the picks
-    in ``choice`` and their terms in ``inc``; returns the refused step and
-    the running sum before it.
+    Looks ``L`` steps ahead, within the block of step i, doubling while
+    every step is affordable.  The terms are scalar ** and their running
+    sums exact, so the rule s + t <= beta*n is evaluated as the scalar loop
+    does.  Returns the refused step and the running sum before it.
     """
-    N = inc.size
-    while i < N:
-        L = min(L, N - i)
-        terms = np.fromiter(map(pow, np.arange(i + 1.0, i + L + 1.0).tolist(), repeat(expo)),
-                            float, L)
+    while i < steps.N:
+        start, budget, _, _ = steps.at(i)
+        j = i - start
+        L = min(L, budget.size - j)
         sums = np.empty(L + 1)
         sums[0] = s
-        sums[1:] = terms
+        sums[1:] = np.fromiter(map(pow, np.arange(i + 1.0, i + L + 1.0).tolist(),
+                                   repeat(steps.expo)), float, L)
         np.add.accumulate(sums, out=sums)
-        over = sums[1:] > budget[i : i + L]
+        over = sums[1:] > budget[j : j + L]
         k = int(np.argmax(over))
-        if not over[k]:
-            k = L
-        inc[i : i + k] = terms[:k]
-        choice[i : i + k] = _POWER_FLAG
-        if k < L:
+        if over[k]:
             return i + k, float(sums[k])
         i, s, L = i + L, float(sums[L]), 2 * L
-    return N, s
+    return steps.N, s
 
 
 def slow_decay_sequence(r: float, beta: float, N: int) -> SlowDecayTrace:
@@ -230,82 +334,85 @@ def slow_decay_sequence(r: float, beta: float, N: int) -> SlowDecayTrace:
     Pure function of (r, beta, N); the same inputs reproduce the same bits.
     Short runs of one choice are taken step by step, long ones skipped with
     numpy (see the module docstring); both give the bits of a plain loop.
+    The parameters are checked before any per-term work: the budget beta*N
+    must be a finite float.
     """
     if not 0.5 <= r <= 1.0:
         raise ValueError(f"r must lie in [1/2, 1], got {r}")
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
     if not beta > 1.0:
         raise ValueError(f"beta must exceed 1, got {beta}")
     if not 1 <= N <= N_CAP:
         raise ValueError(f"N must lie in [1, {N_CAP}], got {N}")
+    if not math.isfinite(beta * N):
+        raise ValueError(f"the budget beta*N overflows: beta = {beta}, N = {N}")
     expo = 2.0 - 2.0 * r
-    n = np.arange(1.0, N + 1.0)
-    inc = _harmonic_increments(n)   # per-step increments of S; power picks overwrite theirs
-    budget = n * beta
-    low = np.power(n, expo, out=n)   # reuses n's buffer
-    low *= _GUARD
-    del n
-    choice = np.zeros(N, dtype=np.uint8)
-    choice[0] = _POWER_FLAG
-    picks, terms = array("d"), array("d")   # scalar power picks: n and n**expo
-    pick, term = picks.append, terms.append
+    steps = _StepBlock(N, expo, beta)
+    starts = array("d", [1.0])   # the first step of each run; the runs alternate
+    new_run = starts.append
+    power_run = True             # the choice of the latest step taken
     # A harmonic run starting after step n is forecast to last at least
     # _LONG_RUN steps when n**expo - (beta*n - S) >= long_harmonic.
     long_harmonic = _LONG_RUN * (beta - 1.0) + beta
     i, s = 1, 1.0
     while i < N:
-        prev = None   # choice of the step before, None after a skip
+        prev = None   # choice of the step before in this scalar stretch, None after a skip
         for n1 in map(float, range(i + 1, N + 1)):
             t = n1**expo
             b = beta * n1
             if s + t <= b:
                 s += t
-                pick(n1)
-                term(t)
                 if not prev:
+                    if not power_run:
+                        new_run(n1)
+                        power_run = True
                     prev, due = True, n1 + _LONG_RUN
                     continue
                 if n1 < due:
                     continue
                 k = (b - s) / (t - beta) if t > beta else N   # forecast of the run's rest
                 i = int(n1)
-                i, s = _skip_power(i, s, int(min(k, i // 2)) + _LONG_RUN, expo, inc, budget, choice)
+                i, s = _skip_power(i, s, int(min(k, i // 2)) + _LONG_RUN, steps)
                 break
             v = 1.0 / n1
             s += (n1 * v) ** 2
             if prev is False:
                 if n1 < due:
                     continue
-            elif t - b + s < long_harmonic:
-                prev, due = False, n1 + _LONG_RUN
-                continue
+            else:
+                if power_run:
+                    new_run(n1)
+                    power_run = False
+                if t - b + s < long_harmonic:
+                    prev, due = False, n1 + _LONG_RUN
+                    continue
             k = max(t - b + s - beta, 0.0) / (beta - 1.0)   # forecast of the run's length
-            i, s = _skip_harmonic(int(n1), s, int(k + k / 8) + _LONG_RUN, inc, low, budget)
+            i, s = _skip_harmonic(int(n1), s, int(k + k / 8) + _LONG_RUN, steps)
             break
         else:
             break
-    del low
-    picks = np.frombuffer(picks).astype(np.intp) - 1
-    choice[picks] = _POWER_FLAG
-    inc[picks] = np.frombuffer(terms)
-    margins = np.subtract(budget, np.add.accumulate(inc, out=inc), out=budget)
-    del inc
-    return SlowDecayTrace(r=r, beta=beta, values=replay_values(r, choice), choice=choice,
-                          margins=margins)
+    flags = np.zeros(len(starts), dtype=np.uint8)
+    flags[::2] = _POWER_FLAG   # c_1 = 1 is a power pick
+    return SlowDecayTrace(r=r, beta=beta, N=N, starts=np.frombuffer(starts).astype(np.int64),
+                          flags=flags)
 
 
 def replay_values(r: float, choice) -> np.ndarray:
     """Rebuild trace values from the choice flags alone, bit for bit.
 
     1/n everywhere, then scalar n ** -r at the power picks: vectorized
-    powers can differ from scalar ** in the last ulp, and the generator
-    builds its values here.
+    powers can differ from scalar ** in the last ulp.  A trace's values()
+    are this, block by block.
     """
-    flags = np.asarray(choice)
-    picks = np.flatnonzero(flags)
-    out = np.arange(1.0, flags.size + 1.0)
-    np.divide(1.0, out, out=out)
-    out[picks] = np.fromiter(map(pow, (picks + 1.0).tolist(), repeat(-r)), float, picks.size)
-    return out
+    return _values_block(r, 0, np.asarray(choice))
+
+
+def _exported_blocks(t: SlowDecayTrace):
+    """The exported sequence c_0 := c_1, c_1, ..., c_N, block by block."""
+    blocks = t.values()
+    first = next(blocks)
+    return chain([first[:1], first], blocks)
 
 
 def trace_to_xsequence(t: SlowDecayTrace) -> XSequence:
@@ -316,7 +423,19 @@ def trace_to_xsequence(t: SlowDecayTrace) -> XSequence:
     (k+1)^2 <= 4 k^2 for k >= 1, a trace whose margins certify the linear
     budget exports to a sequence of norm at most 2*sqrt(beta).
     """
-    return XSequence(np.concatenate(([t.values[0]], t.values)))
+    return XSequence(np.concatenate(list(_exported_blocks(t))))
+
+
+def exported_xnorm(t: SlowDecayTrace) -> float:
+    """xnorm(trace_to_xsequence(t)), bit for bit, in one streamed pass.
+
+    The prefix ratios are those XSequence computes, block by block, and
+    only their running maximum is kept.  Rounding to float is monotone, so
+    the maximum rounds to the maximum of the rounded ratios.
+    """
+    xnorm_sq = max(float(np.divide(sums, k, out=sums).max())
+                   for _, k, sums in _weighted_prefix_sums(_exported_blocks(t)))
+    return float(np.sqrt(xnorm_sq))
 
 
 @dataclass
@@ -329,15 +448,15 @@ class MarginCertificate:
 def verify_margins(t: SlowDecayTrace, rel_tol: float = 1e-13) -> MarginCertificate:
     """Recompute the budget slack beta*m - sum_{k<=m} k^2 c_k^2 for every m.
 
-    Independent of the margins the generator recorded.  ``ok`` allows a
-    relative slop of ``rel_tol`` so that exact-equality cases (e.g. the
-    all-harmonic sequence at budget slope 1) are not rejected on roundoff.
-    The margins are taken block by block from the prefix sums XSequence
-    uses; the worst is the first smallest (or first NaN) margin, as
-    np.argmin picks it.
+    Independent of the generator's running sum: reads ``t.beta`` and the
+    blocks of ``t.values()`` only.  ``ok`` allows a relative slop of
+    ``rel_tol`` so that exact-equality cases (e.g. the all-harmonic
+    sequence at budget slope 1) are not rejected on roundoff.  The margins
+    are taken block by block from the prefix sums XSequence uses; the worst
+    is the first smallest (or first NaN) margin, as np.argmin picks it.
     """
     ok, worst, lows = True, [], []
-    for start, k, sums in _weighted_prefix_sums(t.values):
+    for start, k, sums in _weighted_prefix_sums(t.values()):
         budget = t.beta * k
         margins = (budget - sums).astype(float)
         ok &= bool(np.all(margins >= -rel_tol * np.maximum(1.0, budget)))
@@ -361,11 +480,26 @@ class InfinitudeReport:
 
     s: float
     power_count: int
-    power_positions: np.ndarray  # 1-based indices of power picks
-    largest_power_index: int
+    largest_power_index: int   # 1-based; 0 without a power pick
     decades: list[DecadeStat]
     increasing_over_power_decades: bool
     strictly_growing: bool
+
+
+def check_growth_exponent(r: float, s: float, N: int) -> None:
+    """Reject an exponent s for infinitude_report before any per-term work.
+
+    s must be finite and exceed r, and N**s must be a finite float, since
+    the report evaluates n**s for n up to N.
+    """
+    if not math.isfinite(s):
+        raise ValueError(f"s must be finite, got s = {s}")
+    if s <= r:
+        raise ValueError(f"s must exceed r = {r}, got s = {s}")
+    try:
+        float(N) ** s
+    except OverflowError:
+        raise ValueError(f"n**s overflows for s = {s} at n = {N}") from None
 
 
 def infinitude_report(t: SlowDecayTrace, s: float) -> InfinitudeReport:
@@ -376,11 +510,9 @@ def infinitude_report(t: SlowDecayTrace, s: float) -> InfinitudeReport:
     whether the running maximum strictly grew across every decade that
     contains a power pick (the first decade has no predecessor and is
     skipped); ``strictly_growing`` requires growth across all decades.
+    The power picks are counted from the runs.
     """
-    if s <= t.r:
-        raise ValueError(f"s must exceed r = {t.r}, got s = {s}")
-    positions = np.nonzero(t.choice)[0] + 1
-
+    check_growth_exponent(t.r, s, t.N)
     bounds = []
     b = 10
     while b < t.N:
@@ -391,15 +523,23 @@ def infinitude_report(t: SlowDecayTrace, s: float) -> InfinitudeReport:
     # running maximum of n^s c_n, carried from block to block, read at each bound
     at_bound = {}
     carry = None
-    for start, stop in _blocks(t.N):
-        running = np.arange(start + 1.0, stop + 1.0) ** s * t.values[start:stop]
+    start = 0
+    for values in t.values():
+        stop = start + values.size
+        running = np.arange(start + 1.0, stop + 1.0) ** s * values
         if carry is not None:
             running[0] = np.maximum(carry, running[0])
         np.maximum.accumulate(running, out=running)
         carry = running[-1]
         at_bound.update((b, float(running[b - 1 - start])) for b in bounds if start < b <= stop)
-    picks_to = np.searchsorted(positions, [0] + bounds, side="right")
-    decades = [DecadeStat(bound=b, running_max=at_bound[b], contains_power=bool(hi > lo))
+        start = stop
+
+    # power runs cover steps first..after-1; picks_to[j] counts the picks up to [0] + bounds
+    power = t.flags == _POWER_FLAG
+    first = t.starts[power]
+    after = np.append(t.starts[1:], t.N + 1)[power]
+    picks_to = [int(np.clip(b + 1 - first, 0, after - first).sum()) for b in [0] + bounds]
+    decades = [DecadeStat(bound=b, running_max=at_bound[b], contains_power=hi > lo)
                for b, lo, hi in zip(bounds, picks_to[:-1], picks_to[1:])]
 
     inc_power = all(
@@ -412,9 +552,8 @@ def infinitude_report(t: SlowDecayTrace, s: float) -> InfinitudeReport:
     )
     return InfinitudeReport(
         s=s,
-        power_count=int(positions.size),
-        power_positions=positions,
-        largest_power_index=int(positions[-1]) if positions.size else 0,
+        power_count=picks_to[-1],
+        largest_power_index=int(after[-1]) - 1 if first.size else 0,
         decades=decades,
         increasing_over_power_decades=bool(inc_power),
         strictly_growing=bool(strictly),
@@ -490,15 +629,19 @@ def read_sequence_csv(path) -> XSequence:
 def trace_csv(t: SlowDecayTrace):
     """The trace as CSV text, header index,value,choice, yielded in chunks.
 
-    The text is the chunks joined: the header with row 0, then one chunk
-    per block of _BLOCK rows, so a writer never holds the whole text.
+    The text is the chunks joined: the header with row 0, then the rows of
+    each block of _BLOCK steps in chunks of at most _CSV_ROWS, so a writer
+    never holds the whole text, nor one block's row strings at once.
     Row 0 is the exported head c_0 := c_1; row i is c_i with its choice
     label, the value written as repr.  read_sequence_csv reads it back as
     the exported sequence, ignoring the choice column.
     """
-    yield f"index,value,choice\n0,{float(t.values[0])!r},{_LABELS[t.choice[0]]}\n"
-    for start, stop in _blocks(t.N):
-        rows = zip(range(start + 1, stop + 1), t.values[start:stop].tolist(),
-                   t.choice[start:stop].tolist())
-        yield "".join([f"{i},{v!r},{_LABELS[f]}\n" for i, v, f in rows])
-
+    for start, flags in t._flag_blocks():
+        values = _values_block(t.r, start, flags)
+        if not start:
+            yield f"index,value,choice\n0,{float(values[0])!r},{_LABELS[flags[0]]}\n"
+        for a in range(0, flags.size, _CSV_ROWS):
+            b = min(a + _CSV_ROWS, flags.size)
+            rows = zip(range(start + a + 1, start + b + 1), values[a:b].tolist(),
+                       flags[a:b].tolist())
+            yield "".join([f"{i},{v!r},{_LABELS[f]}\n" for i, v, f in rows])

@@ -18,11 +18,10 @@ from hardyhilbert.seqspace import (
     slow_decay_sequence,
     trace_csv,
     trace_to_xsequence,
-    verify_margins,
     write_sequence_csv,
     xnorm,
 )
-from test_seqspace import loop_slow_decay
+from test_seqspace import exported_values, full_margin_certificate, loop_slow_decay
 
 
 @pytest.fixture
@@ -195,8 +194,47 @@ class TestSlowdecay:
                                     "--n", str(n)])
         assert code == 0
         payload = json.loads(out)
-        assert payload["export_norm"] == xnorm(trace_to_xsequence(want))
-        assert payload["certificate"]["min_margin"] == verify_margins(want).min_margin
+        assert payload["export_norm"] == xnorm(XSequence(exported_values(want.values)))
+        ok, min_margin, argmin_index = full_margin_certificate(want.values, beta)
+        assert payload["certificate"] == {"ok": ok, "min_margin": min_margin,
+                                          "argmin_index": argmin_index}
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("beta, n, message", [
+        ("inf", "1000", "error: beta must be finite, got inf\n"),
+        ("nan", "1000", "error: beta must be finite, got nan\n"),
+        ("1e308", "1000", "error: the budget beta*N overflows: beta = 1e+308, N = 1000\n"),
+        ("1e301", "100000000", "error: the budget beta*N overflows: beta = 1e+301, "
+                               "N = 100000000\n"),
+    ])
+    def test_bad_beta_is_usage_error_before_any_work(self, capsys, monkeypatch, tmp_path,
+                                                     fmt, beta, n, message):
+        monkeypatch.setattr(seqspace, "_skip_harmonic", None)   # no per-term work may start
+        monkeypatch.setattr(seqspace, "_skip_power", None)
+        target = tmp_path / "out.txt"
+        argv = ["slowdecay", "--r", "0.6", "--beta", beta, "--n", n, "--format", fmt]
+        assert run(capsys, argv) == (2, "", message)
+        assert run(capsys, argv + ["--out", str(target)]) == (2, "", message)
+        assert not target.exists()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("s, message", [
+        ("nan", "error: s must be finite, got s = nan\n"),
+        ("inf", "error: s must be finite, got s = inf\n"),
+        ("1e6", "error: n**s overflows for s = 1000000.0 at n = 1000\n"),
+        ("0.6", "error: s must exceed r = 0.6, got s = 0.6\n"),
+    ])
+    def test_bad_s_is_usage_error_before_any_work(self, capsys, monkeypatch, fmt, s, message):
+        monkeypatch.setattr(seqspace, "slow_decay_sequence", None)
+        argv = ["slowdecay", "--r", "0.6", "--beta", "1.5", "--n", "1000", "--s", s,
+                "--format", fmt]
+        assert run(capsys, argv) == (2, "", message)
+
+    def test_csv_skips_the_report(self, capsys, monkeypatch):
+        monkeypatch.setattr(seqspace, "infinitude_report", None)
+        code, out, _ = run(capsys, ["slowdecay", "--r", "0.6", "--beta", "1.5", "--n", "100",
+                                    "--format", "csv"])
+        assert code == 0 and out.startswith("index,value,choice\n")
 
 
 class TestSmallBlocks:

@@ -1,4 +1,5 @@
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from hardyhilbert import seqspace
 from hardyhilbert.seqspace import (
     SlowDecayTrace,
     XSequence,
+    check_growth_exponent,
     classic_sequence,
+    exported_xnorm,
     infinitude_report,
     prefix_ratios,
     read_sequence_csv,
@@ -26,7 +29,7 @@ def loop_slow_decay(r, beta, N):
 
     One Python iteration per term, the rule applied with scalar floats in
     order.  slow_decay_sequence must reproduce its values, choices and
-    margins bit for bit.
+    margins bit for bit.  Returns them as whole arrays.
     """
     values = np.empty(N)
     choice = np.empty(N, dtype=np.uint8)
@@ -49,14 +52,30 @@ def loop_slow_decay(r, beta, N):
             choice[i] = 0
             s += (n1 * v) ** 2
         margins[i] = beta * n1 - s
-    return SlowDecayTrace(r=r, beta=beta, values=values, choice=choice, margins=margins)
+    return SimpleNamespace(r=r, beta=beta, values=values, choice=choice, margins=margins)
+
+
+def whole(blocks):
+    """One array from a trace's block generator."""
+    return np.concatenate(list(blocks))
 
 
 def assert_same_trace(got, want):
-    assert np.array_equal(got.values, want.values)
-    assert np.array_equal(got.choice, want.choice)
-    assert got.choice.dtype == want.choice.dtype
-    assert np.array_equal(got.margins, want.margins)
+    """The runs-form trace ``got`` against the loop oracle's arrays, bit for bit."""
+    assert got.N == want.values.size
+    assert np.array_equal(whole(got.values()), want.values)
+    choice = whole(got.choice())
+    assert np.array_equal(choice, want.choice)
+    assert choice.dtype == want.choice.dtype
+    assert np.array_equal(whole(got.margins()), want.margins)
+    # the runs are maximal: they alternate, starting with the power pick c_1 = 1
+    assert got.starts.size == 1 + np.count_nonzero(want.choice[1:] != want.choice[:-1])
+    assert np.array_equal(got.flags, np.arange(got.starts.size) % 2 == 0)
+
+
+def exported_values(values):
+    """The exported sequence c_0 := c_1, c_1, ..., c_N of whole trace values."""
+    return np.concatenate(([values[0]], values))
 
 
 def brute_xnorm(values):
@@ -171,20 +190,20 @@ class TestSlowDecay:
     def test_power_step_when_budget_allows(self):
         # budget at n=1: 1 + 2^(2-2r) = 3 <= beta*2 = 4
         t = slow_decay_sequence(0.5, 2.0, 2)
-        assert t.values[1] == pytest.approx(2.0 ** -0.5, abs=1e-16)
-        assert t.choice[1] == 1
+        assert whole(t.values())[1] == pytest.approx(2.0 ** -0.5, abs=1e-16)
+        assert whole(t.choice())[1] == 1
 
     def test_harmonic_step_when_budget_tight(self):
         # 3 > 1.1 * 2 = 2.2 forces the fallback
         t = slow_decay_sequence(0.5, 1.1, 2)
-        assert t.values[1] == 0.5
-        assert t.choice[1] == 0
+        assert whole(t.values())[1] == 0.5
+        assert whole(t.choice())[1] == 0
 
     def test_head_is_one_and_power(self):
         for r, beta in ((0.5, 1.2), (0.75, 2.0), (1.0, 1.01)):
             t = slow_decay_sequence(r, beta, 4)
-            assert t.values[0] == 1.0
-            assert t.choice[0] == 1
+            assert whole(t.values())[0] == 1.0
+            assert whole(t.choice())[0] == 1
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -196,41 +215,71 @@ class TestSlowDecay:
         with pytest.raises(ValueError):
             slow_decay_sequence(0.6, 2.0, 0)
 
+    @pytest.mark.parametrize("beta, N, match", [
+        (np.inf, 10, "beta must be finite"),
+        (np.nan, 10, "beta must be finite"),
+        (-np.inf, 10, "beta must be finite"),
+        (1e308, 2, "beta\\*N overflows"),
+        (1e301, 10**8, "beta\\*N overflows"),
+    ])
+    def test_non_finite_budget_rejected_before_any_work(self, monkeypatch, beta, N, match):
+        def no_work(*args):
+            raise AssertionError("per-term work started")
+        monkeypatch.setattr(seqspace, "_skip_harmonic", no_work)
+        monkeypatch.setattr(seqspace, "_skip_power", no_work)
+        with pytest.raises(ValueError, match=match):
+            slow_decay_sequence(0.6, beta, N)
+
+    def test_largest_finite_budget_accepted(self):
+        t = slow_decay_sequence(0.6, 1e308, 1)
+        cert = verify_margins(t)
+        assert cert.ok and cert.min_margin == 1e308 - 1.0
+
     def test_generated_margins_nonnegative(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
             t = slow_decay_sequence(float(rng.uniform(0.5, 1.0)),
                                     float(rng.uniform(1.05, 3.0)),
                                     int(rng.integers(10, 2000)))
-            assert np.all(t.margins >= 0.0)
+            assert all(np.all(m >= 0.0) for m in t.margins())
 
     def test_deterministic(self):
         a = slow_decay_sequence(0.7, 1.5, 500)
         b = slow_decay_sequence(0.7, 1.5, 500)
-        assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.choice, b.choice)
-        assert np.array_equal(a.margins, b.margins)
+        assert np.array_equal(a.starts, b.starts) and np.array_equal(a.flags, b.flags)
+        assert np.array_equal(whole(a.values()), whole(b.values()))
+        assert np.array_equal(whole(a.choice()), whole(b.choice()))
+        assert np.array_equal(whole(a.margins()), whole(b.margins()))
 
     def test_values_bit_replay_from_flags(self):
         t = slow_decay_sequence(0.63, 1.7, 1500)
-        assert np.array_equal(replay_values(0.63, t.choice), t.values)
+        assert np.array_equal(replay_values(0.63, whole(t.choice())), whole(t.values()))
 
     def test_prefix_consistency(self):
         long = slow_decay_sequence(0.8, 1.4, 800)
         short = slow_decay_sequence(0.8, 1.4, 300)
-        assert np.array_equal(long.values[:300], short.values)
+        assert np.array_equal(whole(long.values())[:300], whole(short.values()))
 
     def test_export_head_convention(self):
         t = slow_decay_sequence(0.6, 1.5, 50)
         c = trace_to_xsequence(t)
         assert len(c) == 51
         assert c.values[0] == 1.0
-        assert np.array_equal(c.values[1:], t.values)
+        assert np.array_equal(c.values[1:], whole(t.values()))
 
     def test_export_norm_bound(self):
         for r, beta in ((0.55, 1.2), (0.75, 2.0), (0.95, 1.5)):
             t = slow_decay_sequence(r, beta, 3000)
             assert xnorm(trace_to_xsequence(t)) <= 2.0 * np.sqrt(beta)
+
+    @pytest.mark.parametrize("r, beta, N", [
+        (0.6, 1.5, 1), (0.6, 1.5, 2), (0.6, 1.5, 10**5), (0.75, 2.0, 10**5),
+        (0.9, 1.2, 10**5), (1.0, 1.01, 10**5)])
+    def test_streamed_export_norm_is_bit_identical(self, r, beta, N):
+        want = loop_slow_decay(r, beta, N)
+        norm = exported_xnorm(slow_decay_sequence(r, beta, N))
+        assert norm == xnorm(XSequence(exported_values(want.values)))
+        assert norm == xnorm(trace_to_xsequence(slow_decay_sequence(r, beta, N)))
 
 
 class TestGeneratorMatchesLoop:
@@ -272,6 +321,44 @@ class TestGeneratorMatchesLoop:
             assert_same_trace(slow_decay_sequence(r, beta, N), loop_slow_decay(r, beta, N))
 
 
+class TestSmallWindows:
+    """_BLOCK = 64: runs cross the generator's windows and the blocks of every pass."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(seqspace, "_BLOCK", 64)
+        monkeypatch.setattr(seqspace, "_CSV_ROWS", 24)
+
+    @pytest.mark.parametrize("r, beta, N", [
+        (0.6, 1.5, 20000),     # long harmonic runs over many windows
+        (0.75, 2.0, 20000),
+        (0.9, 1.2, 20000),     # runs of about thirty steps, across block edges
+        (0.99, 3.0, 5000),     # one long power run
+        (1.0, 1.01, 5000),     # every step a power pick
+        (0.5, 1.05, 5000),
+        (0.6, 1.5, 64), (0.6, 1.5, 65), (0.6, 1.5, 129),
+    ])
+    def test_matches_loop(self, r, beta, N):
+        t = slow_decay_sequence(r, beta, N)
+        want = loop_slow_decay(r, beta, N)
+        assert_same_trace(t, want)
+        assert all(len(b) == min(64, N - 64 * j) for j, b in enumerate(t.values()))
+        exported = exported_values(want.values)
+        assert exported_xnorm(t) == xnorm(XSequence(exported))
+        cert = verify_margins(t)
+        assert (cert.ok, cert.min_margin, cert.argmin_index) == \
+            full_margin_certificate(want.values, beta)
+        rep = infinitude_report(t, r + 0.05)
+        positions = np.flatnonzero(want.choice) + 1
+        assert rep.power_count == positions.size
+        assert rep.largest_power_index == positions[-1]
+        labels = ["power" if f else "harmonic" for f in want.choice]
+        rows = [f"{i},{v!r},{labels[max(i - 1, 0)]}\n" for i, v in enumerate(exported.tolist())]
+        chunks = list(trace_csv(t))
+        assert len(chunks) == 1 + sum(-(-len(b) // 24) for b in t.choice())
+        assert "".join(chunks) == "index,value,choice\n" + "".join(rows)
+
+
 class TestVerifyMargins:
     def test_generated_traces_certify(self):
         for r, beta in ((0.5, 1.3), (0.9, 2.5)):
@@ -280,26 +367,49 @@ class TestVerifyMargins:
             assert cert.min_margin >= -1e-12
 
     def test_gross_violation_detected(self):
-        from hardyhilbert.seqspace import SlowDecayTrace
-        t = SlowDecayTrace(r=0.5, beta=1.0 + 1e-12, values=np.array([2.0]),
-                           choice=np.array([1], dtype=np.uint8),
-                           margins=np.array([0.0]))
+        # all power picks at r = 1/2: k^2 c_k^2 = k, so the sum m(m+1)/2
+        # passes the budget (1 + 1e-12) m from m = 2 on; worst at m = 4: -6
+        t = SlowDecayTrace(r=0.5, beta=1.0 + 1e-12, N=4, starts=[1], flags=[1])
         cert = verify_margins(t)
         assert not cert.ok
-        assert cert.min_margin == pytest.approx(-3.0, abs=1e-9)
-        assert cert.argmin_index == 1
+        assert cert.min_margin == pytest.approx(-6.0, abs=1e-9)
+        assert cert.argmin_index == 4
 
     def test_equality_case_all_harmonic(self):
         # c_k = 1/k against budget slope 1: margin 0 at every m
-        from hardyhilbert.seqspace import SlowDecayTrace
         N = 64
-        vals = 1.0 / np.arange(1, N + 1)
-        t = SlowDecayTrace(r=0.5, beta=1.0 + 1e-15, values=vals,
-                           choice=np.zeros(N, dtype=np.uint8),
-                           margins=np.zeros(N))
+        t = SlowDecayTrace(r=0.5, beta=1.0 + 1e-15, N=N, starts=[1], flags=[0])
+        assert np.array_equal(whole(t.values()), 1.0 / np.arange(1, N + 1))
         cert = verify_margins(t)
         assert cert.ok
         assert abs(cert.min_margin) < 1e-11
+
+    def test_hand_made_runs(self):
+        # power at 1..2, harmonic at 3..6, power at 7..N: c_k = k^-1/2 or 1/k
+        N = 40
+        t = SlowDecayTrace(r=0.5, beta=1.2, N=N, starts=[1, 3, 7], flags=[1, 0, 1])
+        k = np.arange(1.0, N + 1.0)
+        power = (k < 3) | (k >= 7)
+        values = np.where(power, k ** -0.5, 1.0 / k)
+        assert np.array_equal(whole(t.choice()), power)
+        assert np.allclose(whole(t.values()), values, rtol=1e-15, atol=0.0)
+        sums = np.cumsum(np.where(power, k, 1.0))
+        assert np.allclose(whole(t.margins()), 1.2 * k - sums, rtol=1e-15, atol=0.0)
+        cert = verify_margins(t)
+        assert (cert.ok, cert.min_margin, cert.argmin_index) == \
+            full_margin_certificate(whole(t.values()), t.beta)
+        assert not cert.ok and cert.argmin_index == N   # the last run outgrows the budget
+
+    @pytest.mark.parametrize("starts, flags, N", [
+        ([2], [1], 5),            # the first run must start at step 1
+        ([1, 3, 3], [1, 0, 1], 5),  # starts must increase
+        ([1, 6], [1, 0], 5),      # and stay within 1..N
+        ([1, 3], [1], 5),         # one flag per run
+        ([1], [1], 0),
+    ])
+    def test_bad_runs_rejected(self, starts, flags, N):
+        with pytest.raises(ValueError, match="run"):
+            SlowDecayTrace(r=0.5, beta=1.5, N=N, starts=starts, flags=flags)
 
 
 class TestInfinitudeReport:
@@ -310,14 +420,31 @@ class TestInfinitudeReport:
         with pytest.raises(ValueError):
             infinitude_report(t, 0.5)
 
+    @pytest.mark.parametrize("s, match", [
+        (np.nan, "s must be finite"), (np.inf, "s must be finite"),
+        (-np.inf, "s must be finite"), (1e6, "overflows"), (154.2, "overflows")])
+    def test_bad_s_rejected_before_any_work(self, s, match):
+        t = slow_decay_sequence(0.6, 1.5, 100)
+        t.values = None   # the check must come before the first block
+        with pytest.raises(ValueError, match=match):
+            infinitude_report(t, s)
+        with pytest.raises(ValueError, match=match):
+            check_growth_exponent(0.6, s, 100)
+
+    def test_largest_s_without_overflow(self):
+        # 100.0 ** 154 = 1e308 is still a float
+        rep = infinitude_report(slow_decay_sequence(0.6, 1.5, 100), 154.0)
+        assert np.isfinite(rep.decades[-1].running_max)
+
     def test_power_recurrence_moderate_size(self):
         t = slow_decay_sequence(0.6, 1.5, 10**4)
         longer = slow_decay_sequence(0.6, 1.5, 10**5)
         rep = infinitude_report(t, 0.7)
         rep_longer = infinitude_report(longer, 0.7)
         assert rep_longer.power_count > rep.power_count
-        assert rep.power_positions.size == rep.power_count
-        assert rep.largest_power_index == rep.power_positions[-1]
+        positions = np.flatnonzero(whole(t.choice())) + 1
+        assert positions.size == rep.power_count
+        assert rep.largest_power_index == positions[-1]
 
     def test_power_count_grows_with_length(self):
         short = infinitude_report(slow_decay_sequence(0.75, 2.0, 10**3), 0.8)
@@ -325,14 +452,11 @@ class TestInfinitudeReport:
         assert long_.power_count > short.power_count
 
     def test_all_harmonic_flagged_non_growing(self):
-        from hardyhilbert.seqspace import SlowDecayTrace
         N = 10**4
-        vals = 1.0 / np.arange(1, N + 1)
-        t = SlowDecayTrace(r=0.5, beta=2.0, values=vals,
-                           choice=np.zeros(N, dtype=np.uint8),
-                           margins=np.ones(N))
+        t = SlowDecayTrace(r=0.5, beta=2.0, N=N, starts=[1], flags=[0])
         rep = infinitude_report(t, 0.8)
         assert rep.power_count == 0
+        assert rep.largest_power_index == 0
         assert not rep.strictly_growing
         assert rep.increasing_over_power_decades  # vacuous: no power decade
 
@@ -428,19 +552,20 @@ def full_prefix_sums(values):
     return k1, np.cumsum(((k1 * values) ** 2).astype(np.longdouble))
 
 
-def full_margin_certificate(t, rel_tol=1e-13):
+def full_margin_certificate(values, beta, rel_tol=1e-13):
     """Oracle: verify_margins over whole arrays, as (ok, min_margin, argmin_index)."""
-    k1, sums = full_prefix_sums(t.values)
-    margins = (t.beta * k1 - sums).astype(float)
+    k1, sums = full_prefix_sums(values)
+    margins = (beta * k1 - sums).astype(float)
     worst = int(np.argmin(margins))
-    ok = bool(np.all(margins >= -rel_tol * np.maximum(1.0, t.beta * k1)))
+    ok = bool(np.all(margins >= -rel_tol * np.maximum(1.0, beta * k1)))
     return ok, float(margins[worst]), worst + 1
 
 
 def hand_trace(values, beta):
+    """Any values as verify_margins reads a trace: ``beta`` and blocks of ``values()``."""
     values = np.asarray(values, dtype=float)
-    return SlowDecayTrace(r=0.6, beta=beta, values=values,
-                          choice=np.zeros(values.size, dtype=np.uint8), margins=np.zeros(values.size))
+    return SimpleNamespace(beta=beta, whole=values, values=lambda: (
+        values[a:b] for a, b in seqspace._blocks(values.size)))
 
 
 SMALL_BLOCK = 5
@@ -468,13 +593,16 @@ class TestBlockBoundaries:
     def test_margins_match(self, N):
         rng = np.random.default_rng(N)
         k = np.arange(1, N + 1)
-        traces = [slow_decay_sequence(0.6, 1.5, N),
+        generated = slow_decay_sequence(0.6, 1.5, N)
+        traces = [hand_trace(whole(generated.values()), 1.5),
                   hand_trace(rng.uniform(0.0, 0.6, N) / k, 0.2),
                   # (k c_k)^2 averages 0.25 > beta: the worst margin is in the last block
                   hand_trace(rng.uniform(0.3, 0.7, N) / k, 0.2)]
         for t in traces:
             cert = verify_margins(t)
-            assert (cert.ok, cert.min_margin, cert.argmin_index) == full_margin_certificate(t)
+            assert (cert.ok, cert.min_margin, cert.argmin_index) == \
+                full_margin_certificate(t.whole, t.beta)
+        assert verify_margins(generated) == verify_margins(traces[0])
 
     def test_tie_across_blocks_resolves_to_first(self):
         # beta = 6: the 16 at k = 2 and the 36 at k = 8 leave the margin -4
@@ -484,14 +612,14 @@ class TestBlockBoundaries:
         t = hand_trace(values, 6.0)
         cert = verify_margins(t)
         assert (cert.ok, cert.min_margin, cert.argmin_index) == (False, -4.0, 2)
-        assert full_margin_certificate(t) == (False, -4.0, 2)
+        assert full_margin_certificate(values, 6.0) == (False, -4.0, 2)
 
-    @pytest.mark.parametrize("N", BLOCK_LENGTHS + [123])
+    @pytest.mark.parametrize("N", BLOCK_LENGTHS + [123, 12345])
     def test_infinitude_decades_match(self, N):
         t = slow_decay_sequence(0.6, 1.5, N)
         s = 0.7
-        running = np.maximum.accumulate(np.arange(1, N + 1, dtype=float) ** s * t.values)
-        positions = np.nonzero(t.choice)[0] + 1
+        running = np.maximum.accumulate(np.arange(1, N + 1, dtype=float) ** s * whole(t.values()))
+        positions = np.nonzero(whole(t.choice()))[0] + 1
         rep = infinitude_report(t, s)
         prev = 0
         for d in rep.decades:
@@ -520,9 +648,10 @@ class TestBlockBoundaries:
     @pytest.mark.parametrize("N", BLOCK_LENGTHS)
     def test_trace_csv_chunks_join_to_the_text(self, N):
         t = slow_decay_sequence(0.6, 1.5, N)
-        labels = ["power" if f else "harmonic" for f in t.choice]
-        rows = [f"0,{float(t.values[0])!r},{labels[0]}\n"]
-        rows += [f"{i + 1},{float(v)!r},{labels[i]}\n" for i, v in enumerate(t.values)]
+        values = whole(t.values())
+        labels = ["power" if f else "harmonic" for f in whole(t.choice())]
+        rows = [f"0,{float(values[0])!r},{labels[0]}\n"]
+        rows += [f"{i + 1},{float(v)!r},{labels[i]}\n" for i, v in enumerate(values)]
         chunks = list(trace_csv(t))
         assert len(chunks) == 1 + -(-N // SMALL_BLOCK)
         assert "".join(chunks) == "index,value,choice\n" + "".join(rows)
