@@ -11,12 +11,7 @@ subsequence, far beyond the classic 1/(n+1) rate.
 
 import numpy as np
 
-from hardyhilbert import (
-    exported_xnorm,
-    infinitude_report,
-    slow_decay_sequence,
-    verify_margins,
-)
+from hardyhilbert import slow_decay_report, slow_decay_sequence
 
 print("=" * 70)
 print("  SLOW-DECAY GENERATOR: budget walk between n^-r and 1/n")
@@ -25,13 +20,13 @@ print("=" * 70)
 for r, beta in ((0.6, 1.5), (0.75, 2.0), (0.9, 1.2)):
     N = 10**6
     trace = slow_decay_sequence(r, beta, N)
-    cert = verify_margins(trace)
-    rep = infinitude_report(trace, s=r + 0.1)
+    report = slow_decay_report(trace, s=r + 0.1)
+    cert, rep = report.certificate, report.infinitude
     print(f"\nr={r}, beta={beta}, N={N}:")
     print(f"  budget certificate: ok={cert.ok}, smallest slack {cert.min_margin:.3e} "
           f"at m={cert.argmin_index}")
     print(f"  power picks: {rep.power_count} (latest at n={rep.largest_power_index})")
-    print(f"  exported norm {exported_xnorm(trace):.4f} <= 2*sqrt(beta) = {2*np.sqrt(beta):.4f}")
+    print(f"  exported norm {report.export_norm:.4f} <= 2*sqrt(beta) = {2*np.sqrt(beta):.4f}")
     print(f"  running max of n^{r + 0.1:.2f} * c_n per decade:")
     for d in rep.decades:
         mark = "power in decade" if d.contains_power else "no power"

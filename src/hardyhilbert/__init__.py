@@ -65,6 +65,7 @@ from .seqspace import (
     prefix_ratios,
     read_sequence_csv,
     replay_values,
+    slow_decay_report,
     slow_decay_sequence,
     trace_csv,
     trace_to_xsequence,
@@ -87,6 +88,6 @@ __all__ = [
     "hilbert_form", "matrix_norm",
     "HARMONIC", "POWER", "SlowDecayTrace", "XSequence", "classic_sequence",
     "exported_xnorm", "infinitude_report", "prefix_ratios", "read_sequence_csv", "replay_values",
-    "slow_decay_sequence", "trace_csv", "trace_to_xsequence", "verify_margins",
+    "slow_decay_report", "slow_decay_sequence", "trace_csv", "trace_to_xsequence", "verify_margins",
     "write_sequence_csv", "xnorm",
 ]

@@ -142,12 +142,13 @@ def _cmd_slowdecay(args) -> int:
     s = args.s if args.s is not None else args.r + 0.1
     seqspace.check_growth_exponent(args.r, s, args.n)   # the CSV has no report, but --s is checked
     trace = seqspace.slow_decay_sequence(args.r, args.beta, args.n)
-    cert = seqspace.verify_margins(trace)
     if args.format == "csv":
+        cert = seqspace.verify_margins(trace)
         print(f"certificate ok={cert.ok} min_margin={cert.min_margin!r}", file=sys.stderr)
         _emit(args, seqspace.trace_csv(trace))
     else:
-        report = seqspace.infinitude_report(trace, s)
+        full = seqspace.slow_decay_report(trace, s)
+        cert, report = full.certificate, full.infinitude
         _emit_json(args, {
             "params": {"r": args.r, "beta": args.beta, "n": args.n, "s": s},
             "certificate": {"ok": cert.ok, "min_margin": cert.min_margin,
@@ -160,7 +161,7 @@ def _cmd_slowdecay(args) -> int:
                 "increasing_over_power_decades": report.increasing_over_power_decades,
                 "strictly_growing": report.strictly_growing,
             },
-            "export_norm": seqspace.exported_xnorm(trace),
+            "export_norm": full.export_norm,
         })
     return 0 if cert.ok else 1
 

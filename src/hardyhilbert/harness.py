@@ -196,13 +196,13 @@ def _slow_decay_certificate(rng, case):
     t = seqspace.slow_decay_sequence(r, beta, N)
     lowest = float(np.min([m.min() for m in t.margins()]))
     m_nonneg = 0.0 if lowest >= 0.0 else -lowest
-    cert = seqspace.verify_margins(t)
+    full = seqspace.slow_decay_report(t, s=r + float(rng.uniform(0.01, 0.15)))
+    cert, rep = full.certificate, full.infinitude
     m_cert = 0.0 if cert.ok else max(1e-300, -cert.min_margin)
     choice = np.concatenate(list(t.choice()))
     replay = seqspace.replay_values(r, choice)
     m_replay = 0.0 if np.array_equal(replay, np.concatenate(list(t.values()))) else 1.0
-    m_bound = seqspace.exported_xnorm(t) - 2.0 * np.sqrt(beta)
-    rep = seqspace.infinitude_report(t, s=r + float(rng.uniform(0.01, 0.15)))
+    m_bound = full.export_norm - 2.0 * np.sqrt(beta)
     positions = np.flatnonzero(choice) + 1   # counted from the flags, not the runs
     consistent = (
         rep.power_count == positions.size

@@ -21,35 +21,58 @@ and budget margins are rebuilt from the runs in blocks of _BLOCK steps
 whenever they are read, bit for bit what a plain loop computes, so no
 full-length array is kept at any length.
 
-The generator skips long runs with numpy while reproducing the
-step-by-step rule bit for bit.  It holds the budget, the increments and
-the guard-banded powers of one block of _BLOCK steps at a time, and a
-skip looks no further than the end of its block.  The running sum is one
-sequential np.add.accumulate of the exact per-step increments, which
-rounds exactly as the scalar `s += ...` does.  A harmonic run ends at
-the first step where the power pick is affordable.  That step is located
-with np.power, which differs from scalar ** in the last ulp for about
-one n in twenty, so the vectorized powers are scaled down by a guard
-band (_GUARD) that makes the test a necessary condition, and the flagged
-step is decided by the scalar rule.  A power run adds its terms to the
-sum, so those are computed with scalar ** and the run ends at the first
-sum above beta*n.  A run is skipped once it is forecast to last, or has
-lasted, _LONG_RUN steps; shorter runs (about ten steps at r = 0.95,
-beta = 1.3) are taken one scalar step at a time, which is cheaper than a
-numpy call.  Values and margins at power picks use scalar ** for the
-same last-ulp reason (replay_values).
+The generator skips long runs while reproducing the step-by-step rule bit
+for bit.  A harmonic step adds (n*(1/n))**2, which is exactly 1 or
+1 - 2**-52.  To a running sum s >= 4 (an ulp of at least 2**-50) both add
+exactly 1 for as long as the sum stays within its binade (at most the next
+power of two).  So if s is the sum before step n, the sum before step
+n+m is exactly s + m inside one binade, and a harmonic run has a closed
+form: it ends at the first m with s + m + (n+m)**expo <= beta*(n+m).
+Where beta - 1 exceeds the slope of n**expo, the slack
+g(m) = beta*(n+m) - s - m - (n+m)**expo is increasing and convex in m, so
+a few Newton steps find its root.  The step at its ceiling is handed to
+the scalar rule, and g one step before it is checked to be below
+-2**-46 * beta*n, far beyond the few ulps by which beta*n, the scalar
+power and the test itself round, so no earlier step can pass.  A run that
+outlasts its binade takes the step that crosses the power of two with the
+scalar rule (that step is where an increment can round) and goes on in
+the next binade.  The closed form is not used, and the accumulate window
+below takes the run, while s < 4, where the slope check fails
+(beta - 1 <= expo * n**(expo-1), e.g. r = 0.9, beta = 1.001 below
+n ~ 750), or when the Newton root cannot be confirmed.
+
+The window holds the budget, the increments and the guard-banded powers of
+one block of _BLOCK steps at a time, and a skip looks no further than the
+end of its block.  The running sum is one sequential np.add.accumulate of
+the exact per-step increments, which rounds exactly as the scalar
+`s += ...` does.  A harmonic run ends at the first step where the power
+pick is affordable.  That step is located with np.power, which differs
+from scalar ** in the last ulp for about one n in twenty, so the
+vectorized powers are scaled down by a guard band (_GUARD) that makes the
+test a necessary condition, and the flagged step is decided by the scalar
+rule.  A power run adds its terms to the sum, so those are computed with
+scalar ** (at r = 1 they are all n ** 0.0, exactly 1.0) and the run ends
+at the first sum above beta*n.  A run is skipped once it is forecast to
+last, or has lasted, _LONG_RUN steps; shorter runs (about ten steps at
+r = 0.95, beta = 1.3) are taken one scalar step at a time, which is
+cheaper than a numpy call.  Values and margins at power picks use
+scalar ** for the same last-ulp reason (replay_values).
 
 The long per-term passes (weighted prefix sums, budget margins, running
 maxima of n^s c_n, the trace CSV) run in blocks of _BLOCK terms, so their
 temporaries take O(_BLOCK) memory at any length.  A block's running sums
 start from the last sum of the block before, and np.add.accumulate adds
 strictly in order, so they are bit for bit those of one pass over the
-whole sequence.
+whole sequence.  The margin certificate, the running maxima and the
+exported norm are block passes over the trace's values: slow_decay_report
+builds each block of values once and feeds it to all three.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import stat
 import warnings
 from array import array
 from dataclasses import dataclass
@@ -72,6 +95,15 @@ _LONG_RUN = 32
 # certainly below it, so the vectorized affordability test never misses a
 # power pick.
 _GUARD = 1.0 - 2.0**-40
+# A harmonic step adds 1 or 1 - 2**-52 (_harmonic_increments); to a sum from
+# 4 up to 2**52 both add exactly 1, up to the next power of two.
+_EXACT_FROM = 4.0
+# A step whose exact slack beta*n - S - n**expo is below -_SLACK*beta*n
+# fails the scalar rule: the rounding of beta*n, of n**expo (within an ulp)
+# and of the test itself, and of evaluating the slack, are a few ulps each.
+_SLACK = 2.0**-46
+# Newton steps for the end of a harmonic run; it converges in two to four.
+_NEWTON_STEPS = 8
 # Terms per block of the long per-term passes, and steps per block of the
 # slow-decay generator's per-step arrays: about 0.5 MB per float64 array;
 # N_CAP terms at once would take 0.8 GB per array.
@@ -79,6 +111,8 @@ _BLOCK = 2**16
 # Rows per trace CSV chunk: their row strings take about 0.5 MB, where one
 # block's would take 6 MB.
 _CSV_ROWS = 2**12
+# File name suffixes numpy's loadtxt opens as compressed files.
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def _blocks(n: int):
@@ -86,24 +120,16 @@ def _blocks(n: int):
     return ((a, min(a + _BLOCK, n)) for a in range(0, n, _BLOCK))
 
 
-def _weighted_prefix_sums(blocks):
-    """Per block of values: its start, k = start+1..stop as floats, and the running sums.
+def _prefix_block(k: np.ndarray, v: np.ndarray, carry) -> np.ndarray:
+    """The running sums of (k*v)^2 over one block, in extended precision.
 
-    ``blocks`` yields consecutive pieces of one sequence.  The sums are
-    sum_{j<=k} (j*values[j-1])^2 in extended precision; each block's first
-    term adds the previous block's last sum, in the order np.cumsum adds it,
-    so how the sequence is cut into blocks does not change a bit.
+    ``carry`` is the last sum of the block before (0 for the first).  The
+    block's first term adds it, in the order np.cumsum adds it, so how a
+    sequence is cut into blocks does not change a bit.
     """
-    carry = np.longdouble(0.0)
-    start = 0
-    for v in blocks:
-        k = np.arange(start + 1.0, start + v.size + 1.0)
-        sums = np.square(k * v).astype(np.longdouble)
-        sums[0] += carry
-        np.add.accumulate(sums, out=sums)
-        carry = sums[-1]
-        yield start, k, sums
-        start += v.size
+    sums = np.square(k * v).astype(np.longdouble)
+    sums[0] += carry
+    return np.add.accumulate(sums, out=sums)
 
 
 class XSequence:
@@ -126,9 +152,13 @@ class XSequence:
             raise ValueError(f"sequence length {v.size} exceeds cap {N_CAP}")
         self.values = v
         self.ratios = np.empty(v.size)
+        carry = np.longdouble(0.0)
         with np.errstate(over="ignore"):  # an overflow is rejected below
-            for start, k, sums in _weighted_prefix_sums(v[a:b] for a, b in _blocks(v.size)):
-                self.ratios[start : start + k.size] = np.divide(sums, k, out=sums)
+            for a, b in _blocks(v.size):
+                k = np.arange(a + 1.0, b + 1.0)
+                sums = _prefix_block(k, v[a:b], carry)
+                carry = sums[-1]
+                self.ratios[a:b] = np.divide(sums, k, out=sums)
         self.xnorm_sq = float(self.ratios.max())
         if not np.isfinite(self.xnorm_sq):  # NaN and inf propagate into the max
             raise ValueError("sequence values must be finite with finite weighted prefix sums")
@@ -229,10 +259,14 @@ class SlowDecayTrace:
 
 def _scalar_powers(start: int, flags: np.ndarray, expo: float):
     """Positions of the power picks in a block of steps start+1.., and n ** expo
-    at each, computed with scalar ** (np.power can differ in the last ulp)."""
+    at each, computed with scalar ** (np.power can differ in the last ulp).
+
+    math.pow is the C pow that a float's ** calls for a positive finite
+    base, with less call overhead.
+    """
     picks = np.flatnonzero(flags)
     steps = (picks + (start + 1.0)).tolist()
-    return picks, np.fromiter(map(pow, steps, repeat(expo)), float, picks.size)
+    return picks, np.fromiter(map(math.pow, steps, repeat(expo)), float, picks.size)
 
 
 def _values_block(r: float, start: int, flags: np.ndarray) -> np.ndarray:
@@ -277,15 +311,62 @@ class _StepBlock:
         return self.start, self.budget, self.inc, self.low
 
 
+def _harmonic_run(i, s, steps):
+    """The closed form of a harmonic run from step i (0-based), the sum before it s.
+
+    From s >= _EXACT_FROM each harmonic step adds exactly 1 until the sum
+    reaches the next power of two, so the sum before step i+1+m is s+m.
+    The first step n = i+1+m where s+m+n**expo <= beta*n is the root of
+    g(m) = beta*n - s - m - n**expo, found by Newton's method; g is convex,
+    and increasing where beta-1 exceeds the slope of n**expo, which is
+    checked at n = i+1 (the slope only falls after it).  No earlier step
+    can pass the scalar rule: g one step before the root is below
+    -_SLACK*beta*n.  Returns (the step found, the sum before it, True),
+    (the step after this power of two, the sum before it, False) when the
+    run goes on past it, or None where the closed form does not apply.
+    """
+    beta, expo = steps.beta, steps.expo
+    n0 = i + 1.0
+    if not (_EXACT_FROM <= s < 2.0**52
+            and expo * n0 ** (expo - 1.0) < (beta - 1.0) * (1.0 - 2.0**-40)):
+        return None
+    gap = beta * n0 - s - n0**expo
+    if gap >= 0.0:   # step i itself may qualify
+        return i, s, True
+    m = 0.0
+    for _ in range(_NEWTON_STEPS):   # from the right of the root after the first step
+        step = gap / (beta - 1.0 - expo * (n0 + m) ** (expo - 1.0))
+        m -= step
+        if abs(step) < 2.0**-10:
+            break
+        n = n0 + m
+        gap = beta * n - (s + m) - n**expo
+    last = min(int(2.0 ** math.frexp(s)[1] - s), steps.N - 1 - i)   # in the binade and N
+    end = min(math.ceil(m), last + 1)
+    n = n0 + end - 1   # the step before: its slack must be certainly negative
+    b = beta * n
+    if not b - (s + end - 1) - n**expo < -_SLACK * b:
+        return None
+    if end <= last:
+        return i + end, s + end, True
+    return i + end, s + last + (n * (1.0 / n)) ** 2, False
+
+
 def _skip_harmonic(i, s, L, steps):
     """Take harmonic steps from step i up to the first one that may afford a power pick.
 
-    Looks ``L`` steps ahead, within the block of step i, doubling while no
-    step qualifies.  The powers are guard-banded, so a step passed over
-    cannot be a power pick.  Returns that step and the exact running sum
-    before it.
+    The closed form (_harmonic_run) where it applies; elsewhere, looks
+    ``L`` steps ahead, within the block of step i, doubling while no step
+    qualifies.  The powers are guard-banded, so a step passed over cannot
+    be a power pick.  Returns that step and the exact running sum before it.
     """
     while i < steps.N:
+        run = _harmonic_run(i, s, steps)
+        if run is not None:
+            i, s, found = run
+            if found:
+                return i, s
+            continue
         start, budget, inc, low = steps.at(i)
         j = i - start
         L = min(L, inc.size - j)
@@ -294,7 +375,7 @@ def _skip_harmonic(i, s, L, steps):
         sums[1:] = inc[j : j + L]
         np.add.accumulate(sums, out=sums)
         maybe = np.add(sums[:-1], low[j : j + L]) <= budget[j : j + L]
-        k = int(np.argmax(maybe))
+        k = int(maybe.argmax())
         if maybe[k]:
             return i + k, float(sums[k])
         i, s, L = i + L, float(sums[L]), 2 * L
@@ -307,19 +388,21 @@ def _skip_power(i, s, L, steps):
     Looks ``L`` steps ahead, within the block of step i, doubling while
     every step is affordable.  The terms are scalar ** and their running
     sums exact, so the rule s + t <= beta*n is evaluated as the scalar loop
-    does.  Returns the refused step and the running sum before it.
+    does; at r = 1 every term is n ** 0.0, which is exactly 1.0 for any n.
+    Returns the refused step and the running sum before it.
     """
     while i < steps.N:
         start, budget, _, _ = steps.at(i)
         j = i - start
         L = min(L, budget.size - j)
-        sums = np.empty(L + 1)
+        sums = np.ones(L + 1)
         sums[0] = s
-        sums[1:] = np.fromiter(map(pow, np.arange(i + 1.0, i + L + 1.0).tolist(),
-                                   repeat(steps.expo)), float, L)
+        if steps.expo:
+            sums[1:] = np.fromiter(map(math.pow, np.arange(i + 1.0, i + L + 1.0).tolist(),
+                                       repeat(steps.expo)), float, L)
         np.add.accumulate(sums, out=sums)
         over = sums[1:] > budget[j : j + L]
-        k = int(np.argmax(over))
+        k = int(over.argmax())
         if over[k]:
             return i + k, float(sums[k])
         i, s, L = i + L, float(sums[L]), 2 * L
@@ -408,13 +491,6 @@ def replay_values(r: float, choice) -> np.ndarray:
     return _values_block(r, 0, np.asarray(choice))
 
 
-def _exported_blocks(t: SlowDecayTrace):
-    """The exported sequence c_0 := c_1, c_1, ..., c_N, block by block."""
-    blocks = t.values()
-    first = next(blocks)
-    return chain([first[:1], first], blocks)
-
-
 def trace_to_xsequence(t: SlowDecayTrace) -> XSequence:
     """Export a 1-indexed trace to the 0-indexed sequence convention.
 
@@ -423,19 +499,27 @@ def trace_to_xsequence(t: SlowDecayTrace) -> XSequence:
     (k+1)^2 <= 4 k^2 for k >= 1, a trace whose margins certify the linear
     budget exports to a sequence of norm at most 2*sqrt(beta).
     """
-    return XSequence(np.concatenate(list(_exported_blocks(t))))
+    blocks = t.values()
+    first = next(blocks)
+    return XSequence(np.concatenate([first[:1], first, *blocks]))
 
 
-def exported_xnorm(t: SlowDecayTrace) -> float:
-    """xnorm(trace_to_xsequence(t)), bit for bit, in one streamed pass.
+# ---------------------------------------------------------------------------
+# The reports on a trace.  Each is a block pass: add(n, values) takes the
+# steps n = start+1..stop (floats) and c_n of one block, in order, and
+# result() gives the report.  _report_pass builds each block of values once
+# and feeds it to every pass it is given, so one walk over the trace serves
+# any subset of the reports.
 
-    The prefix ratios are those XSequence computes, block by block, and
-    only their running maximum is kept.  Rounding to float is monotone, so
-    the maximum rounds to the maximum of the rounded ratios.
-    """
-    xnorm_sq = max(float(np.divide(sums, k, out=sums).max())
-                   for _, k, sums in _weighted_prefix_sums(_exported_blocks(t)))
-    return float(np.sqrt(xnorm_sq))
+def _report_pass(t, *passes):
+    """Feed each block of ``t.values()``, with its steps, to every pass; their results."""
+    start = 0
+    for values in t.values():
+        n = np.arange(start + 1.0, start + values.size + 1.0)
+        for p in passes:
+            p.add(n, values)
+        start += values.size
+    return [p.result() for p in passes]
 
 
 @dataclass
@@ -443,6 +527,31 @@ class MarginCertificate:
     ok: bool
     min_margin: float
     argmin_index: int  # 1-based position of the worst margin
+
+
+class _Certificate:
+    """verify_margins as a block pass: the margins from the prefix sums
+    XSequence uses, the worst one per block, the first worst overall."""
+
+    def __init__(self, beta: float, rel_tol: float):
+        self.beta, self.rel_tol = beta, rel_tol
+        self.carry = np.longdouble(0.0)
+        self.ok, self.worst, self.lows = True, [], []
+
+    def add(self, n, values):
+        sums = _prefix_block(n, values, self.carry)
+        self.carry = sums[-1]
+        budget = self.beta * n
+        margins = (budget - sums).astype(float)
+        self.ok &= bool(np.all(margins >= -self.rel_tol * np.maximum(1.0, budget)))
+        j = int(margins.argmin())
+        self.worst.append(int(n[j]))
+        self.lows.append(margins[j])
+
+    def result(self) -> MarginCertificate:
+        b = int(np.argmin(self.lows))   # ties and NaN resolve to the earliest block
+        return MarginCertificate(ok=self.ok, min_margin=float(self.lows[b]),
+                                 argmin_index=self.worst[b])
 
 
 def verify_margins(t: SlowDecayTrace, rel_tol: float = 1e-13) -> MarginCertificate:
@@ -455,16 +564,38 @@ def verify_margins(t: SlowDecayTrace, rel_tol: float = 1e-13) -> MarginCertifica
     are taken block by block from the prefix sums XSequence uses; the worst
     is the first smallest (or first NaN) margin, as np.argmin picks it.
     """
-    ok, worst, lows = True, [], []
-    for start, k, sums in _weighted_prefix_sums(t.values()):
-        budget = t.beta * k
-        margins = (budget - sums).astype(float)
-        ok &= bool(np.all(margins >= -rel_tol * np.maximum(1.0, budget)))
-        j = int(np.argmin(margins))
-        worst.append(start + j)
-        lows.append(margins[j])
-    b = int(np.argmin(lows))   # ties and NaN resolve to the earliest block
-    return MarginCertificate(ok=ok, min_margin=float(lows[b]), argmin_index=worst[b] + 1)
+    return _report_pass(t, _Certificate(t.beta, rel_tol))[0]
+
+
+class _ExportNorm:
+    """exported_xnorm as a block pass.
+
+    The exported sequence is c_0 := c_1, c_1, ..., c_N: c_n has weight n+1,
+    and the head, weight 1, comes before the first block.  The prefix
+    ratios are those XSequence computes; only their running maximum is
+    kept, each block's taken after the cast to float.  Rounding to float is
+    monotone, so that is the float of the extended-precision maximum.
+    """
+
+    def __init__(self):
+        self.carry = self.best = None
+
+    def add(self, n, values):
+        if self.carry is None:
+            head = np.square(values[0])
+            self.carry, self.best = np.longdouble(head), float(head)
+        k = n + 1.0
+        sums = _prefix_block(k, values, self.carry)
+        self.carry = sums[-1]
+        self.best = max(self.best, float(np.divide(sums, k, out=sums).astype(float).max()))
+
+    def result(self) -> float:
+        return float(np.sqrt(self.best))
+
+
+def exported_xnorm(t: SlowDecayTrace) -> float:
+    """xnorm(trace_to_xsequence(t)), bit for bit, in one streamed pass."""
+    return _report_pass(t, _ExportNorm())[0]
 
 
 @dataclass
@@ -502,6 +633,59 @@ def check_growth_exponent(r: float, s: float, N: int) -> None:
         raise ValueError(f"n**s overflows for s = {s} at n = {N}") from None
 
 
+class _Growth:
+    """infinitude_report as a block pass: the running maximum of n^s c_n,
+    read at each decade bound as the maximum of the block up to the bound
+    and the maximum of the blocks before (carry); the power picks are
+    counted from the runs."""
+
+    def __init__(self, t: SlowDecayTrace, s: float):
+        check_growth_exponent(t.r, s, t.N)
+        self.t, self.s = t, s
+        self.bounds = []
+        b = 10
+        while b < t.N:
+            self.bounds.append(b)
+            b *= 10
+        self.bounds.append(t.N)
+        self.at_bound = {}
+        self.carry = -np.inf
+
+    def add(self, n, values):
+        grown = n**self.s * values
+        start, stop = int(n[0]) - 1, int(n[-1])
+        for b in self.bounds:
+            if start < b <= stop:
+                self.at_bound[b] = float(np.maximum(self.carry, grown[: b - start].max()))
+        self.carry = np.maximum(self.carry, grown.max())
+
+    def result(self) -> InfinitudeReport:
+        t, bounds = self.t, self.bounds
+        # power runs cover steps first..after-1; picks_to[j] counts the picks up to [0] + bounds
+        power = t.flags == _POWER_FLAG
+        first = t.starts[power]
+        after = np.append(t.starts[1:], t.N + 1)[power]
+        picks_to = [int(np.clip(b + 1 - first, 0, after - first).sum()) for b in [0] + bounds]
+        decades = [DecadeStat(bound=b, running_max=self.at_bound[b], contains_power=hi > lo)
+                   for b, lo, hi in zip(bounds, picks_to[:-1], picks_to[1:])]
+        inc_power = all(
+            decades[j].running_max > decades[j - 1].running_max
+            for j in range(1, len(decades))
+            if decades[j].contains_power
+        )
+        strictly = all(
+            decades[j].running_max > decades[j - 1].running_max for j in range(1, len(decades))
+        )
+        return InfinitudeReport(
+            s=self.s,
+            power_count=picks_to[-1],
+            largest_power_index=int(after[-1]) - 1 if first.size else 0,
+            decades=decades,
+            increasing_over_power_decades=bool(inc_power),
+            strictly_growing=bool(strictly),
+        )
+
+
 def infinitude_report(t: SlowDecayTrace, s: float) -> InfinitudeReport:
     """Tabulate power picks and running maxima of n^s c_n across decades.
 
@@ -512,52 +696,25 @@ def infinitude_report(t: SlowDecayTrace, s: float) -> InfinitudeReport:
     skipped); ``strictly_growing`` requires growth across all decades.
     The power picks are counted from the runs.
     """
-    check_growth_exponent(t.r, s, t.N)
-    bounds = []
-    b = 10
-    while b < t.N:
-        bounds.append(b)
-        b *= 10
-    bounds.append(t.N)
+    return _report_pass(t, _Growth(t, s))[0]
 
-    # running maximum of n^s c_n, carried from block to block, read at each bound
-    at_bound = {}
-    carry = None
-    start = 0
-    for values in t.values():
-        stop = start + values.size
-        running = np.arange(start + 1.0, stop + 1.0) ** s * values
-        if carry is not None:
-            running[0] = np.maximum(carry, running[0])
-        np.maximum.accumulate(running, out=running)
-        carry = running[-1]
-        at_bound.update((b, float(running[b - 1 - start])) for b in bounds if start < b <= stop)
-        start = stop
 
-    # power runs cover steps first..after-1; picks_to[j] counts the picks up to [0] + bounds
-    power = t.flags == _POWER_FLAG
-    first = t.starts[power]
-    after = np.append(t.starts[1:], t.N + 1)[power]
-    picks_to = [int(np.clip(b + 1 - first, 0, after - first).sum()) for b in [0] + bounds]
-    decades = [DecadeStat(bound=b, running_max=at_bound[b], contains_power=hi > lo)
-               for b, lo, hi in zip(bounds, picks_to[:-1], picks_to[1:])]
+@dataclass
+class SlowDecayReport:
+    certificate: MarginCertificate
+    infinitude: InfinitudeReport
+    export_norm: float
 
-    inc_power = all(
-        decades[j].running_max > decades[j - 1].running_max
-        for j in range(1, len(decades))
-        if decades[j].contains_power
-    )
-    strictly = all(
-        decades[j].running_max > decades[j - 1].running_max for j in range(1, len(decades))
-    )
-    return InfinitudeReport(
-        s=s,
-        power_count=picks_to[-1],
-        largest_power_index=int(after[-1]) - 1 if first.size else 0,
-        decades=decades,
-        increasing_over_power_decades=bool(inc_power),
-        strictly_growing=bool(strictly),
-    )
+
+def slow_decay_report(t: SlowDecayTrace, s: float, rel_tol: float = 1e-13) -> SlowDecayReport:
+    """verify_margins, infinitude_report and exported_xnorm in one pass.
+
+    Each block of the trace's values is built once and fed to all three;
+    every field has the bits of the standalone call.  s is checked before
+    any per-term work.
+    """
+    return SlowDecayReport(*_report_pass(t, _Certificate(t.beta, rel_tol), _Growth(t, s),
+                                         _ExportNorm()))
 
 
 def csv_lines(rows):
@@ -593,20 +750,30 @@ def _read_indexed_csv(path, header: list[str], what: str) -> np.ndarray:
     remaining header column.  Lines end in LF or CRLF, a cell may be
     double-quoted, blank lines are skipped and ``#`` starts no comment (such
     a row is an error).  The index column must hold exactly 0..n-1, each
-    once, in any order.  numpy's C parser streams the rows from the open file
-    into one structured array, so the text is never held whole.
+    once, in any order.  numpy's C parser streams the rows into one
+    structured array, so the text is never held whole.  Given a file name
+    it reads the text in chunks; given an open file it takes one line at a
+    time.  So a regular file is handed over by name, skipping the header,
+    and anything else (a pipe, /dev/stdin) as the open file after its
+    header.  numpy decompresses a name ending in one of _COMPRESSED, so
+    such a file is read line by line as the text it holds.
     """
     columns = ",".join(header)
     dtype = [("index", np.int64)] + [(name, float) for name in header[1:]]
     with open(path, newline="") as fh:
         if fh.readline().rstrip("\r\n").split(",")[: len(header)] != header:
             raise ValueError(f"{what} CSV must start with header '{columns}'")
+        by_name = (stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+                   and os.path.splitext(path)[1] not in _COMPRESSED)
         try:
             with warnings.catch_warnings():
                 # a header-only file: its empty result is rejected by the caller
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data",
                                         UserWarning)
-                rec = np.loadtxt(fh, delimiter=",", usecols=range(len(header)), dtype=dtype,
+                # an absolute name, which numpy cannot take for a URL
+                rec = np.loadtxt(os.path.abspath(path) if by_name else fh,
+                                 skiprows=int(by_name), delimiter=",",
+                                 usecols=range(len(header)), dtype=dtype,
                                  comments=None, quotechar='"', ndmin=1)
         except ValueError as exc:
             raise ValueError(f"{what} CSV rows need columns {columns}, an integer index in "

@@ -1,7 +1,11 @@
 import argparse
 import inspect
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -102,6 +106,46 @@ BAD_SEQUENCE_ROWS = {
     "out_of_range": "0,1.0\n1,0.5\n3,0.25\n",
     "duplicate": "0,1.0\n1,0.5\n1,0.25\n",
 }
+
+
+def run_piped(text: bytes, argv):
+    """The CLI in a fresh process, reading ``text`` from a pipe as /dev/stdin.
+
+    A pipe cannot be reopened by name: its text would be read twice or hang.
+    """
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-m", "hardyhilbert.cli", argv[0], "/dev/stdin",
+                           *argv[1:]], input=text, capture_output=True, timeout=60, env=env)
+    return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+class TestPipeInput:
+    """A sequence read through a pipe: the same output, and the same rejections."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_matches_the_file(self, capsys, tmp_path, fmt):
+        path = tmp_path / "seq.csv"
+        path.write_text("".join(trace_csv(slow_decay_sequence(0.6, 1.5, 3000))), newline="")
+        code, out, err = run_piped(path.read_bytes(), ["xnorm", "--format", fmt])
+        want = run(capsys, ["xnorm", str(path), "--format", fmt])
+        if fmt == "json":   # params.input echoes the name read
+            assert code == 0 and want[0] == 0
+            out, want = json.loads(out), json.loads(want[1])
+            assert out.pop("params") == {"input": "/dev/stdin"}
+            assert out == {key: value for key, value in want.items() if key != "params"}
+        else:
+            assert (code, out, err) == want
+
+    def test_bad_rows_rejected_alike(self, capsys, tmp_path):
+        for kind, body in sorted(BAD_SEQUENCE_ROWS.items()):
+            path = tmp_path / f"{kind}.csv"
+            path.write_text("index,value\n" + body)
+            piped = run_piped(path.read_bytes(), ["xnorm"])
+            assert piped == run(capsys, ["xnorm", str(path)]), kind
+            assert piped[0] == 2
 
 
 class TestBadInput:
@@ -232,6 +276,7 @@ class TestSlowdecay:
 
     def test_csv_skips_the_report(self, capsys, monkeypatch):
         monkeypatch.setattr(seqspace, "infinitude_report", None)
+        monkeypatch.setattr(seqspace, "slow_decay_report", None)
         code, out, _ = run(capsys, ["slowdecay", "--r", "0.6", "--beta", "1.5", "--n", "100",
                                     "--format", "csv"])
         assert code == 0 and out.startswith("index,value,choice\n")

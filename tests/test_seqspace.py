@@ -15,6 +15,7 @@ from hardyhilbert.seqspace import (
     prefix_ratios,
     read_sequence_csv,
     replay_values,
+    slow_decay_report,
     slow_decay_sequence,
     trace_csv,
     trace_to_xsequence,
@@ -29,15 +30,18 @@ def loop_slow_decay(r, beta, N):
 
     One Python iteration per term, the rule applied with scalar floats in
     order.  slow_decay_sequence must reproduce its values, choices and
-    margins bit for bit.  Returns them as whole arrays.
+    margins bit for bit.  Returns them as whole arrays, with the running
+    sums (``sums[i]`` after step i+1).
     """
     values = np.empty(N)
     choice = np.empty(N, dtype=np.uint8)
     margins = np.empty(N)
+    sums = np.empty(N)
     values[0] = 1.0
     choice[0] = 1
     s = 1.0
     margins[0] = beta - s
+    sums[0] = s
     expo = 2.0 - 2.0 * r
     for i in range(1, N):
         n1 = float(i + 1)
@@ -52,7 +56,9 @@ def loop_slow_decay(r, beta, N):
             choice[i] = 0
             s += (n1 * v) ** 2
         margins[i] = beta * n1 - s
-    return SimpleNamespace(r=r, beta=beta, values=values, choice=choice, margins=margins)
+        sums[i] = s
+    return SimpleNamespace(r=r, beta=beta, values=values, choice=choice, margins=margins,
+                           sums=sums)
 
 
 def whole(blocks):
@@ -321,6 +327,49 @@ class TestGeneratorMatchesLoop:
             assert_same_trace(slow_decay_sequence(r, beta, N), loop_slow_decay(r, beta, N))
 
 
+class TestHarmonicSkip:
+    """_skip_harmonic against the loop oracle, bit for bit.
+
+    Started at steps of every harmonic run, it must return the run's end and
+    the exact running sum before it.  The closed form takes each step as +1
+    within a binade of the sum; the pairs below have harmonic steps that
+    are not, where a run crosses a power of two.
+    """
+
+    @pytest.mark.parametrize("r, beta, inexact", [
+        (0.6, 1.5, []), (0.75, 2.0, []), (0.9, 1.2, []),
+        (0.5742688160717454, 1.587385943562567, [417]),    # 255 steps into its run
+        (0.751205494708468, 1.104742723139308, [237, 7491]),   # 7491: 796 steps in
+        (0.8683730053017298, 1.0217755317085064, [64141]),
+        (0.95, 1.3, [3152]),      # s = 4095.63 before it
+        (0.9, 1.001, []),         # t'(n) > beta - 1 below n ~ 750: the window runs there
+    ])
+    def test_run_ends_match_loop(self, r, beta, inexact):
+        N = 10**5
+        want = loop_slow_decay(r, beta, N)
+        before = np.concatenate(([0.0], want.sums))   # before[i]: the sum before step i+1
+        harmonic = want.choice == 0
+        # harmonic steps from a sum of at least 4 that do not add exactly 1
+        off = harmonic & (before[:-1] >= 4.0) & (before[1:] != before[:-1] + 1.0)
+        assert (np.flatnonzero(off) + 1).tolist() == inexact
+        steps = seqspace._StepBlock(N, 2.0 - 2.0 * r, beta)
+        edges = np.concatenate(([0], np.flatnonzero(np.diff(want.choice)) + 1, [N]))
+        for a, b in zip(edges[:-1].tolist(), edges[1:].tolist()):
+            if not harmonic[a]:
+                continue
+            for i in sorted({a, a + 1, (a + b) // 2, b - 1} - {b}):
+                assert seqspace._skip_harmonic(i, float(before[i]), 32, steps) == (b, before[b])
+
+    def test_fallback_where_the_slack_can_fall(self):
+        # at r = 0.9, beta = 1.001 the slope 0.2 n^-0.8 of n^0.2 exceeds beta - 1
+        # below n ~ 750: no closed form there, the accumulate window is used
+        r, beta, N = 0.9, 1.001, 2000
+        want = loop_slow_decay(r, beta, N)
+        steps = seqspace._StepBlock(N, 2.0 - 2.0 * r, beta)
+        assert seqspace._harmonic_run(500, float(want.sums[499]), steps) is None
+        assert seqspace._harmonic_run(1000, float(want.sums[999]), steps) is not None
+
+
 class TestSmallWindows:
     """_BLOCK = 64: runs cross the generator's windows and the blocks of every pass."""
 
@@ -357,6 +406,58 @@ class TestSmallWindows:
         chunks = list(trace_csv(t))
         assert len(chunks) == 1 + sum(-(-len(b) // 24) for b in t.choice())
         assert "".join(chunks) == "index,value,choice\n" + "".join(rows)
+
+
+# Fields of slow_decay_report at N = 10^6, s = r + 0.1, as verify_margins,
+# exported_xnorm and infinitude_report computed them before the one pass:
+# (argmin_index, min_margin, export_norm, power_count).
+MILLION_TERM_REPORTS = {
+    (0.6, 1.5): (17189, 0.0016440972545304078, 1.7240917932670676, 33),
+    (0.75, 2.0): (517071, 0.0007325348900621975, 1.7462754194954004, 2011),
+    (0.9, 1.2): (571664, 7.6271110742709425e-06, 1.5900284377690994, 17244),
+    (1.0, 1.01): (1, 0.010000000000000009, 1.5811388300841898, 1000000),
+}
+
+
+def assert_report_matches(t, s):
+    """slow_decay_report against the standalone reports and the full-array oracles."""
+    full = slow_decay_report(t, s)
+    assert full.certificate == verify_margins(t)
+    assert full.infinitude == infinitude_report(t, s)
+    assert full.export_norm == exported_xnorm(t)
+    values = whole(t.values())
+    cert = full.certificate
+    assert (cert.ok, cert.min_margin, cert.argmin_index) == \
+        full_margin_certificate(values, t.beta)
+    assert full.export_norm == xnorm(XSequence(exported_values(values)))
+    running = np.maximum.accumulate(np.arange(1.0, t.N + 1.0) ** s * values)
+    assert [d.running_max for d in full.infinitude.decades] == \
+        [float(running[d.bound - 1]) for d in full.infinitude.decades]
+    return full
+
+
+class TestSlowDecayReport:
+    """One pass over the values feeds the three reports, bit for bit."""
+
+    @pytest.mark.parametrize("r, beta", sorted(MILLION_TERM_REPORTS))
+    def test_million_terms(self, r, beta):
+        full = assert_report_matches(slow_decay_sequence(r, beta, 10**6), r + 0.1)
+        cert = full.certificate
+        assert (cert.argmin_index, cert.min_margin, full.export_norm,
+                full.infinitude.power_count) == MILLION_TERM_REPORTS[r, beta]
+
+    @pytest.mark.parametrize("r, beta", sorted(MILLION_TERM_REPORTS))
+    def test_small_blocks(self, monkeypatch, r, beta):
+        monkeypatch.setattr(seqspace, "_BLOCK", 64)
+        t = slow_decay_sequence(r, beta, 20000)
+        assert len(list(t.values())) == 20000 // 64 + 1
+        assert_report_matches(t, r + 0.05)
+
+    def test_s_checked_before_any_work(self, monkeypatch):
+        t = slow_decay_sequence(0.6, 1.5, 100)
+        monkeypatch.setattr(seqspace, "_values_block", None)
+        with pytest.raises(ValueError, match="exceed"):
+            slow_decay_report(t, 0.6)
 
 
 class TestVerifyMargins:
