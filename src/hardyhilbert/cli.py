@@ -22,7 +22,7 @@ from itertools import chain
 
 import numpy as np
 
-from . import bmoa, harness, hardyspace, inequalities, seqspace
+from . import _floattext, bmoa, harness, hardyspace, inequalities, seqspace
 from ._version import __version__
 from .hardyspace import ConvergenceError, FactorizationSingular
 
@@ -49,11 +49,12 @@ def _emit_json(args, payload: dict, splice: str | None = None) -> None:
     json's indented encoder is pure Python and handles each item in turn;
     instead the rest of the payload is dumped with a placeholder string in
     the list's place, the text is split at the placeholder, and the items,
-    formatted with ``float.__repr__`` (as json does) at the list's
-    indentation, are written between the two halves.  Floats go out one
-    block of seqspace's block size at a time, so the list's text is never
-    held whole.  A non-finite item raises ValueError, as ``allow_nan=False``
-    does, and is found before a byte is written.
+    at the list's indentation, are written between the two halves.  Floats
+    are written as their shortest round-trip repr, the text json writes,
+    by _floattext, one chunk of seqspace's _CSV_ROWS items at a time, so the
+    list's text is never held whole; record fields use float.__repr__.  A
+    non-finite item raises ValueError, as ``allow_nan=False`` does, and is
+    found before a byte is written.
     """
     if splice is None:
         _emit(args, [json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"])
@@ -83,10 +84,16 @@ def _list_chunks(items):
     # NaN propagates into both extremes, and an infinity is one of them
     if not (math.isfinite(values.min()) and math.isfinite(values.max())):
         raise ValueError(_NOT_JSON)
-    sep = "," + _ITEM
-    body = ((sep if a else "") + sep.join(map(float.__repr__, values[a:b].tolist()))
-            for a, b in seqspace._blocks(values.size))
-    return chain(["[" + _ITEM], body, ["\n  ]"])
+    return chain(_float_items(values), ["\n  ]"])
+
+
+def _float_items(values):
+    """The list's opening bracket and its items, each after its separator,
+    in chunks of seqspace's _CSV_ROWS items."""
+    chunk = seqspace._CSV_ROWS
+    for a in range(0, values.size, chunk):
+        text = _floattext.rows("," + _ITEM, _floattext.float_field(values[a : a + chunk]))
+        yield text if a else "[" + text[1:]   # the first item has no comma
 
 
 def _record_text(record: dict) -> str:
@@ -124,9 +131,7 @@ def _cmd_xnorm(args) -> int:
     ratios = seqspace.prefix_ratios(c)
     if args.format == "csv":
         print(f"xnorm {seqspace.xnorm(c)!r} over N={len(c)}", file=sys.stderr)
-        rows = ("".join(seqspace.csv_lines(zip(range(a, b), map(repr, ratios[a:b].tolist()))))
-                for a, b in seqspace._blocks(len(c)))
-        _emit(args, chain(["index,ratio\n"], rows))
+        _emit(args, chain(["index,ratio\n"], seqspace.indexed_csv(ratios)))
     else:
         _emit_json(args, {
             "n": len(c),

@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
-from .seqspace import _read_indexed_csv, csv_lines
+from .seqspace import _read_indexed_csv, indexed_csv
 
 TRAP_RTOL = 1e-13
 KINK_NEAR = 1e-2  # |.|rho|-1| below this reroutes the |f| mean to panel quadrature
@@ -341,10 +340,9 @@ def _factor_on_grid(f: AnalyticPoly, inside: np.ndarray, M: int):
 # CSV interchange: header index,re,im, one row per coefficient from index 0.
 
 def write_polynomial_csv(path, f: AnalyticPoly) -> None:
-    rows = chain([("index", "re", "im")], ((i, repr(float(a.real)), repr(float(a.imag)))
-                                          for i, a in enumerate(f.coeffs)))
     with open(path, "w", newline="") as fh:
-        fh.writelines(csv_lines(rows))
+        fh.write("index,re,im\n")
+        fh.writelines(indexed_csv(f.coeffs.real, f.coeffs.imag))
 
 
 def read_polynomial_csv(path) -> AnalyticPoly:

@@ -76,9 +76,11 @@ import stat
 import warnings
 from array import array
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
+
+from . import _floattext
 
 N_CAP = 10**8
 
@@ -86,7 +88,9 @@ POWER = "power"
 HARMONIC = "harmonic"
 
 _POWER_FLAG = 1
-_LABELS = (HARMONIC, POWER)  # indexed by the choice flag
+# The choice column of a trace CSV row, with its separator and line end,
+# indexed by the choice flag.
+_CHOICE_CELLS = (f",{HARMONIC}\n", f",{POWER}\n")
 # Runs forecast or found to last at least this many steps are skipped with
 # numpy; below it a numpy call costs more than the scalar steps it saves
 # (of 24, 32, 48, 64 and 96, 32 was fastest at r = 0.9, beta = 1.2).
@@ -108,8 +112,8 @@ _NEWTON_STEPS = 8
 # slow-decay generator's per-step arrays: about 0.5 MB per float64 array;
 # N_CAP terms at once would take 0.8 GB per array.
 _BLOCK = 2**16
-# Rows per trace CSV chunk: their row strings take about 0.5 MB, where one
-# block's would take 6 MB.
+# Rows per chunk of every long CSV or JSON list: a chunk's text and its
+# character arrays take about 0.5 MB, where one block's would take 6 MB.
 _CSV_ROWS = 2**12
 # File name suffixes numpy's loadtxt opens as compressed files.
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
@@ -574,7 +578,9 @@ class _ExportNorm:
     and the head, weight 1, comes before the first block.  The prefix
     ratios are those XSequence computes; only their running maximum is
     kept, each block's taken after the cast to float.  Rounding to float is
-    monotone, so that is the float of the extended-precision maximum.
+    monotone, so that is the float of the extended-precision maximum; the
+    cast and a float64 max are still about three times faster than a
+    long double max, which numpy does not vectorize.
     """
 
     def __init__(self):
@@ -720,14 +726,29 @@ def slow_decay_report(t: SlowDecayTrace, s: float, rel_tol: float = 1e-13) -> Sl
 def csv_lines(rows):
     """CSV lines of ``rows``, header included: cells by str(), LF line ends.
 
-    The one row writer for the CLI's tables and for the sequence and
-    polynomial interchange files (traces use the faster trace_csv).  A
-    float cell's str() is its repr, so it reads back bit for bit.  Lines
-    are yielded one at a time, so a file writer streams.  No cell written
-    here holds a comma, quote or line break, so none is quoted.
+    The row writer for the CLI's small tables.  A float cell's str() is its
+    repr, so it reads back bit for bit.  Lines are yielded one at a time, so
+    a file writer streams.  No cell written here holds a comma, quote or
+    line break, so none is quoted.  Long float columns go through
+    indexed_csv instead.
     """
     for row in rows:
         yield ",".join(map(str, row)) + "\n"
+
+
+def indexed_csv(*columns):
+    """CSV rows ``i,columns[0][i],columns[1][i],...`` for i = 0..n-1, no header.
+
+    Each cell is the repr of its float, written by _floattext for a whole
+    chunk of _CSV_ROWS rows at once; the text is yielded chunk by chunk.
+    """
+    n = len(columns[0])
+    for a in range(0, n, _CSV_ROWS):
+        b = min(a + _CSV_ROWS, n)
+        fields = [_floattext.int_field(np.arange(a, b))]
+        for column in columns:
+            fields += [",", _floattext.float_field(column[a:b])]
+        yield _floattext.rows(*fields, "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -736,9 +757,9 @@ def csv_lines(rows):
 # file round-trips through read_sequence_csv as the exported sequence.
 
 def write_sequence_csv(path, c: XSequence) -> None:
-    rows = chain([("index", "value")], enumerate(map(repr, c.values.tolist())))
     with open(path, "w", newline="") as fh:
-        fh.writelines(csv_lines(rows))
+        fh.write("index,value\n")
+        fh.writelines(indexed_csv(c.values))
 
 
 def _read_indexed_csv(path, header: list[str], what: str) -> np.ndarray:
@@ -798,17 +819,20 @@ def trace_csv(t: SlowDecayTrace):
 
     The text is the chunks joined: the header with row 0, then the rows of
     each block of _BLOCK steps in chunks of at most _CSV_ROWS, so a writer
-    never holds the whole text, nor one block's row strings at once.
-    Row 0 is the exported head c_0 := c_1; row i is c_i with its choice
-    label, the value written as repr.  read_sequence_csv reads it back as
-    the exported sequence, ignoring the choice column.
+    never holds the whole text, nor one block's rows at once.  Row 0 is the
+    exported head c_0 := c_1; row i is c_i with its choice label.  Each
+    value is written as its repr, byte for byte, by _floattext, which
+    formats a chunk's index, value and choice columns as arrays.
+    read_sequence_csv reads the text back as the exported sequence,
+    ignoring the choice column.
     """
     for start, flags in t._flag_blocks():
         values = _values_block(t.r, start, flags)
         if not start:
-            yield f"index,value,choice\n0,{float(values[0])!r},{_LABELS[flags[0]]}\n"
+            yield f"index,value,choice\n0,{float(values[0])!r}{_CHOICE_CELLS[flags[0]]}"
         for a in range(0, flags.size, _CSV_ROWS):
             b = min(a + _CSV_ROWS, flags.size)
-            rows = zip(range(start + a + 1, start + b + 1), values[a:b].tolist(),
-                       flags[a:b].tolist())
-            yield "".join([f"{i},{v!r},{_LABELS[f]}\n" for i, v, f in rows])
+            yield _floattext.rows(
+                _floattext.int_field(np.arange(start + a + 1, start + b + 1)), ",",
+                _floattext.float_field(values[a:b]),
+                _floattext.label_field(flags[a:b], _CHOICE_CELLS))

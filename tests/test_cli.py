@@ -283,19 +283,25 @@ class TestSlowdecay:
 
 
 class TestSmallBlocks:
-    """Streamed trace and ratio output in blocks of 5 rows, against whole-text oracles."""
+    """Streamed trace and ratio output in blocks of 5 rows and text chunks of
+    3, against whole-text oracles built from per-element repr."""
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
         monkeypatch.setattr(seqspace, "_BLOCK", 5)
+        monkeypatch.setattr(seqspace, "_CSV_ROWS", 3)
 
-    def test_trace_csv_stdout_and_out_file(self, capsys, tmp_path):
-        r, beta, n = 0.6, 1.5, 22
+    @staticmethod
+    def trace_golden(r, beta, n):
         want = loop_slow_decay(r, beta, n)
         labels = ["power" if f else "harmonic" for f in want.choice]
         rows = [[0, repr(float(want.values[0])), labels[0]]]
         rows += [[i + 1, repr(float(want.values[i])), labels[i]] for i in range(n)]
-        golden = rows_text(["index", "value", "choice"], rows)
+        return rows_text(["index", "value", "choice"], rows)
+
+    def test_trace_csv_stdout_and_out_file(self, capsys, tmp_path):
+        r, beta, n = 0.6, 1.5, 22
+        golden = self.trace_golden(r, beta, n)
         argv = ["slowdecay", "--r", str(r), "--beta", str(beta), "--n", str(n), "--format", "csv"]
         code, out, _ = run(capsys, argv)
         assert code == 0 and out == golden
@@ -304,12 +310,34 @@ class TestSmallBlocks:
         assert code == 0 and out == ""
         assert target.read_bytes() == golden.encode()
 
-    @pytest.mark.parametrize("n", [1, 5, 6, 22])
+    @pytest.mark.parametrize("n", [2, 3, 4, 7])
+    def test_trace_csv_at_chunk_edges(self, capsys, n):
+        code, out, _ = run(capsys, ["slowdecay", "--r", "0.6", "--beta", "1.5", "--n", str(n),
+                                    "--format", "csv"])
+        assert code == 0 and out == self.trace_golden(0.6, 1.5, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 22])
     def test_xnorm_json_and_csv(self, capsys, tmp_path, n):
+        self.check_xnorm(capsys, tmp_path, 0.3 / np.arange(1.0, n + 1.0))
+
+    @pytest.mark.parametrize("n", [3, 7, 40])
+    def test_xnorm_of_mixed_magnitudes(self, capsys, tmp_path, n):
+        """Ratios across fixed and scientific layouts, with short and
+        17-digit texts, a power of two and a value repr writes in full."""
+        k = np.arange(n)
+        values = 0.3 / (k + 1.0) * 10.0 ** (k % 9 - 4)
+        values[1::5] = 2.0 ** -(k[1::5] + 3.0) / (k[1::5] + 1.0)
+        values[-1] = 5e-324
+        self.check_xnorm(capsys, tmp_path, values)
+
+    @staticmethod
+    def check_xnorm(capsys, tmp_path, values):
         path = tmp_path / "seq.csv"
-        write_sequence_csv(path, XSequence(0.3 / np.arange(1.0, n + 1.0)))
+        write_sequence_csv(path, XSequence(values))
+        assert path.read_text() == rows_text(["index", "value"],
+                                             [[i, repr(v)] for i, v in enumerate(values.tolist())])
         c = read_sequence_csv(path)
-        payload = {"n": n, "norm": xnorm(c), "norm_sq": c.xnorm_sq,
+        payload = {"n": len(c), "norm": xnorm(c), "norm_sq": c.xnorm_sq,
                    "prefix_ratios": c.ratios.tolist(), "params": {"input": str(path)}}
         code, out, _ = run(capsys, ["xnorm", str(path)])
         assert code == 0
@@ -317,6 +345,17 @@ class TestSmallBlocks:
         golden = rows_text(["index", "ratio"], [[i, repr(float(v))] for i, v in enumerate(c.ratios)])
         code, out, _ = run(capsys, ["xnorm", str(path), "--format", "csv"])
         assert code == 0 and out == golden
+
+    def test_polynomial_csv(self, tmp_path):
+        """re and im columns, signed zeros included, in chunks of 3 rows."""
+        coeffs = [complex(-0.0, 0.0), complex(1.5, -0.0), complex(0.0, -2.5e-300),
+                  complex(1e16, 0.1), complex(-1e-5, 9999999999999998.0), complex(0.0, 1.0),
+                  complex(2.0**-20, -1.0 / 3.0)]
+        path = tmp_path / "poly.csv"
+        write_polynomial_csv(path, AnalyticPoly(coeffs))
+        rows = [[i, repr(a.real), repr(a.imag)] for i, a in enumerate(coeffs)]
+        assert path.read_text() == rows_text(["index", "re", "im"], rows)
+        assert "0,-0.0,0.0\n1,1.5,-0.0\n" in path.read_text()
 
 
 class TestHilbertNorm:
@@ -499,9 +538,10 @@ class TestJsonSplice:
             cli._emit_json(SimpleNamespace(out=None), {"n": 1, "list": items}, splice="list")
         assert capsys.readouterr().out == ""
 
-    @pytest.mark.parametrize("n", [1, 4, 5, 6, 22])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 22])
     def test_array_in_small_blocks_matches_indented_dumps(self, capsys, monkeypatch, n):
         monkeypatch.setattr(seqspace, "_BLOCK", 5)
+        monkeypatch.setattr(seqspace, "_CSV_ROWS", 4)
         items = np.random.default_rng(n).uniform(-1.0, 1.0, n) * 1e-3
         cli._emit_json(SimpleNamespace(out=None), {"n": n, "list": items}, splice="list")
         want = json.dumps({"n": n, "list": items.tolist()}, sort_keys=True, indent=2) + "\n"
@@ -509,6 +549,7 @@ class TestJsonSplice:
 
     def test_nan_in_last_block_writes_nothing(self, capsys, monkeypatch):
         monkeypatch.setattr(seqspace, "_BLOCK", 5)
+        monkeypatch.setattr(seqspace, "_CSV_ROWS", 4)   # the NaN is in the last chunk too
         items = np.arange(1.0, 23.0)
         items[-1] = np.nan
         with pytest.raises(ValueError, match="JSON compliant"):
@@ -517,6 +558,7 @@ class TestJsonSplice:
 
     def test_nan_in_last_block_leaves_out_file_alone(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(seqspace, "_BLOCK", 5)
+        monkeypatch.setattr(seqspace, "_CSV_ROWS", 4)
         items = np.arange(1.0, 23.0)
         items[-1] = np.nan
         fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"

@@ -386,6 +386,8 @@ class TestSmallWindows:
         (1.0, 1.01, 5000),     # every step a power pick
         (0.5, 1.05, 5000),
         (0.6, 1.5, 64), (0.6, 1.5, 65), (0.6, 1.5, 129),
+        # chunk edges of the trace CSV: 24 rows, and a block of 64 is 24+24+16
+        (0.6, 1.5, 23), (0.6, 1.5, 24), (0.6, 1.5, 25), (0.6, 1.5, 48), (0.6, 1.5, 88),
     ])
     def test_matches_loop(self, r, beta, N):
         t = slow_decay_sequence(r, beta, N)
