@@ -57,6 +57,10 @@ _BLOCK = 2**15      # entries per block of coefficient products in _diagonal_sum
 # a depth-12 sweep takes 0.46 s at N = 16384, 3.1 s at 32768 and 11.9 s at
 # 65536 (one BLAS thread), so a longer input is refused before any of it.
 CARLESON_N_CAP = 2**16
+# sweep_is_bounded: from this depth on, the max ratio two depths deeper may
+# exceed the max over the shallower depths by at most this factor.
+SWEEP_START_DEPTH = 4
+SWEEP_GROWTH_FACTOR = 1.5
 
 
 @dataclass
@@ -302,12 +306,12 @@ def carleson_constant(c: XSequence, arc_family: list[Arc] | None = None,
     )
 
 
-def sweep_is_bounded(report: CarlesonReport, factor: float = 1.5, start_depth: int = 4) -> bool:
+def sweep_is_bounded(report: CarlesonReport) -> bool:
     """No-monotone-divergence criterion over a dyadic sweep.
 
-    For every depth j >= start_depth with depth j+2 present, the max ratio
-    at depth j+2 must not exceed ``factor`` times the max ratio over
-    depths <= j.  Vacuously true when the sweep is too shallow.
+    For every depth j >= SWEEP_START_DEPTH with depth j+2 present, the max
+    ratio at depth j+2 must not exceed SWEEP_GROWTH_FACTOR times the max
+    ratio over depths <= j.  Vacuously true when the sweep is too shallow.
     """
     by_length = report.max_ratio_by_length()
     lengths = sorted(by_length, reverse=True)
@@ -317,9 +321,9 @@ def sweep_is_bounded(report: CarlesonReport, factor: float = 1.5, start_depth: i
         depths[j] = max(depths.get(j, 0.0), by_length[L])
     js = sorted(depths)
     for j in js:
-        if j < start_depth or (j + 2) not in depths:
+        if j < SWEEP_START_DEPTH or (j + 2) not in depths:
             continue
-        cap = factor * max(depths[i] for i in js if i <= j)
+        cap = SWEEP_GROWTH_FACTOR * max(depths[i] for i in js if i <= j)
         if depths[j + 2] > cap:
             return False
     return True

@@ -114,8 +114,13 @@ def _record_template(keys: tuple[str, ...]) -> str:
 
 
 def _emit_rows(args, rows) -> None:
-    """CSV rows, header first."""
-    _emit(args, ["".join(seqspace.csv_lines(rows))])
+    """CSV rows, header first: cells by str(), LF line ends.
+
+    A float cell's str() is its repr, so it reads back bit for bit.  No
+    cell written here holds a comma, quote or line break, so none is
+    quoted.  Long float columns go through seqspace.indexed_csv instead.
+    """
+    _emit(args, ["".join(",".join(map(str, row)) + "\n" for row in rows)])
 
 
 def _load_sequence(args, default_len: int) -> seqspace.XSequence:

@@ -86,11 +86,6 @@ class AnalyticPoly:
     def __call__(self, z):
         return np.polyval(self.coeffs[::-1], z)
 
-    def derivative(self) -> "AnalyticPoly":
-        if self.degree == 0:
-            return AnalyticPoly([0.0])
-        return AnalyticPoly(self.coeffs[1:] * np.arange(1, self.coeffs.size))
-
     def roots(self) -> np.ndarray:
         if self.degree == 0 or self.is_zero:
             return np.array([], dtype=complex)

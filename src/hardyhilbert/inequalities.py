@@ -313,9 +313,8 @@ class DegreeBoundCheck:
     reason: str = ""
 
 
-def hardy_degree_bound_check(f: AnalyticPoly, c: XSequence,
-                             tol: float = DEGREE_BOUND_TOL) -> DegreeBoundCheck:
-    """Check hardy_sum(f, c) <= matrix_norm(c, deg f + 1) * ||f||_1 * (1 + tol).
+def hardy_degree_bound_check(f: AnalyticPoly, c: XSequence) -> DegreeBoundCheck:
+    """Check hardy_sum(f, c) <= matrix_norm(c, deg f + 1) * ||f||_1 * (1 + DEGREE_BOUND_TOL).
 
     A degree-d weighted sum only sees c_0..c_d, so by zero-extending the
     weights beyond d it factors through the (d+1)-truncation of the
@@ -333,6 +332,6 @@ def hardy_degree_bound_check(f: AnalyticPoly, c: XSequence,
         return DegreeBoundCheck(holds=None, lhs=0.0, rhs=0.0, slack=0.0,
                                 skipped=True, reason="matrix norm estimate unconverged")
     lhs = hardy_sum(f, c)
-    rhs = est.value * hp_norm(f, 1) * (1.0 + tol)
+    rhs = est.value * hp_norm(f, 1) * (1.0 + DEGREE_BOUND_TOL)
     return DegreeBoundCheck(holds=bool(lhs <= rhs), lhs=lhs, rhs=rhs,
                             slack=rhs - lhs, skipped=False)

@@ -25,38 +25,37 @@ The generator skips long runs while reproducing the step-by-step rule bit
 for bit.  A harmonic step adds (n*(1/n))**2, which is exactly 1 or
 1 - 2**-52.  To a running sum s >= 4 (an ulp of at least 2**-50) both add
 exactly 1 for as long as the sum stays within its binade (at most the next
-power of two).  So if s is the sum before step n, the sum before step
-n+m is exactly s + m inside one binade, and a harmonic run has a closed
-form: it ends at the first m with s + m + (n+m)**expo <= beta*(n+m).
-Where beta - 1 exceeds the slope of n**expo, the slack
-g(m) = beta*(n+m) - s - m - (n+m)**expo is increasing and convex in m, so
-a few Newton steps find its root.  The step at its ceiling is handed to
-the scalar rule, and g one step before it is checked to be below
+power of two).  So if s is the sum before step n0, the sum before step
+n0+m is exactly s + m inside one binade, and a harmonic run ends at the
+first m where the slack g(m) = beta*(n0+m) - (s+m) - (n0+m)**expo is no
+longer negative.  n**expo is concave for expo = 2 - 2r in [0, 1], so g is
+convex in m: where g is certainly negative at two steps (below
 -2**-46 * beta*n, far beyond the few ulps by which beta*n, the scalar
-power and the test itself round, so no earlier step can pass.  A run that
-outlasts its binade takes the step that crosses the power of two with the
-scalar rule (that step is where an increment can round) and goes on in
-the next binade.  The closed form is not used, and the accumulate window
-below takes the run, while s < 4, where the slope check fails
-(beta - 1 <= expo * n**(expo-1), e.g. r = 0.9, beta = 1.001 below
-n ~ 750), or when the Newton root cannot be confirmed.
+power and the test itself round), it is negative at every step between
+them, and no step between can pass the scalar rule.  A slack rising at
+m = 0 has its root found by Newton's method from m = 0.  A falling one is
+checked at the binade's end (or at N): the whole binade is skipped where
+it is certainly negative there, else Newton's method runs from that end,
+where g rises.  The step at the root's ceiling goes to the scalar rule
+once the step before it is certified; where it is not, the skip backs off
+from the root, doubling the distance, to a certified step and hands over
+the step after it with its exact sum.  A run that outlasts its binade
+takes the step that crosses the power of two with the scalar increment
+(that step is where an increment can round) and goes on in the next
+binade.  Where s < 4 (only the first steps), s >= 2**52 (which needs
+beta > 4.5e7, where a harmonic run lasts a few steps) or g is not
+certainly negative at the run's start, the step goes to the scalar rule.
 
-The window holds the budget, the increments and the guard-banded powers of
-one block of _BLOCK steps at a time, and a skip looks no further than the
-end of its block.  The running sum is one sequential np.add.accumulate of
-the exact per-step increments, which rounds exactly as the scalar
-`s += ...` does.  A harmonic run ends at the first step where the power
-pick is affordable.  That step is located with np.power, which differs
-from scalar ** in the last ulp for about one n in twenty, so the
-vectorized powers are scaled down by a guard band (_GUARD) that makes the
-test a necessary condition, and the flagged step is decided by the scalar
-rule.  A power run adds its terms to the sum, so those are computed with
-scalar ** (at r = 1 they are all n ** 0.0, exactly 1.0) and the run ends
-at the first sum above beta*n.  A run is skipped once it is forecast to
-last, or has lasted, _LONG_RUN steps; shorter runs (about ten steps at
-r = 0.95, beta = 1.3) are taken one scalar step at a time, which is
-cheaper than a numpy call.  Values and margins at power picks use
-scalar ** for the same last-ulp reason (replay_values).
+A power run adds its terms to the sum, so those are computed with scalar
+** (at r = 1 they are all n ** 0.0, exactly 1.0) in windows of at most
+_BLOCK steps; the running sum is one sequential np.add.accumulate, which
+rounds exactly as the scalar `s += t` does, and the run ends at the first
+sum above beta*n.  A run is skipped once it is forecast to last, or has
+lasted, _LONG_RUN steps; shorter runs (about ten steps at r = 0.95,
+beta = 1.3) are taken one scalar step at a time, which is cheaper than a
+numpy call or the closed form.  Values and margins at power picks use
+scalar **, since np.power differs from it in the last ulp for about one n
+in twenty (replay_values).
 
 The long per-term passes (weighted prefix sums, budget margins, running
 maxima of n^s c_n, the trace CSV) run in blocks of _BLOCK terms, so their
@@ -83,6 +82,9 @@ import numpy as np
 from . import _floattext
 
 N_CAP = 10**8
+# Relative slop of verify_margins: a margin passes down to
+# -MARGIN_REL_TOL * max(1, beta*m).
+MARGIN_REL_TOL = 1e-13
 
 POWER = "power"
 HARMONIC = "harmonic"
@@ -92,13 +94,10 @@ _POWER_FLAG = 1
 # indexed by the choice flag.
 _CHOICE_CELLS = (f",{HARMONIC}\n", f",{POWER}\n")
 # Runs forecast or found to last at least this many steps are skipped with
-# numpy; below it a numpy call costs more than the scalar steps it saves
-# (of 24, 32, 48, 64 and 96, 32 was fastest at r = 0.9, beta = 1.2).
+# numpy or the closed form; below it either costs more than the scalar
+# steps it saves (of 24, 32, 48, 64 and 96, 32 was fastest at r = 0.9,
+# beta = 1.2).
 _LONG_RUN = 32
-# np.power is within a few ulps of scalar **; scaled by this factor it is
-# certainly below it, so the vectorized affordability test never misses a
-# power pick.
-_GUARD = 1.0 - 2.0**-40
 # A harmonic step adds 1 or 1 - 2**-52 (_harmonic_increments); to a sum from
 # 4 up to 2**52 both add exactly 1, up to the next power of two.
 _EXACT_FROM = 4.0
@@ -292,125 +291,93 @@ def _harmonic_increments(n: np.ndarray) -> np.ndarray:
     return np.square(out, out=out)
 
 
-class _StepBlock:
-    """The budget beta*n, the harmonic increments and the guard-banded powers
-    n**expo of the steps in one block of _BLOCK steps: the block of the step
-    asked for last.  A block is built once, however many skips look into it.
-    """
-
-    def __init__(self, N: int, expo: float, beta: float):
-        self.N, self.expo, self.beta = N, expo, beta
-        self.start = -1
-
-    def at(self, i: int):
-        """(start, budget, increments, guarded powers) of the block holding step i (0-based)."""
-        start = i - i % _BLOCK
-        if start != self.start:
-            n = np.arange(start + 1.0, min(start + _BLOCK, self.N) + 1.0)
-            self.start = start
-            self.budget = n * self.beta
-            self.inc = _harmonic_increments(n)
-            self.low = np.power(n, self.expo, out=n)   # reuses n's buffer
-            self.low *= _GUARD
-        return self.start, self.budget, self.inc, self.low
-
-
-def _harmonic_run(i, s, steps):
+def _harmonic_run(i, s, N, beta, expo):
     """The closed form of a harmonic run from step i (0-based), the sum before it s.
 
-    From s >= _EXACT_FROM each harmonic step adds exactly 1 until the sum
-    reaches the next power of two, so the sum before step i+1+m is s+m.
-    The first step n = i+1+m where s+m+n**expo <= beta*n is the root of
-    g(m) = beta*n - s - m - n**expo, found by Newton's method; g is convex,
-    and increasing where beta-1 exceeds the slope of n**expo, which is
-    checked at n = i+1 (the slope only falls after it).  No earlier step
-    can pass the scalar rule: g one step before the root is below
-    -_SLACK*beta*n.  Returns (the step found, the sum before it, True),
-    (the step after this power of two, the sum before it, False) when the
-    run goes on past it, or None where the closed form does not apply.
+    Within the binade of s the sum before step i+1+m is s+m, and the slack
+    g(m) = beta*n - (s+m) - n**expo at n = i+1+m is convex in m, so steps
+    where g is certainly negative (below -_SLACK*beta*n) certify every step
+    between them.  Steps i up to the one before j are certainly harmonic;
+    returns (j, the sum before it, done).  With done True, step j goes to
+    the scalar rule: the run's end where Newton's root is confirmed, an
+    earlier step where the skip backed off, or i itself where s is outside
+    [_EXACT_FROM, 2**52) or g(0) is not certainly negative.  With done
+    False, the run passed the binade's end, and j is the step after it.
     """
-    beta, expo = steps.beta, steps.expo
     n0 = i + 1.0
-    if not (_EXACT_FROM <= s < 2.0**52
-            and expo * n0 ** (expo - 1.0) < (beta - 1.0) * (1.0 - 2.0**-40)):
-        return None
-    gap = beta * n0 - s - n0**expo
-    if gap >= 0.0:   # step i itself may qualify
+    b = beta * n0
+    if not (_EXACT_FROM <= s < 2.0**52 and b - s - n0**expo < -_SLACK * b):
         return i, s, True
-    m = 0.0
-    for _ in range(_NEWTON_STEPS):   # from the right of the root after the first step
-        step = gap / (beta - 1.0 - expo * (n0 + m) ** (expo - 1.0))
-        m -= step
-        if abs(step) < 2.0**-10:
-            break
-        n = n0 + m
-        gap = beta * n - (s + m) - n**expo
-    last = min(int(2.0 ** math.frexp(s)[1] - s), steps.N - 1 - i)   # in the binade and N
-    end = min(math.ceil(m), last + 1)
-    n = n0 + end - 1   # the step before: its slack must be certainly negative
+    last = min(int(2.0 ** math.frexp(s)[1] - s), N - 1 - i)   # in the binade and N
+    # Rising at m = 0, g has its root past 0: Newton from 0.  Falling, g stays
+    # below max(g(0), g(last)), or rises at the end: Newton from there.
+    rising = expo * n0 ** (expo - 1.0) < beta - 1.0
+    m = 0 if rising else last
+    n = n0 + m
     b = beta * n
-    if not b - (s + end - 1) - n**expo < -_SLACK * b:
-        return None
-    if end <= last:
-        return i + end, s + end, True
-    return i + end, s + last + (n * (1.0 / n)) ** 2, False
+    gap = b - (s + m) - n**expo
+    if rising or not gap < -_SLACK * b:
+        for _ in range(_NEWTON_STEPS):   # g is convex: from the root's right after one step
+            slope = beta - 1.0 - expo * n ** (expo - 1.0)
+            if slope <= 0.0:
+                break
+            step = gap / slope
+            m -= step
+            if abs(step) < 2.0**-10:
+                break
+            n = n0 + m
+            gap = beta * n - (s + m) - n**expo
+        m = min(math.ceil(m), last + 1) - 1   # the step before the root
+    k, back = m, 1
+    while True:   # back off from the root until g is certainly negative, as g(0) is
+        n = n0 + k
+        b = beta * n
+        if b - (s + k) - n**expo < -_SLACK * b:
+            break
+        k, back = max(m - back, 0), 2 * back
+    if k < last:
+        return i + k + 1, s + k + 1, True
+    n = n0 + last
+    return i + last + 1, s + last + (n * (1.0 / n)) ** 2, False
 
 
-def _skip_harmonic(i, s, L, steps):
-    """Take harmonic steps from step i up to the first one that may afford a power pick.
+def _skip_harmonic(i, s, N, beta, expo):
+    """Take harmonic steps from step i, binade by binade, by the closed form.
 
-    The closed form (_harmonic_run) where it applies; elsewhere, looks
-    ``L`` steps ahead, within the block of step i, doubling while no step
-    qualifies.  The powers are guard-banded, so a step passed over cannot
-    be a power pick.  Returns that step and the exact running sum before it.
+    Returns the step _harmonic_run hands to the scalar rule (N at the end):
+    the run's end, or an earlier step it cannot pass over, with the exact
+    running sum before it.
     """
-    while i < steps.N:
-        run = _harmonic_run(i, s, steps)
-        if run is not None:
-            i, s, found = run
-            if found:
-                return i, s
-            continue
-        start, budget, inc, low = steps.at(i)
-        j = i - start
-        L = min(L, inc.size - j)
-        sums = np.empty(L + 1)
-        sums[0] = s
-        sums[1:] = inc[j : j + L]
-        np.add.accumulate(sums, out=sums)
-        maybe = np.add(sums[:-1], low[j : j + L]) <= budget[j : j + L]
-        k = int(maybe.argmax())
-        if maybe[k]:
-            return i + k, float(sums[k])
-        i, s, L = i + L, float(sums[L]), 2 * L
-    return steps.N, s
+    while i < N:
+        i, s, done = _harmonic_run(i, s, N, beta, expo)
+        if done:
+            break
+    return i, s
 
 
-def _skip_power(i, s, L, steps):
+def _skip_power(i, s, L, N, beta, expo):
     """Take power steps from step i up to the first one the budget refuses.
 
-    Looks ``L`` steps ahead, within the block of step i, doubling while
+    Looks ``L`` steps ahead, at most _BLOCK and up to N, doubling while
     every step is affordable.  The terms are scalar ** and their running
     sums exact, so the rule s + t <= beta*n is evaluated as the scalar loop
     does; at r = 1 every term is n ** 0.0, which is exactly 1.0 for any n.
     Returns the refused step and the running sum before it.
     """
-    while i < steps.N:
-        start, budget, _, _ = steps.at(i)
-        j = i - start
-        L = min(L, budget.size - j)
+    while i < N:
+        L = min(L, _BLOCK, N - i)
+        n = np.arange(i + 1.0, i + L + 1.0)
         sums = np.ones(L + 1)
         sums[0] = s
-        if steps.expo:
-            sums[1:] = np.fromiter(map(math.pow, np.arange(i + 1.0, i + L + 1.0).tolist(),
-                                       repeat(steps.expo)), float, L)
+        if expo:
+            sums[1:] = np.fromiter(map(math.pow, n.tolist(), repeat(expo)), float, L)
         np.add.accumulate(sums, out=sums)
-        over = sums[1:] > budget[j : j + L]
+        over = sums[1:] > np.multiply(n, beta, out=n)
         k = int(over.argmax())
         if over[k]:
             return i + k, float(sums[k])
         i, s, L = i + L, float(sums[L]), 2 * L
-    return steps.N, s
+    return N, s
 
 
 def slow_decay_sequence(r: float, beta: float, N: int) -> SlowDecayTrace:
@@ -419,8 +386,9 @@ def slow_decay_sequence(r: float, beta: float, N: int) -> SlowDecayTrace:
     c_1 = 1.  Given c_1..c_n with running sum S = sum k^2 c_k^2, the next
     term is (n+1)^{-r} if S + (n+1)^{2-2r} <= beta*(n+1), else 1/(n+1).
     Pure function of (r, beta, N); the same inputs reproduce the same bits.
-    Short runs of one choice are taken step by step, long ones skipped with
-    numpy (see the module docstring); both give the bits of a plain loop.
+    Short runs of one choice are taken step by step, long power runs skipped
+    with numpy and long harmonic runs by their closed form (see the module
+    docstring); both give the bits of a plain loop.
     The parameters are checked before any per-term work: the budget beta*N
     must be a finite float.
     """
@@ -435,7 +403,6 @@ def slow_decay_sequence(r: float, beta: float, N: int) -> SlowDecayTrace:
     if not math.isfinite(beta * N):
         raise ValueError(f"the budget beta*N overflows: beta = {beta}, N = {N}")
     expo = 2.0 - 2.0 * r
-    steps = _StepBlock(N, expo, beta)
     starts = array("d", [1.0])   # the first step of each run; the runs alternate
     new_run = starts.append
     power_run = True             # the choice of the latest step taken
@@ -460,7 +427,7 @@ def slow_decay_sequence(r: float, beta: float, N: int) -> SlowDecayTrace:
                     continue
                 k = (b - s) / (t - beta) if t > beta else N   # forecast of the run's rest
                 i = int(n1)
-                i, s = _skip_power(i, s, int(min(k, i // 2)) + _LONG_RUN, steps)
+                i, s = _skip_power(i, s, int(min(k, i // 2)) + _LONG_RUN, N, beta, expo)
                 break
             v = 1.0 / n1
             s += (n1 * v) ** 2
@@ -474,8 +441,7 @@ def slow_decay_sequence(r: float, beta: float, N: int) -> SlowDecayTrace:
                 if t - b + s < long_harmonic:
                     prev, due = False, n1 + _LONG_RUN
                     continue
-            k = max(t - b + s - beta, 0.0) / (beta - 1.0)   # forecast of the run's length
-            i, s = _skip_harmonic(int(n1), s, int(k + k / 8) + _LONG_RUN, steps)
+            i, s = _skip_harmonic(int(n1), s, N, beta, expo)
             break
         else:
             break
@@ -537,8 +503,8 @@ class _Certificate:
     """verify_margins as a block pass: the margins from the prefix sums
     XSequence uses, the worst one per block, the first worst overall."""
 
-    def __init__(self, beta: float, rel_tol: float):
-        self.beta, self.rel_tol = beta, rel_tol
+    def __init__(self, beta: float):
+        self.beta = beta
         self.carry = np.longdouble(0.0)
         self.ok, self.worst, self.lows = True, [], []
 
@@ -547,7 +513,7 @@ class _Certificate:
         self.carry = sums[-1]
         budget = self.beta * n
         margins = (budget - sums).astype(float)
-        self.ok &= bool(np.all(margins >= -self.rel_tol * np.maximum(1.0, budget)))
+        self.ok &= bool(np.all(margins >= -MARGIN_REL_TOL * np.maximum(1.0, budget)))
         j = int(margins.argmin())
         self.worst.append(int(n[j]))
         self.lows.append(margins[j])
@@ -558,17 +524,17 @@ class _Certificate:
                                  argmin_index=self.worst[b])
 
 
-def verify_margins(t: SlowDecayTrace, rel_tol: float = 1e-13) -> MarginCertificate:
+def verify_margins(t: SlowDecayTrace) -> MarginCertificate:
     """Recompute the budget slack beta*m - sum_{k<=m} k^2 c_k^2 for every m.
 
     Independent of the generator's running sum: reads ``t.beta`` and the
     blocks of ``t.values()`` only.  ``ok`` allows a relative slop of
-    ``rel_tol`` so that exact-equality cases (e.g. the all-harmonic
+    MARGIN_REL_TOL so that exact-equality cases (e.g. the all-harmonic
     sequence at budget slope 1) are not rejected on roundoff.  The margins
     are taken block by block from the prefix sums XSequence uses; the worst
     is the first smallest (or first NaN) margin, as np.argmin picks it.
     """
-    return _report_pass(t, _Certificate(t.beta, rel_tol))[0]
+    return _report_pass(t, _Certificate(t.beta))[0]
 
 
 class _ExportNorm:
@@ -712,28 +678,14 @@ class SlowDecayReport:
     export_norm: float
 
 
-def slow_decay_report(t: SlowDecayTrace, s: float, rel_tol: float = 1e-13) -> SlowDecayReport:
+def slow_decay_report(t: SlowDecayTrace, s: float) -> SlowDecayReport:
     """verify_margins, infinitude_report and exported_xnorm in one pass.
 
     Each block of the trace's values is built once and fed to all three;
     every field has the bits of the standalone call.  s is checked before
     any per-term work.
     """
-    return SlowDecayReport(*_report_pass(t, _Certificate(t.beta, rel_tol), _Growth(t, s),
-                                         _ExportNorm()))
-
-
-def csv_lines(rows):
-    """CSV lines of ``rows``, header included: cells by str(), LF line ends.
-
-    The row writer for the CLI's small tables.  A float cell's str() is its
-    repr, so it reads back bit for bit.  Lines are yielded one at a time, so
-    a file writer streams.  No cell written here holds a comma, quote or
-    line break, so none is quoted.  Long float columns go through
-    indexed_csv instead.
-    """
-    for row in rows:
-        yield ",".join(map(str, row)) + "\n"
+    return SlowDecayReport(*_report_pass(t, _Certificate(t.beta), _Growth(t, s), _ExportNorm()))
 
 
 def indexed_csv(*columns):

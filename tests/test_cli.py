@@ -1,5 +1,4 @@
 import argparse
-import inspect
 import json
 import os
 import subprocess
@@ -14,7 +13,7 @@ import pytest
 from hardyhilbert import bmoa, cli, harness, inequalities, seqspace
 from hardyhilbert.bmoa import carleson_constant, sweep_is_bounded
 from hardyhilbert.hardyspace import AnalyticPoly, hp_norm, write_polynomial_csv
-from hardyhilbert.inequalities import best_constant_scan, hardy_degree_bound_check
+from hardyhilbert.inequalities import best_constant_scan
 from hardyhilbert.seqspace import (
     XSequence,
     classic_sequence,
@@ -625,12 +624,16 @@ class TestHardyCheck:
         assert code == 3
         assert json.loads(out)["degree_bound"]["verdict"] == "skipped"
 
-    def test_tolerance_echo_is_the_check_default(self, capsys, poly_file):
+    def test_tolerance_echo_is_the_check_default(self, capsys, monkeypatch, poly_file):
+        # the echoed tolerance is the one the check applies: patched, both move
+        monkeypatch.setattr(inequalities, "DEGREE_BOUND_TOL", 0.25)
         code, out, _ = run(capsys, ["hardy-check", poly_file])
         assert code == 0
-        default = inspect.signature(hardy_degree_bound_check).parameters["tol"].default
-        assert json.loads(out)["params"]["tolerance"] == default
-        assert default == inequalities.DEGREE_BOUND_TOL
+        payload = json.loads(out)
+        assert payload["params"]["tolerance"] == 0.25
+        f = AnalyticPoly([1.0, 1.0, 0.25])
+        est = inequalities.matrix_norm(seqspace.classic_sequence(5), 3)
+        assert payload["degree_bound"]["rhs"] == est.value * hp_norm(f, 1) * 1.25
 
 
 class TestSuiteCommand:

@@ -39,11 +39,6 @@ class TestAnalyticPoly:
         f = AnalyticPoly([1.0, 2.0, 3.0])
         assert f(0.5) == pytest.approx(1 + 1 + 0.75)
 
-    def test_derivative(self):
-        df = AnalyticPoly([5.0, 1.0, 2.0, 3.0]).derivative()
-        assert np.allclose(df.coeffs, [1.0, 4.0, 9.0])
-        assert AnalyticPoly([7.0]).derivative().is_zero
-
     def test_roots_of_monomial(self):
         assert np.allclose(AnalyticPoly([0.0, 0.0, 1.0]).roots(), 0.0)
 

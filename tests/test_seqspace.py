@@ -309,15 +309,6 @@ class TestGeneratorMatchesLoop:
     def test_edge_cases(self, r, beta, N):
         assert_same_trace(slow_decay_sequence(r, beta, N), loop_slow_decay(r, beta, N))
 
-    def test_guard_band_stays_below_scalar_powers(self):
-        # The vectorized test may flag extra steps for the scalar rule, never
-        # pass over a power pick: guarded np.power must not exceed scalar **.
-        n = np.arange(1.0, 100001.0)
-        for r in (0.5, 0.6, 0.75, 0.9, 0.95, 0.99, 1.0):
-            expo = 2.0 - 2.0 * r
-            scalar = np.array([x**expo for x in n.tolist()])
-            assert np.all(np.power(n, expo) * seqspace._GUARD <= scalar)
-
     def test_random_sweep(self):
         rng = np.random.default_rng(20240518)
         for _ in range(200):
@@ -327,13 +318,21 @@ class TestGeneratorMatchesLoop:
             assert_same_trace(slow_decay_sequence(r, beta, N), loop_slow_decay(r, beta, N))
 
 
+def run_end(choice, i):
+    """The first step from i (0-based) that is not harmonic, or N."""
+    power = np.flatnonzero(choice[i:])
+    return i + int(power[0]) if power.size else choice.size
+
+
 class TestHarmonicSkip:
     """_skip_harmonic against the loop oracle, bit for bit.
 
-    Started at steps of every harmonic run, it must return the run's end and
-    the exact running sum before it.  The closed form takes each step as +1
-    within a binade of the sum; the pairs below have harmonic steps that
-    are not, where a run crosses a power of two.
+    Started at steps of every harmonic run, it must return a step no later
+    than the run's end with the exact running sum before it: the run's end
+    itself from every start with a sum of at least 4 whose slack is
+    certainly negative.  The closed form takes each step as +1 within a
+    binade of the sum; the pairs below have harmonic steps that are not,
+    where a run crosses a power of two.
     """
 
     @pytest.mark.parametrize("r, beta, inexact", [
@@ -342,7 +341,7 @@ class TestHarmonicSkip:
         (0.751205494708468, 1.104742723139308, [237, 7491]),   # 7491: 796 steps in
         (0.8683730053017298, 1.0217755317085064, [64141]),
         (0.95, 1.3, [3152]),      # s = 4095.63 before it
-        (0.9, 1.001, []),         # t'(n) > beta - 1 below n ~ 750: the window runs there
+        (0.9, 1.001, []),         # t'(n) > beta - 1 below n ~ 750: the slack falls there
     ])
     def test_run_ends_match_loop(self, r, beta, inexact):
         N = 10**5
@@ -352,22 +351,59 @@ class TestHarmonicSkip:
         # harmonic steps from a sum of at least 4 that do not add exactly 1
         off = harmonic & (before[:-1] >= 4.0) & (before[1:] != before[:-1] + 1.0)
         assert (np.flatnonzero(off) + 1).tolist() == inexact
-        steps = seqspace._StepBlock(N, 2.0 - 2.0 * r, beta)
+        expo = 2.0 - 2.0 * r
         edges = np.concatenate(([0], np.flatnonzero(np.diff(want.choice)) + 1, [N]))
         for a, b in zip(edges[:-1].tolist(), edges[1:].tolist()):
             if not harmonic[a]:
                 continue
             for i in sorted({a, a + 1, (a + b) // 2, b - 1} - {b}):
-                assert seqspace._skip_harmonic(i, float(before[i]), 32, steps) == (b, before[b])
+                s = float(before[i])
+                j, got = seqspace._skip_harmonic(i, s, N, beta, expo)
+                assert i <= j <= b and got == before[j]
+                budget = beta * (i + 1.0)
+                if s >= 4.0 and budget - s - (i + 1.0)**expo < -seqspace._SLACK * budget:
+                    assert j == b
 
-    def test_fallback_where_the_slack_can_fall(self):
+    def test_falling_slack_gets_the_run_end(self):
         # at r = 0.9, beta = 1.001 the slope 0.2 n^-0.8 of n^0.2 exceeds beta - 1
-        # below n ~ 750: no closed form there, the accumulate window is used
-        r, beta, N = 0.9, 1.001, 2000
+        # below n ~ 750: the slack falls at step 500, and its run, over four
+        # binades of the sum, ends at step 4339
+        r, beta, N = 0.9, 1.001, 5000
         want = loop_slow_decay(r, beta, N)
-        steps = seqspace._StepBlock(N, 2.0 - 2.0 * r, beta)
-        assert seqspace._harmonic_run(500, float(want.sums[499]), steps) is None
-        assert seqspace._harmonic_run(1000, float(want.sums[999]), steps) is not None
+        assert 0.2 * 501.0**-0.8 > beta - 1.0
+        b = run_end(want.choice, 500)
+        assert b == 4339
+        assert seqspace._skip_harmonic(500, float(want.sums[499]), N, beta, 0.2) == \
+            (b, want.sums[b - 1])
+
+    def test_back_off_where_the_root_is_not_confirmed(self):
+        # beta = 3, expo = 1: the slack from step 1000 (0-based) is
+        # m - 10 - 2**-40, so step 1010 is harmonic by less than the certainty
+        # margin; the closed form hands it to the scalar rule, with the exact
+        # sum before it, and the run ends at step 1011
+        i, beta = 1000, 3.0
+        s = 2.0 * (i + 1) + 10.0 + 2.0**-40
+        assert seqspace._harmonic_run(i, s, 10**6, beta, 1.0) == (1010, s + 10.0, True)
+        for n in map(float, range(i + 1, i + 13)):   # the scalar rule at 1-based steps
+            assert (s + n <= beta * n) == (n == i + 12)
+            s += (n * (1.0 / n)) ** 2
+
+    def test_one_closed_form_per_binade(self, monkeypatch):
+        # at r = 1/2, beta = 1.5 the slack falls at every step and one
+        # harmonic run lasts to N: one closed form per binade of the sum
+        calls = []
+        closed_form = seqspace._harmonic_run
+
+        def counted(*args):
+            calls.append(args)
+            return closed_form(*args)
+
+        monkeypatch.setattr(seqspace, "_harmonic_run", counted)
+        t = slow_decay_sequence(0.5, 1.5, 10**7)
+        assert len(calls) <= 64
+        want = loop_slow_decay(0.5, 1.5, 10**5)
+        assert t.starts.tolist() == [1, run_end(1 - want.choice, 0) + 1]
+        assert t.flags.tolist() == [1, 0]
 
 
 class TestSmallWindows:
@@ -379,7 +415,7 @@ class TestSmallWindows:
         monkeypatch.setattr(seqspace, "_CSV_ROWS", 24)
 
     @pytest.mark.parametrize("r, beta, N", [
-        (0.6, 1.5, 20000),     # long harmonic runs over many windows
+        (0.6, 1.5, 20000),     # long harmonic runs over many blocks
         (0.75, 2.0, 20000),
         (0.9, 1.2, 20000),     # runs of about thirty steps, across block edges
         (0.99, 3.0, 5000),     # one long power run
