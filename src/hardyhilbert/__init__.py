@@ -24,10 +24,8 @@ from .bmoa import (
 )
 from .hardyspace import (
     AnalyticPoly,
-    BoundaryGrid,
     ConvergenceError,
     FactorizationSingular,
-    boundary_grid,
     cauchy_product,
     dual_pairing,
     factorization_report,
@@ -78,8 +76,8 @@ __all__ = [
     "__version__",
     "Arc", "CarlesonReport", "K_LIMIT", "bmo_seminorm", "carleson_constant",
     "dyadic_arc_family", "k_constant", "k_term", "sweep_is_bounded",
-    "AnalyticPoly", "BoundaryGrid", "ConvergenceError", "FactorizationSingular",
-    "boundary_grid", "cauchy_product", "dual_pairing", "factorization_report",
+    "AnalyticPoly", "ConvergenceError", "FactorizationSingular",
+    "cauchy_product", "dual_pairing", "factorization_report",
     "hp_norm", "phase_sequence", "read_polynomial_csv",
     "write_polynomial_csv",
     "SuiteConfig", "SuiteReport", "run_suite", "sample_polynomial", "sample_xsequence",

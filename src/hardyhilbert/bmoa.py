@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .hardyspace import AnalyticPoly, _next_pow2, boundary_grid
+from .hardyspace import AnalyticPoly, _next_pow2, _on_circle, _resolve_grid
 from .seqspace import XSequence
 
 K_LIMIT = (1.0 - math.exp(-2.0)) ** -2
@@ -338,14 +338,12 @@ def bmo_seminorm(g: AnalyticPoly, dyadic_depth: int, M: int | None = None) -> fl
     """
     if dyadic_depth < 0:
         raise ValueError("depth must be nonnegative")
-    if M is None:
-        M = max(8192, _next_pow2(4 * (g.degree + 1) * 2**max(0, dyadic_depth - 7)))
-    grid = boundary_grid(g, M)
-    M = grid.M
+    M = _resolve_grid(g.degree, M,
+                      max(8192, _next_pow2(4 * (g.degree + 1) * 2**max(0, dyadic_depth - 7))))
     if M >> dyadic_depth < 8:
         raise ValueError(
             f"depth {dyadic_depth} leaves arcs with fewer than 8 of {M} grid points")
-    samples = grid.samples
+    samples = _on_circle(g.coeffs, M)
     worst = 0.0
     for j in range(dyadic_depth + 1):
         blocks = samples.reshape(2**j, M >> j)

@@ -1,13 +1,14 @@
 """Analytic polynomials on the disk: boundary norms, products, factorization.
 
 Boundary norms.  The quadratic norm comes straight off the coefficients
-(Parseval).  The boundary mean of |f| starts from the uniform trapezoid
-rule, which is exact whenever |f|^2 is a trigonometric polynomial (perfect
-squares) and geometrically convergent when no zero sits near the unit
-circle.  A zero on or near the circle puts a kink in theta -> |f(e^{i
-theta})|, capping the trapezoid at O(M^-2); those inputs are detected by a
-cheap two-grid comparison and rerouted to Gauss-Legendre panels split at
-the offending angles, refined until two passes agree.
+(Parseval).  The boundary mean of |f| has two routes.  The uniform
+trapezoid rule on M and 2M points is exact whenever |f|^2 is a
+trigonometric polynomial (perfect squares) and geometrically convergent
+when no zero sits near the unit circle; its value is taken when the two
+grids agree.  Otherwise the mean goes to Gauss-Legendre panels, split at
+the angles of the zeros near the circle (a zero there puts a kink in theta
+-> |f(e^{i theta})|, capping the trapezoid at O(M^-2)) or laid over the
+whole circle when there is none, and refined until two passes agree.
 
 Factorization.  f splits into a finite Blaschke product carrying the zeros
 inside the disk times a zero-free outer part.  The outer square root is
@@ -23,7 +24,6 @@ certified against f on the grid before returning.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +35,8 @@ KINK_NEAR = 1e-2  # |.|rho|-1| below this reroutes the |f| mean to panel quadrat
 CIRCLE_REJECT = 1e-10
 FACTOR_RESIDUAL_REL = 1e-8
 _FACTOR_GRID_CAP = 2**18  # finest grid factorization_report doubles up to
-_TRAP_M_CAP = 2**22
+_PANEL_NODES = 32  # Gauss-Legendre nodes per panel
+_PANEL_ROUNDS = 14  # panel doublings before the |f| mean is declared unconverged
 
 
 class FactorizationSingular(ValueError):
@@ -95,19 +96,11 @@ class AnalyticPoly:
         return f"AnalyticPoly(degree={self.degree})"
 
 
-@dataclass
-class BoundaryGrid:
-    """Samples f(e^{2 pi i j / M}), j = 0..M-1, M a power of two >= 4(d+1)."""
-
-    M: int
-    samples: np.ndarray
-
-
 def _next_pow2(n: int) -> int:
     return 1 << max(0, int(n - 1).bit_length())
 
 
-# Smallest grid boundary_grid and hp_norm start from when no M is given.
+# Smallest grid hp_norm starts from when no M is given.
 _MIN_GRID = 4096
 
 
@@ -120,11 +113,15 @@ def _resolve_grid(degree: int, M, default: int = _MIN_GRID) -> int:
     return _next_pow2(M)
 
 
-def boundary_grid(f: AnalyticPoly, M: int | None = None) -> BoundaryGrid:
-    """Evaluate f on the uniform boundary grid via a zero-padded inverse FFT."""
-    M = _resolve_grid(f.degree, M)
-    samples = np.fft.ifft(f.coeffs, n=M) * M
-    return BoundaryGrid(M=M, samples=samples)
+def _on_circle(coeffs: np.ndarray, M: int) -> np.ndarray:
+    """Samples of sum_n coeffs[n] z^n at z = e^{2 pi i j / M}, j = 0..M-1.
+
+    A zero-padded inverse FFT, which would silently drop the coefficients
+    past M, so more than M of them are refused.
+    """
+    if coeffs.size > M:
+        raise ValueError(f"{coeffs.size} coefficients do not fit a {M}-point grid")
+    return np.fft.ifft(coeffs, n=M) * M
 
 
 def _trap_mean_abs(f: AnalyticPoly, M: int) -> float:
@@ -132,15 +129,17 @@ def _trap_mean_abs(f: AnalyticPoly, M: int) -> float:
     return float(np.abs(np.fft.fft(f.coeffs, n=M)).mean())
 
 
-def _panel_mean_abs(f: AnalyticPoly, kinks, nodes: int = 32, rounds: int = 14) -> float:
+def _panel_mean_abs(f: AnalyticPoly, kinks) -> float:
     """Mean of |f| on the circle by composite Gauss-Legendre panels.
 
-    The circle is split at the kink angles; on each closed sub-arc |f|
-    agrees with an analytic function, so panel refinement converges
-    geometrically.  Panels double until two passes agree to TRAP_RTOL.
+    The circle is split at the kink angles (one arc from angle 0 when there
+    are none); on each closed sub-arc |f| agrees with an analytic function,
+    so panel refinement converges geometrically.  Panels double until two
+    passes agree to TRAP_RTOL; after _PANEL_ROUNDS passes without that,
+    ConvergenceError is raised.
     """
     ks = np.sort(np.mod(np.asarray(kinks, dtype=float), 2 * np.pi))
-    keep = [ks[0]]
+    keep = [ks[0] if ks.size else 0.0]
     for a in ks[1:]:
         if a - keep[-1] > 1e-12:
             keep.append(a)
@@ -149,11 +148,11 @@ def _panel_mean_abs(f: AnalyticPoly, kinks, nodes: int = 32, rounds: int = 14) -
         b = keep[(i + 1) % len(keep)] + (2 * np.pi if i == len(keep) - 1 else 0.0)
         if b - a > 1e-12:
             arcs.append((a, b))
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = np.polynomial.legendre.leggauss(_PANEL_NODES)
     rev = f.coeffs[::-1]
     base = max(8, (f.degree + 1) // 4)
-    prev = None
-    for _ in range(rounds):
+    prev = np.inf
+    for _ in range(_PANEL_ROUNDS):
         total = 0.0
         for a, b in arcs:
             npan = max(2, int(np.ceil((b - a) / (2 * np.pi) * base)))
@@ -164,24 +163,25 @@ def _panel_mean_abs(f: AnalyticPoly, kinks, nodes: int = 32, rounds: int = 14) -
             vals = np.abs(np.polyval(rev, np.exp(1j * theta)))
             total += half * float(np.tile(w, npan) @ vals)
         total /= 2 * np.pi
-        if prev is not None and abs(total - prev) <= TRAP_RTOL * max(abs(total), 1e-300):
+        change = abs(total - prev)
+        if change <= TRAP_RTOL * max(abs(total), 1e-300):
             return total
         prev = total
         base *= 2
-    warnings.warn("panel quadrature for |f| did not stabilize; returning finest value",
-                  RuntimeWarning)
-    return total
+    raise ConvergenceError(f"panel quadrature for the mean of |f| did not stabilize in "
+                           f"{_PANEL_ROUNDS} passes (last change {change:.3e})", residual=change)
 
 
 def hp_norm(f: AnalyticPoly, p: int, M: int | None = None) -> float:
     """Boundary p-norm of a polynomial, p in {1, 2}.
 
     p = 2 is Parseval on the coefficients.  p = 1 is the mean of |f| over
-    the circle: trapezoid on M and 2M points, accepted once the two grids
-    agree to TRAP_RTOL; otherwise the routine finds the zeros responsible
-    (near-circle) and switches to kink-split panels, or keeps doubling the
-    grid when the slow convergence has some other cause.  M sets the
-    starting resolution; the returned value is grid-independent.
+    the circle, by one of two routes.  Trapezoid sums on M and 2M points
+    are accepted once they agree to TRAP_RTOL.  Otherwise the mean comes
+    from Gauss-Legendre panels split at the zeros within KINK_NEAR of the
+    circle (one arc over the whole circle when there is none), which raise
+    ConvergenceError if they do not settle.  M sets the starting resolution;
+    the returned value is grid-independent.
     """
     if p == 2:
         return float(np.linalg.norm(f.coeffs))
@@ -193,18 +193,8 @@ def hp_norm(f: AnalyticPoly, p: int, M: int | None = None) -> float:
     if abs(t2 - t1) <= TRAP_RTOL * max(t2, 1e-300):
         return t2
     rts = f.roots()
-    near = rts[np.abs(np.abs(rts) - 1.0) < KINK_NEAR] if rts.size else rts
-    if near.size:
-        return _panel_mean_abs(f, np.angle(near))
-    M2 = 2 * M
-    while M2 < _TRAP_M_CAP:
-        M2 *= 2
-        t1, t2 = t2, _trap_mean_abs(f, M2)
-        if abs(t2 - t1) <= TRAP_RTOL * max(t2, 1e-300):
-            return t2
-    warnings.warn("trapezoid mean of |f| did not stabilize; returning finest value",
-                  RuntimeWarning)
-    return t2
+    near = rts[np.abs(np.abs(rts) - 1.0) < KINK_NEAR]
+    return _panel_mean_abs(f, np.angle(near))
 
 
 def cauchy_product(a, b) -> np.ndarray:
@@ -298,7 +288,7 @@ def _factor_on_grid(f: AnalyticPoly, inside: np.ndarray, M: int):
     the Blaschke products of h and g.
     """
     z = np.exp(2j * np.pi * np.arange(M) / M)
-    fv = np.fft.ifft(f.coeffs, n=M) * M
+    fv = _on_circle(f.coeffs, M)
     chat = np.fft.fft(np.log(np.abs(fv))) / M
     mult = np.zeros(M, dtype=complex)
     mult[0] = chat[0]
@@ -326,8 +316,8 @@ def _factor_on_grid(f: AnalyticPoly, inside: np.ndarray, M: int):
     g = AnalyticPoly(coeffs_of(lam * Bg * sqrt_outer))
     h = AnalyticPoly(coeffs_of(Bh * sqrt_outer))
 
-    gv = np.fft.ifft(g.coeffs, n=M) * M
-    hv = np.fft.ifft(h.coeffs, n=M) * M
+    gv = _on_circle(g.coeffs, M)
+    hv = _on_circle(h.coeffs, M)
     return g, h, float(np.abs(fv - gv * hv).max())
 
 

@@ -242,9 +242,8 @@ def _factorization_contract(rng, case):
                           for_factorization=True)
     rep = hardyspace.factorization_report(f)
     g, h = rep.g, rep.h
-    fv = hardyspace.boundary_grid(f, GRID_SIZE).samples
-    gv = hardyspace.boundary_grid(g, GRID_SIZE).samples
-    hv = hardyspace.boundary_grid(h, GRID_SIZE).samples
+    M = hardyspace._resolve_grid(max(f.degree, g.degree, h.degree), GRID_SIZE)
+    fv, gv, hv = (hardyspace._on_circle(p.coeffs, M) for p in (f, g, h))
     f2 = hardyspace.hp_norm(f, 2)
     f1 = hardyspace.hp_norm(f, 1)
     residual = float(np.abs(fv - gv * hv).max())

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hardyhilbert import bmoa, cli, harness, inequalities, seqspace
+from hardyhilbert import bmoa, cli, hardyspace, harness, inequalities, seqspace
 from hardyhilbert.bmoa import carleson_constant, sweep_is_bounded
 from hardyhilbert.hardyspace import AnalyticPoly, hp_norm, write_polynomial_csv
 from hardyhilbert.inequalities import best_constant_scan
@@ -623,6 +623,17 @@ class TestHardyCheck:
         code, out, _ = run(capsys, ["hardy-check", str(path)])
         assert code == 3
         assert json.loads(out)["degree_bound"]["verdict"] == "skipped"
+
+    def test_unconverged_panels_exit_3(self, capsys, monkeypatch, tmp_path):
+        # 1 + z has its zero on the circle, so its 1-norm runs the panel route;
+        # one pass can never agree with a previous one
+        monkeypatch.setattr(hardyspace, "_PANEL_ROUNDS", 1)
+        path = tmp_path / "kink.csv"
+        write_polynomial_csv(path, AnalyticPoly([1.0, 1.0]))
+        code, out, err = run(capsys, ["hardy-check", str(path)])
+        assert code == 3
+        assert err.startswith("error:")
+        assert out == ""
 
     def test_tolerance_echo_is_the_check_default(self, capsys, monkeypatch, poly_file):
         # the echoed tolerance is the one the check applies: patched, both move

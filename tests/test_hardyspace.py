@@ -3,12 +3,13 @@ import warnings
 import numpy as np
 import pytest
 
+from hardyhilbert import hardyspace
 from hardyhilbert.hardyspace import (
     AnalyticPoly,
     FACTOR_RESIDUAL_REL,
     ConvergenceError,
     FactorizationSingular,
-    boundary_grid,
+    _on_circle,
     cauchy_product,
     dual_pairing,
     factorization_report,
@@ -94,23 +95,48 @@ class TestHpNorm:
 
     def test_grid_independence_from_coarse_start(self):
         # zero at radius 1.02: outside the kink window, so a coarse start
-        # forces the doubling branch; the answer must match a fine start
+        # forces whole-circle panels; the answer must match a fine start
         f = AnalyticPoly([1.0, 1.0 / 1.02])
         coarse = hp_norm(f, 1, 8)
         fine = hp_norm(f, 1, 2**15)
         assert coarse == pytest.approx(fine, rel=1e-12)
 
+    def test_disagreeing_pair_without_near_zero_goes_to_panels(self, monkeypatch):
+        # the pair on 8 and 16 points disagrees, no zero is within KINK_NEAR:
+        # one pass of whole-circle panels, no further trapezoid grids
+        trap_grids, panel_kinks = [], []
+        trap, panel = hardyspace._trap_mean_abs, hardyspace._panel_mean_abs
 
-class TestBoundaryGrid:
+        def recording_trap(f, M):
+            trap_grids.append(M)
+            return trap(f, M)
+
+        def recording_panel(f, kinks):
+            panel_kinks.append(np.asarray(kinks))
+            return panel(f, kinks)
+
+        monkeypatch.setattr(hardyspace, "_trap_mean_abs", recording_trap)
+        monkeypatch.setattr(hardyspace, "_panel_mean_abs", recording_panel)
+        f = AnalyticPoly([1.0, 1.0 / 1.02])
+        coarse = hp_norm(f, 1, 8)
+        assert trap_grids == [8, 16]
+        assert len(panel_kinks) == 1 and panel_kinks[0].size == 0
+        fine = hp_norm(f, 1, 2**15)
+        assert trap_grids == [8, 16, 2**15, 2**16]
+        assert len(panel_kinks) == 1
+        assert coarse == pytest.approx(fine, rel=1e-12)
+
+
+class TestOnCircle:
     def test_samples_match_direct_evaluation(self):
         f = AnalyticPoly([1.0, 2.0, 3.0 + 1j])
-        grid = boundary_grid(f, 16)
         z = np.exp(2j * np.pi * np.arange(16) / 16)
-        assert np.allclose(grid.samples, f(z), atol=1e-12)
+        assert np.allclose(_on_circle(f.coeffs, 16), f(z), atol=1e-12)
 
-    def test_grid_rounded_to_power_of_two(self):
-        f = AnalyticPoly(np.ones(3))
-        assert boundary_grid(f, 100).M == 128
+    def test_more_coefficients_than_points_refused(self):
+        # the FFT would silently drop the coefficients past M
+        with pytest.raises(ValueError, match="do not fit"):
+            _on_circle(np.ones(17, dtype=complex), 16)
 
 
 class TestCauchyProduct:
