@@ -3,10 +3,11 @@
 
 Any polynomial with no zero on the unit circle factors as f = g*h where
 |g| = |h| = |f|^(1/2) on the circle, so the boundary mean of |f| equals
-||g||_2 ||h||_2 exactly.  Zeros inside the disk ride along as Blaschke
-factors (split alternately between g and h); the zero-free part is
-rebuilt from log|f| boundary data and halved in the exponent.  This is
-the workhorse lemma that turns quadratic-norm statements into
+||g||_2 ||h||_2 exactly.  h is the outer square root, rebuilt from
+log|f| boundary data and halved in the exponent; it has no zeros in the
+disk, so g = f/h is analytic and carries every zero inside.  No zero is
+ever located: their number is read off as the winding number of f.  This
+is the workhorse lemma that turns quadratic-norm statements into
 mean-of-modulus statements.
 """
 
@@ -43,13 +44,13 @@ for name, f in cases.items():
     prod = hp_norm(rep.g, 2) * hp_norm(rep.h, 2)
     print(f"\n{name}:")
     print(f"  deg f = {f.degree}, deg g = {rep.g.degree}, deg h = {rep.h.degree}, "
-          f"Blaschke zeros = {rep.blaschke_degree}")
+          f"zeros inside (winding) = {rep.blaschke_degree}")
     print(f"  ||f||_1 = {f1:.12f}   ||g||_2 ||h||_2 = {prod:.12f}   "
           f"defect = {abs(f1 - prod):.2e}")
     print(f"  grid residual |f - g h| = {rep.residual_max:.2e}")
 
 print("\nNote the outer square: (1 + z/2)^2 recovers g = h = 1 + z/2 exactly,")
-print("and z^2 splits symmetrically into z * z.")
+print("and z^2, all inner, factors as z^2 * 1: |z^2| = |1| = 1 on the circle.")
 
 print()
 print("=" * 70)

@@ -25,7 +25,6 @@ from .bmoa import (
 from .hardyspace import (
     AnalyticPoly,
     ConvergenceError,
-    FactorizationSingular,
     cauchy_product,
     dual_pairing,
     factorization_report,
@@ -76,7 +75,7 @@ __all__ = [
     "__version__",
     "Arc", "CarlesonReport", "K_LIMIT", "bmo_seminorm", "carleson_constant",
     "dyadic_arc_family", "k_constant", "k_term", "sweep_is_bounded",
-    "AnalyticPoly", "ConvergenceError", "FactorizationSingular",
+    "AnalyticPoly", "ConvergenceError",
     "cauchy_product", "dual_pairing", "factorization_report",
     "hp_norm", "phase_sequence", "read_polynomial_csv",
     "write_polynomial_csv",

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _floattext, bmoa, harness, hardyspace, inequalities, seqspace
 from ._version import __version__
-from .hardyspace import ConvergenceError, FactorizationSingular
+from .hardyspace import ConvergenceError
 
 
 def _emit(args, chunks) -> None:
@@ -403,7 +403,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (FactorizationSingular, ConvergenceError) as exc:
+    except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

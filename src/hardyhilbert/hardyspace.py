@@ -10,16 +10,16 @@ the angles of the zeros near the circle (a zero there puts a kink in theta
 -> |f(e^{i theta})|, capping the trapezoid at O(M^-2)) or laid over the
 whole circle when there is none, and refined until two passes agree.
 
-Factorization.  f splits into a finite Blaschke product carrying the zeros
-inside the disk times a zero-free outer part.  The outer square root is
-rebuilt from boundary data: take log|f| on the grid, keep the analytic
-half of its Fourier series (constant plus doubled positive frequencies),
-exponentiate half of it.  Its value at 0 is exp(mean(log|f|)/2) > 0, which
-pins the square-root branch.  Inside zeros are alternated between the two
-returned factors so monomials split symmetrically (z^2 -> z * z).  The
-factors are genuine truncated power series: their degree is governed by
-the decay of the outer square root, not by deg f, and the product is
-certified against f on the grid before returning.
+Factorization.  f = g h with |g| = |h| = |f|^(1/2) on the circle (F. Riesz).
+h is the outer square root, rebuilt from boundary data with no zeros
+found: take log|f| on the grid, keep the analytic half of its Fourier
+series (constant plus doubled positive frequencies), exponentiate half of
+it.  Its value at 0 is exp(mean(log|f|)/2) > 0, which pins the branch.  h
+has no zeros in the disk, so g = f/h, taken on the same grid, is analytic
+and carries every inner factor of f.  The factors are genuine truncated
+power series: their degree is governed by the decay of the outer square
+root, not by deg f, and the product is certified against f on the grid
+before returning.
 """
 
 from __future__ import annotations
@@ -32,22 +32,10 @@ from .seqspace import _read_indexed_csv, indexed_csv
 
 TRAP_RTOL = 1e-13
 KINK_NEAR = 1e-2  # |.|rho|-1| below this reroutes the |f| mean to panel quadrature
-CIRCLE_REJECT = 1e-10
 FACTOR_RESIDUAL_REL = 1e-8
 _FACTOR_GRID_CAP = 2**18  # finest grid factorization_report doubles up to
 _PANEL_NODES = 32  # Gauss-Legendre nodes per panel
 _PANEL_ROUNDS = 14  # panel doublings before the |f| mean is declared unconverged
-
-
-class FactorizationSingular(ValueError):
-    """A zero of the polynomial sits (numerically) on the unit circle."""
-
-    def __init__(self, root: complex, distance: float):
-        self.root = complex(root)
-        self.distance = float(distance)
-        super().__init__(
-            f"root {self.root:.12g} lies within {self.distance:.3e} of the unit circle"
-        )
 
 
 class ConvergenceError(RuntimeError):
@@ -217,17 +205,6 @@ def phase_sequence(f: AnalyticPoly) -> np.ndarray:
     return np.where(mod > 0, a / np.where(mod > 0, mod, 1.0), 1.0 + 0j)
 
 
-def require_circle_free(f: AnalyticPoly) -> np.ndarray:
-    """Roots of f, raising FactorizationSingular if any sits on the circle."""
-    rts = f.roots()
-    if rts.size:
-        dist = np.abs(np.abs(rts) - 1.0)
-        j = int(np.argmin(dist))
-        if dist[j] < CIRCLE_REJECT:
-            raise FactorizationSingular(rts[j], dist[j])
-    return rts
-
-
 @dataclass
 class RieszFactorization:
     g: AnalyticPoly
@@ -241,26 +218,24 @@ class RieszFactorization:
 def factorization_report(f: AnalyticPoly, M: int | None = None) -> RieszFactorization:
     """Factor f = g*h with |g| = |h| = |f|^(1/2) on the circle.
 
-    Then ||f||_1 = ||g||_2 ||h||_2 holds by construction, up to the
-    certified residual.  Inputs with a zero within CIRCLE_REJECT of the
-    circle are rejected.  The outer square root's Taylor tail is cut at the
-    grid, so a zero near the circle needs a finer one: without ``M`` the
-    grid starts at max(4096, 16(d+1)) and doubles, up to _FACTOR_GRID_CAP,
-    while the residual exceeds FACTOR_RESIDUAL_REL * ||f||_2.  A residual
-    still above that on the last grid (or on the given ``M``) raises
-    ConvergenceError.  ``grid_size`` is the grid that passed.
+    h is the outer square root of |f| and g = f/h, so ||f||_1 =
+    ||g||_2 ||h||_2 holds by construction, up to the certified residual.
+    ``blaschke_degree`` is the number of zeros in the disk, read as the
+    winding number of f around the grid.  A grid point where f vanishes
+    exactly raises ConvergenceError.  The outer square root's Taylor tail
+    is cut at the grid, so a zero on or near the circle needs a finer one:
+    without ``M`` the grid starts at max(4096, 16(d+1)) and doubles, up to
+    _FACTOR_GRID_CAP, while the residual exceeds FACTOR_RESIDUAL_REL *
+    ||f||_2.  A residual still above that on the last grid (or on the given
+    ``M``) raises ConvergenceError.  ``grid_size`` is the grid that passed.
     """
     if f.is_zero:
         raise ValueError("cannot factorize the zero polynomial")
     d = f.degree
     grid = _resolve_grid(d, M, max(_MIN_GRID, _next_pow2(16 * (d + 1))))
-    rts = require_circle_free(f)
-    inside = rts[np.abs(rts) < 1.0]
-    if inside.size:
-        inside = inside[np.lexsort((inside.imag, inside.real))]
     limit = FACTOR_RESIDUAL_REL * hp_norm(f, 2)
     while True:
-        g, h, residual = _factor_on_grid(f, inside, grid)
+        g, h, residual, winding = _factor_on_grid(f, grid)
         if residual <= limit:
             break
         if M is not None or 2 * grid > _FACTOR_GRID_CAP:
@@ -276,35 +251,23 @@ def factorization_report(f: AnalyticPoly, M: int | None = None) -> RieszFactoriz
         h=h,
         residual_max=residual,
         norm_defect=defect,
-        blaschke_degree=int(inside.size),
+        blaschke_degree=winding,
         grid_size=grid,
     )
 
 
-def _factor_on_grid(f: AnalyticPoly, inside: np.ndarray, M: int):
-    """The factor pair on an M-point grid and max |f - g h| over that grid.
-
-    ``inside`` holds the zeros in the disc, sorted; they alternate between
-    the Blaschke products of h and g.
-    """
-    z = np.exp(2j * np.pi * np.arange(M) / M)
+def _factor_on_grid(f: AnalyticPoly, M: int):
+    """The factor pair on an M-point grid, max |f - g h| over that grid and
+    the winding number of f around it."""
     fv = _on_circle(f.coeffs, M)
-    chat = np.fft.fft(np.log(np.abs(fv))) / M
+    mod = np.abs(fv)
+    if not mod.all():
+        raise ConvergenceError(f"f vanishes at a point of the unit circle on the {M}-point grid")
+    chat = np.fft.fft(np.log(mod)) / M
     mult = np.zeros(M, dtype=complex)
     mult[0] = chat[0]
     mult[1 : M // 2] = 2.0 * chat[1 : M // 2]  # Nyquist bin dropped
     sqrt_outer = np.exp(0.5 * np.fft.ifft(mult) * M)
-
-    def blaschke(roots_):
-        B = np.ones(M, dtype=complex)
-        for rho in roots_:
-            B *= (z - rho) / (1.0 - np.conj(rho) * z)
-        return B
-
-    Bg, Bh = blaschke(inside[1::2]), blaschke(inside[0::2])
-    j = int(np.argmax(np.abs(fv)))
-    lam = fv[j] / (Bg[j] * Bh[j] * sqrt_outer[j] ** 2)
-    lam /= abs(lam)
 
     def coeffs_of(grid_vals):
         c = np.fft.fft(grid_vals) / M
@@ -313,12 +276,13 @@ def _factor_on_grid(f: AnalyticPoly, inside: np.ndarray, M: int):
         keep = np.nonzero(mags > 1e-14 * mags.max())[0]
         return c[: keep[-1] + 1] if keep.size else c[:1]
 
-    g = AnalyticPoly(coeffs_of(lam * Bg * sqrt_outer))
-    h = AnalyticPoly(coeffs_of(Bh * sqrt_outer))
+    g = AnalyticPoly(coeffs_of(fv / sqrt_outer))
+    h = AnalyticPoly(coeffs_of(sqrt_outer))
 
     gv = _on_circle(g.coeffs, M)
     hv = _on_circle(h.coeffs, M)
-    return g, h, float(np.abs(fv - gv * hv).max())
+    winding = int(np.rint(np.angle(np.roll(fv, -1) / fv).sum() / (2 * np.pi)))
+    return g, h, float(np.abs(fv - gv * hv).max()), winding
 
 
 # ---------------------------------------------------------------------------

@@ -30,19 +30,11 @@ for N <= 512, is the oracle the Lanczos route is tested against.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hardyspace import (
-    AnalyticPoly,
-    FactorizationSingular,
-    _resolve_grid,
-    cauchy_product,
-    hp_norm,
-    require_circle_free,
-)
+from .hardyspace import AnalyticPoly, _resolve_grid, cauchy_product, hp_norm
 from .seqspace import XSequence, xnorm
 
 LANCZOS = "lanczos"
@@ -86,18 +78,14 @@ def hilbert_form(a, b, c: XSequence) -> float:
     """Bilinear form  sum_{n,m} |a_n| |b_m| c_{n+m}, evaluated as a double sum.
 
     Needs c defined through index len(a)+len(b)-2; a shorter sequence
-    truncates the sum (missing weights treated as zero) with a warning.
+    raises ValueError.
     """
     A = np.abs(np.atleast_1d(np.asarray(a)))
     B = np.abs(np.atleast_1d(np.asarray(b)))
     need = A.size + B.size - 1
     cv = c.values
     if cv.size < need:
-        warnings.warn(
-            f"sequence covers {cv.size} weights but the form needs {need}; truncating",
-            RuntimeWarning,
-        )
-        cv = np.concatenate([cv, np.zeros(need - cv.size)])
+        raise ValueError(f"sequence covers {cv.size} weights but the form needs {need}")
     C = cv[np.add.outer(np.arange(A.size), np.arange(B.size))]
     return float(np.einsum("n,m,nm->", A, B, C))
 
@@ -319,14 +307,10 @@ def hardy_degree_bound_check(f: AnalyticPoly, c: XSequence) -> DegreeBoundCheck:
     A degree-d weighted sum only sees c_0..c_d, so by zero-extending the
     weights beyond d it factors through the (d+1)-truncation of the
     Hankel form; entrywise monotonicity then bounds it by the true
-    (d+1)-truncation norm.  Inputs the factorizer would reject (zero on
-    the circle) skip the check and report why.
+    (d+1)-truncation norm.  The bound holds for every polynomial, zeros on
+    the circle included (the limit of f(rz) as r -> 1).  An unconverged
+    norm estimate skips the check and says so.
     """
-    try:
-        require_circle_free(f)
-    except FactorizationSingular as exc:
-        return DegreeBoundCheck(holds=None, lhs=0.0, rhs=0.0, slack=0.0,
-                                skipped=True, reason=str(exc))
     est = matrix_norm(c, f.degree + 1)
     if not est.converged:
         return DegreeBoundCheck(holds=None, lhs=0.0, rhs=0.0, slack=0.0,

@@ -617,12 +617,20 @@ class TestHardyCheck:
         assert payload["degree_bound"]["verdict"] == "holds"
         assert payload["hardy_sum"] == pytest.approx(1.0 + 0.5 + 0.25 / 3.0, rel=1e-14)
 
-    def test_skipped_is_nonconvergence_exit(self, capsys, tmp_path):
-        path = tmp_path / "sing.csv"
-        write_polynomial_csv(path, AnalyticPoly([1.0, 1.0]))
-        code, out, _ = run(capsys, ["hardy-check", str(path)])
+    def test_skipped_is_nonconvergence_exit(self, capsys, monkeypatch, poly_file):
+        real = inequalities.matrix_norm
+
+        def unconverged(c, N, method=inequalities.LANCZOS):
+            est = real(c, N, method)
+            est.converged = False
+            return est
+
+        monkeypatch.setattr(inequalities, "matrix_norm", unconverged)
+        code, out, _ = run(capsys, ["hardy-check", poly_file])
         assert code == 3
-        assert json.loads(out)["degree_bound"]["verdict"] == "skipped"
+        bound = json.loads(out)["degree_bound"]
+        assert bound["verdict"] == "skipped"
+        assert "unconverged" in bound["reason"]
 
     def test_unconverged_panels_exit_3(self, capsys, monkeypatch, tmp_path):
         # 1 + z has its zero on the circle, so its 1-norm runs the panel route;

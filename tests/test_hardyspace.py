@@ -8,7 +8,6 @@ from hardyhilbert.hardyspace import (
     AnalyticPoly,
     FACTOR_RESIDUAL_REL,
     ConvergenceError,
-    FactorizationSingular,
     _on_circle,
     cauchy_product,
     dual_pairing,
@@ -16,7 +15,6 @@ from hardyhilbert.hardyspace import (
     hp_norm,
     phase_sequence,
     read_polynomial_csv,
-    require_circle_free,
     write_polynomial_csv,
 )
 
@@ -188,14 +186,14 @@ class TestPhaseSequence:
 
 class TestRieszFactorize:
     def test_monomial_splits_symmetrically(self):
-        rep = factorization_report(AnalyticPoly([0.0, 0.0, 1.0]))
-        g, h = rep.g, rep.h
-        for factor in (g, h):
-            assert factor.degree == 1
-            assert abs(factor.coeffs[0]) < 1e-12
-            assert abs(abs(factor.coeffs[1]) - 1.0) < 1e-12
-        prod = cauchy_product(g.coeffs, h.coeffs)
-        assert np.allclose(prod, [0, 0, 1.0], atol=1e-12)
+        # z^k is all inner: g = z^k, h = 1, and |g| = |h| = 1 on the circle
+        for k in (1, 2, 3, 7):
+            zk = np.eye(k + 1)[k]
+            rep = factorization_report(AnalyticPoly(zk))
+            assert rep.g.degree == k and rep.h.degree == 0
+            assert np.abs(rep.g.coeffs - zk).max() <= 1e-15
+            assert abs(rep.h.coeffs[0] - 1.0) <= 1e-15
+            assert rep.blaschke_degree == k
 
     def test_perfect_square_outer(self):
         f = AnalyticPoly([1.0, 1.0, 0.25])  # (1 + z/2)^2
@@ -234,16 +232,16 @@ class TestRieszFactorize:
         assert abs(h.coeffs[0].imag) < 1e-12 * abs(h.coeffs[0])
 
     def test_circle_root_rejected(self):
-        with pytest.raises(FactorizationSingular) as err:
-            factorization_report(AnalyticPoly([1.0, 1.0]))  # zero at -1
-        assert "-1" in str(err.value)
+        # the zero at -1 is a grid point, so f vanishes there exactly
+        with pytest.raises(ConvergenceError, match="unit circle"):
+            factorization_report(AnalyticPoly([1.0, 1.0]))
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
             factorization_report(AnalyticPoly([0.0]))
 
     def test_near_circle_root_hits_convergence_guard(self):
-        # a zero 1e-7 from the circle passes the singularity gate but the
+        # a zero 1e-7 from the circle misses every grid point, but the
         # outer tail cannot be truncated at any reasonable grid
         f = AnalyticPoly(np.poly([(1 - 1e-7) * np.exp(0.7j)])[::-1])
         with pytest.raises(ConvergenceError) as err:
@@ -257,6 +255,40 @@ class TestRieszFactorize:
         with pytest.raises(ConvergenceError, match="262144-point grid"):
             factorization_report(f)
 
+    def test_no_root_finding(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("roots requested")
+        monkeypatch.setattr(AnalyticPoly, "roots", refuse)
+        monkeypatch.setattr(np, "roots", refuse)
+        rng = np.random.default_rng(14)
+        for _ in range(5):
+            radii = np.concatenate([rng.uniform(0.0, 0.9, 3), rng.uniform(1.1, 2.0, 2)])
+            f = poly_from_roots(rng, radii)
+            rep = factorization_report(f)
+            assert rep.blaschke_degree == 3
+            assert rep.residual_max <= FACTOR_RESIDUAL_REL * hp_norm(f, 2)
+
+    def test_winding_counts_the_zeros_inside(self):
+        # oracle: the zeros np.roots finds inside the disk
+        rng = np.random.default_rng(15)
+        for _ in range(40):
+            d = int(rng.integers(4, 65))
+            k = int(rng.integers(0, d + 1))
+            radii = np.concatenate([rng.uniform(0.0, 0.9, k), rng.uniform(1.1, 2.0, d - k)])
+            f = poly_from_roots(rng, radii)
+            inside = int(np.sum(np.abs(np.roots(f.coeffs[::-1])) < 1.0))
+            assert factorization_report(f).blaschke_degree == inside
+
+    def test_factor_moduli_agree_on_the_circle(self):
+        rng = np.random.default_rng(16)
+        for _ in range(10):
+            radii = np.concatenate([rng.uniform(0.0, 0.9, 4), rng.uniform(1.1, 2.0, 4)])
+            f = poly_from_roots(rng, radii)
+            rep = factorization_report(f)
+            M = rep.grid_size
+            fv, gv, hv = (_on_circle(p.coeffs, M) for p in (f, rep.g, rep.h))
+            assert np.abs(np.abs(gv) - np.abs(hv)).max() <= 1e-12 * np.sqrt(np.abs(fv).max())
+
     def test_product_bound_cauchy_schwarz(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
@@ -269,7 +301,7 @@ class TestRieszFactorize:
 def gaussian_polynomial_sets():
     """20 complex Gaussian polynomials each of degree 8 and 16, seed 11.
 
-    At the first grid (4096 points) only 14 and 5 of them factor; at 2^14
+    At the first grid (4096 points) only 14 and 7 of them factor; at 2^14
     points, 20 and 17; at 2^16, all of them.
     """
     rng = np.random.default_rng(11)
@@ -303,17 +335,6 @@ class TestFactorGridDoubling:
                  if factorization_report(f).grid_size > 4096)
         with pytest.raises(ConvergenceError, match="4096-point grid"):
             factorization_report(f, M=4096)
-
-
-class TestCircleGuard:
-    def test_clean_polynomial_passes(self):
-        roots = require_circle_free(AnalyticPoly([1.0, 0.0, 0.25]))
-        assert roots.size == 2
-
-    def test_offending_root_named(self):
-        with pytest.raises(FactorizationSingular) as err:
-            require_circle_free(AnalyticPoly([-1.0, 0.0, 1.0]))
-        assert err.value.distance < 1e-10
 
 
 class TestPolynomialCsv:

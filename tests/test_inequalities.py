@@ -4,6 +4,7 @@ import pytest
 from hardyhilbert import inequalities
 from hardyhilbert.hardyspace import AnalyticPoly, cauchy_product
 from hardyhilbert.inequalities import (
+    DEGREE_BOUND_TOL,
     DENSE_EIGEN,
     FFT_MIN_N,
     LANCZOS,
@@ -118,11 +119,10 @@ class TestHilbertForm:
             via_product = hardy_sum(AnalyticPoly(cauchy_product(a, b)), c)
             assert direct == pytest.approx(via_product, rel=1e-12)
 
-    def test_short_sequence_warns_and_truncates(self):
-        with pytest.warns(RuntimeWarning):
-            val = hilbert_form([1.0, 1.0], [1.0, 1.0], classic_sequence(2))
-        # only weights c_0, c_1 available: 1*1*1 + 2*(1*1)*0.5 = 2
-        assert val == pytest.approx(2.0, rel=1e-15)
+    def test_short_sequence_rejected(self):
+        # two 2-term vectors need weights c_0..c_2
+        with pytest.raises(ValueError, match="needs 3"):
+            hilbert_form([1.0, 1.0], [1.0, 1.0], classic_sequence(2))
 
 
 class TestHankelMatvec:
@@ -357,11 +357,15 @@ class TestDegreeBound:
         assert chk.lhs >= chk.rhs / (1.0 + 1e-6) * (matrix_norm(c, N).value
                                                     / matrix_norm(c, rep.witness.degree + 1).value)
 
-    def test_circle_root_skipped_with_reason(self):
+    def test_circle_root_gets_a_verdict(self):
+        # 1 + z vanishes at -1; ||1 + z||_1 = 4/pi, and the top eigenvalue of
+        # [[1, 1/2], [1/2, 1/3]] is B_2 = 2/3 + sqrt(1/9 + 1/4)
         chk = hardy_degree_bound_check(AnalyticPoly([1.0, 1.0]), classic_sequence(3))
-        assert chk.skipped
-        assert chk.holds is None
-        assert "circle" in chk.reason
+        assert not chk.skipped
+        assert chk.holds
+        assert chk.lhs == 1.5
+        b2 = 2.0 / 3.0 + np.sqrt(1.0 / 9.0 + 1.0 / 4.0)
+        assert chk.rhs == pytest.approx(b2 * (4.0 / np.pi) * (1.0 + DEGREE_BOUND_TOL), rel=1e-13)
 
     def test_random_pairs_hold(self):
         rng = np.random.default_rng(7)
