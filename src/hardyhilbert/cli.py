@@ -270,8 +270,9 @@ def _cmd_hardy_check(args) -> int:
     f = hardyspace.read_polynomial_csv(args.file)
     c = _load_sequence(args, 2 * f.degree + 1)
     total = inequalities.hardy_sum(f, c)
-    ratio = inequalities.hardy_ratio(f, c)
-    check = inequalities.hardy_degree_bound_check(f, c)
+    norm1 = hardyspace.hp_norm(f, 1)
+    ratio = inequalities.hardy_ratio(f, c, norm1=norm1)
+    check = inequalities.hardy_degree_bound_check(f, c, norm1=norm1)
     verdict = "skipped" if check.skipped else ("holds" if check.holds else "violated")
     payload = {
         "hardy_sum": total,

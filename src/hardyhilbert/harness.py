@@ -264,8 +264,11 @@ def _witness_closure(rng, case):
     else:
         c = sample_xsequence(rng, 2 * N - 1)
     report = inequalities.equivalence_witness(c, N)
+    # boundary quadrature of ||f||_1, an independent route to Parseval's ||v||^2
+    quadrature = inequalities.hardy_ratio(report.witness, c)
     scan = inequalities.best_constant_scan(c, sorted({max(1, N // 2), N}))
-    margins = [report.gap - TOLERANCES["witness_gap"]]
+    margins = [report.gap - TOLERANCES["witness_gap"],
+               abs(quadrature - report.hardy_ratio) - TOLERANCES["witness_gap"]]
     margins += [lo.value - hi.value - TOLERANCES["scan_monotone"]
                 for lo, hi in zip(scan, scan[1:])]
     return margins, dict(c=c, N=N, gap=report.gap)

@@ -13,9 +13,11 @@ rather than being computed through the same convolution.
 Best constants come from spectral norms of the coefficient Hankel matrix
 H[n, m] = c_{n+m} on nested truncations: the Rayleigh top pair (lam, v)
 of the N x N truncation converts into an extremal witness f = g^2 with
-g = sum v_n z^n, for which the weighted-sum ratio reproduces lam/||c||
-up to solver residual --- the two best constants coincide, exhibited
-constructively at every truncation size.
+g = sum v_n z^n.  Its weighted sum is v'Hv = lam by the bridge identity
+and its 1-norm is ||v||^2 by Parseval, so the weighted-sum ratio
+reproduces lam/||c|| up to rounding, with no boundary quadrature --- the
+two best constants coincide, exhibited constructively at every
+truncation size.
 
 The top pair comes from Lanczos with full reorthogonalization on a
 Hankel operator kept as its 2N-1 generating values: from N >= FFT_MIN_N
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hardyspace import AnalyticPoly, _resolve_grid, cauchy_product, hp_norm
+from .hardyspace import AnalyticPoly, _resolve_grid, hp_norm
 from .seqspace import XSequence, xnorm
 
 LANCZOS = "lanczos"
@@ -44,12 +46,13 @@ RESIDUAL_TOL = 1e-12
 # Relative slack of hardy_degree_bound_check's right-hand side.
 DEGREE_BOUND_TOL = 1e-8
 RAYLEIGH_TOL = 1e-14
-# Rounding floor of an iterative eigensolve per unit of |lam|: the Rayleigh
-# quotient cannot settle below this, nor the residual below it times sqrt(N).
+# Rounding floor of an iterative eigensolve per unit of |lam|: neither the
+# residual nor the Rayleigh quotient, each built from length-N inner
+# products, can settle below this times sqrt(N).
 ROUNDING_FLOOR = 8.0 * np.finfo(float).eps
 MAX_ITERATIONS = 10**5  # cap on Hankel products per Lanczos solve
 # Largest Krylov basis before an explicit restart from the Ritz vector; the
-# classic weight converges within 12 products up to N = 2^20.
+# classic weight converges within 12 products from N = 1024 to N = 2^20.
 KRYLOV_DIM = 32
 DENSE_N_LIMIT = 512
 # Lanczos uses the fft Hankel operator from this size up.  Measured
@@ -64,14 +67,18 @@ def hardy_sum(f: AnalyticPoly, c: XSequence) -> float:
     return float(np.abs(f.coeffs[:n]) @ c.values[:n])
 
 
-def hardy_ratio(f: AnalyticPoly, c: XSequence, M: int | None = None) -> float:
-    """hardy_sum(f, c) / (||c|| * ||f||_1): a lower bound for the best constant."""
+def hardy_ratio(f: AnalyticPoly, c: XSequence, *, norm1: float | None = None) -> float:
+    """hardy_sum(f, c) / (||c|| * ||f||_1): a lower bound for the best constant.
+
+    ``norm1`` is ||f||_1 when the caller holds it already; otherwise it
+    comes from hp_norm.
+    """
     if f.is_zero:
         raise ValueError("ratio undefined for the zero polynomial")
     xn = xnorm(c)
     if xn == 0.0:
         raise ValueError("ratio undefined for the zero sequence")
-    return hardy_sum(f, c) / (xn * hp_norm(f, 1, M))
+    return hardy_sum(f, c) / (xn * (hp_norm(f, 1) if norm1 is None else norm1))
 
 
 def hilbert_form(a, b, c: XSequence) -> float:
@@ -149,9 +156,10 @@ def matrix_norm(c: XSequence, N: int, method: str = LANCZOS) -> OperatorNormEsti
     one more product gives w = Hv, lam = v'w and res = ||w - lam v||.  The
     run is converged when res drops below RESIDUAL_TOL and lam lies within
     RAYLEIGH_TOL of theta.  Both tolerances are absolute and lie below the
-    rounding floor once lam is large, so each is raised to that floor,
-    8 eps |lam| sqrt(N) for the residual and 8 eps |lam| for the quotient;
-    for lam < pi and N <= 8192 the fixed tolerances are the larger ones.
+    rounding floor once lam or N is large, so each is raised to that floor,
+    8 eps |lam| sqrt(N): lam and theta are sums of N rounded terms, as res
+    is.  For lam < pi the fixed residual tolerance is the larger one up to
+    N = 8192.
     A failed check, or a full basis, restarts Lanczos explicitly from v,
     whose product w is already known.
 
@@ -231,8 +239,8 @@ def matrix_norm(c: XSequence, N: int, method: str = LANCZOS) -> OperatorNormEsti
         products += 1
         lam = float(v @ w)
         res = float(np.linalg.norm(w - lam * v))
-        floor = ROUNDING_FLOOR * abs(lam)
-        if res <= max(RESIDUAL_TOL, floor * sqrt_n) and abs(lam - theta) < max(RAYLEIGH_TOL, floor):
+        floor = ROUNDING_FLOOR * abs(lam) * sqrt_n
+        if res <= max(RESIDUAL_TOL, floor) and abs(lam - theta) < max(RAYLEIGH_TOL, floor):
             return OperatorNormEstimate(N=N, value=lam, method=method, iterations=products,
                                         residual=res, top_vector=v, converged=True)
         if products >= MAX_ITERATIONS:
@@ -247,9 +255,12 @@ class EquivalenceReport:
     ``matrix_norm`` is the Hankel spectral norm divided by ||c||, the
     proper best-constant scale (for the unit-norm classic sequence the
     division is by 1).  ``witness`` is f = g^2 built from the top vector;
-    ``gap`` is |hardy_ratio(witness) - matrix_norm| and vanishes up to
-    solver residual whenever the estimate converged.  ``grid`` is the
-    boundary grid the witness's 1-norm started from.
+    ``hardy_ratio`` is its weighted-sum ratio, with ||f||_1 = ||v||^2 by
+    Parseval, and ``gap`` = |hardy_ratio - matrix_norm| checks the bridge
+    identity in floats: one convolution against one Hankel product, so it
+    is rounding on the Lanczos route (whose value is v'Hv) and also carries
+    the eigensolve's residual on the dense one.  ``grid`` is the boundary
+    grid g was squared on.
     """
 
     N: int
@@ -266,18 +277,23 @@ def equivalence_witness(c: XSequence, N: int, M: int | None = None,
     """Build the extremal witness f = g^2 from the top Hankel vector.
 
     With g = sum v_n z^n and v >= 0 the witness satisfies
-    sum_n |f_n| c_n = v'Hv = lam and ||f||_1 = ||g||_2^2 = 1, so the
-    weighted-sum ratio reproduces lam/||c|| and the report's gap
-    collapses to quadrature-plus-eigensolver tolerance.  An unconverged
-    estimate propagates through the ``estimate`` field.
+    sum_n |f_n| c_n = v'Hv = lam and, since |f| = |g|^2 on the circle,
+    ||f||_1 = ||g||_2^2 = ||v||^2 (Parseval), so the weighted-sum ratio
+    reproduces lam/||c|| with no quadrature.  g is squared on the M-point
+    grid that _resolve_grid gives degree 2N-2; its M >= 4(2N-1) keeps the
+    circular square linear.  Rounding noise below zero is clipped, since
+    v >= 0 makes every coefficient nonnegative.  An unconverged estimate
+    propagates through the ``estimate`` field.
     """
     est = matrix_norm(c, N, method)
     xn = xnorm(c)
     if xn == 0.0:
         raise ValueError("witness undefined for the zero sequence")
-    witness = AnalyticPoly(cauchy_product(est.top_vector, est.top_vector))
-    grid = _resolve_grid(witness.degree, M)
-    ratio = hardy_ratio(witness, c, grid)
+    grid = _resolve_grid(2 * N - 2, M)
+    v = est.top_vector
+    f = np.fft.irfft(np.fft.rfft(v, grid) ** 2, grid)[: 2 * N - 1]
+    witness = AnalyticPoly(np.maximum(f, 0.0))
+    ratio = hardy_sum(witness, c) / (xn * float(v @ v))
     bhat = est.value / xn
     return EquivalenceReport(N=N, matrix_norm=bhat, hardy_ratio=ratio,
                              gap=abs(ratio - bhat), witness=witness, estimate=est, grid=grid)
@@ -301,7 +317,8 @@ class DegreeBoundCheck:
     reason: str = ""
 
 
-def hardy_degree_bound_check(f: AnalyticPoly, c: XSequence) -> DegreeBoundCheck:
+def hardy_degree_bound_check(f: AnalyticPoly, c: XSequence, *,
+                             norm1: float | None = None) -> DegreeBoundCheck:
     """Check hardy_sum(f, c) <= matrix_norm(c, deg f + 1) * ||f||_1 * (1 + DEGREE_BOUND_TOL).
 
     A degree-d weighted sum only sees c_0..c_d, so by zero-extending the
@@ -309,13 +326,14 @@ def hardy_degree_bound_check(f: AnalyticPoly, c: XSequence) -> DegreeBoundCheck:
     Hankel form; entrywise monotonicity then bounds it by the true
     (d+1)-truncation norm.  The bound holds for every polynomial, zeros on
     the circle included (the limit of f(rz) as r -> 1).  An unconverged
-    norm estimate skips the check and says so.
+    norm estimate skips the check and says so.  ``norm1`` is ||f||_1 as
+    for hardy_ratio.
     """
     est = matrix_norm(c, f.degree + 1)
     if not est.converged:
         return DegreeBoundCheck(holds=None, lhs=0.0, rhs=0.0, slack=0.0,
                                 skipped=True, reason="matrix norm estimate unconverged")
     lhs = hardy_sum(f, c)
-    rhs = est.value * hp_norm(f, 1) * (1.0 + DEGREE_BOUND_TOL)
+    rhs = est.value * (hp_norm(f, 1) if norm1 is None else norm1) * (1.0 + DEGREE_BOUND_TOL)
     return DegreeBoundCheck(holds=bool(lhs <= rhs), lhs=lhs, rhs=rhs,
                             slack=rhs - lhs, skipped=False)

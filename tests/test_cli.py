@@ -419,22 +419,26 @@ class TestEquiv:
         assert code == 2
 
     @pytest.mark.parametrize("argv, grid", [
-        (["--n", "4"], 4096),                       # the default starting grid
+        (["--n", "4"], 4096),                       # the default grid
         (["--n", "1100"], 16384),                   # 4 (deg + 1) = 8796 for degree 2198
         (["--n", "4", "--grid", "5000"], 8192),     # a given grid rounds up to a power of two
     ])
-    def test_grid_echo_is_the_grid_hp_norm_ran_on(self, capsys, monkeypatch, argv, grid):
+    def test_grid_echo_is_the_grid_g_was_squared_on(self, capsys, monkeypatch, argv, grid):
+        # the witness's inverse transform is the last one equiv runs; the
+        # Lanczos products before it (fft route at N = 1100) run on 4096 points
         seen = []
+        real = np.fft.irfft
 
-        def recording_hp_norm(f, p, M=None):
-            seen.append(M)
-            return hp_norm(f, p, M)
+        def recording_irfft(a, n=None, *args, **kwargs):
+            seen.append(n)
+            return real(a, n, *args, **kwargs)
 
-        monkeypatch.setattr(inequalities, "hp_norm", recording_hp_norm)
+        monkeypatch.setattr(np.fft, "irfft", recording_irfft)
         code, out, _ = run(capsys, ["equiv"] + argv)
         assert code == 0
         assert json.loads(out)["params"]["grid"] == grid
-        assert seen == [grid]
+        assert seen[-1] == grid
+        assert set(seen[:-1]) <= {4096}
 
 
 class TestCarleson:
@@ -641,6 +645,35 @@ class TestHardyCheck:
         code, out, err = run(capsys, ["hardy-check", str(path)])
         assert code == 3
         assert err.startswith("error:")
+        assert out == ""
+
+    def test_one_norm_computed_once(self, capsys, monkeypatch, tmp_path):
+        # the ratio and the degree bound share one ||f||_1: for 1 + z/2 that is
+        # one trapezoid pair (M and 2M points), not two
+        calls = []
+        real = hardyspace._trap_mean_abs
+
+        def counting(f, M):
+            calls.append(M)
+            return real(f, M)
+
+        monkeypatch.setattr(hardyspace, "_trap_mean_abs", counting)
+        path = tmp_path / "poly.csv"
+        write_polynomial_csv(path, AnalyticPoly([1.0, 0.5]))
+        code, out, _ = run(capsys, ["hardy-check", str(path)])
+        assert code == 0
+        assert calls == [4096, 8192]
+        # sum |a_n| c_n = 1 + 1/4 over the unit-norm classic weight
+        assert json.loads(out)["hardy_ratio"] == 1.25 / hp_norm(AnalyticPoly([1.0, 0.5]), 1)
+
+    @pytest.mark.parametrize("coeffs, values", [([0.0], [1.0, 0.5]), ([1.0, 0.5], [0.0, 0.0, 0.0])])
+    def test_zero_input_is_usage_error(self, capsys, tmp_path, coeffs, values):
+        poly, seq = tmp_path / "poly.csv", tmp_path / "seq.csv"
+        write_polynomial_csv(poly, AnalyticPoly(coeffs))
+        write_sequence_csv(seq, XSequence(values))
+        code, out, err = run(capsys, ["hardy-check", str(poly), "--sequence", str(seq)])
+        assert code == 2
+        assert "ratio undefined for the zero" in err
         assert out == ""
 
     def test_tolerance_echo_is_the_check_default(self, capsys, monkeypatch, poly_file):

@@ -1,7 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from hardyhilbert import inequalities
+from hardyhilbert import hardyspace, inequalities
 from hardyhilbert.hardyspace import AnalyticPoly, cauchy_product
 from hardyhilbert.inequalities import (
     DEGREE_BOUND_TOL,
@@ -19,7 +25,13 @@ from hardyhilbert.inequalities import (
     hilbert_form,
     matrix_norm,
 )
-from hardyhilbert.seqspace import XSequence, classic_sequence, slow_decay_sequence, trace_to_xsequence
+from hardyhilbert.seqspace import (
+    XSequence,
+    classic_sequence,
+    slow_decay_sequence,
+    trace_to_xsequence,
+    xnorm,
+)
 
 CLASSIC_N2 = (4.0 + np.sqrt(13.0)) / 6.0  # closed-form top eigenvalue of [[1,1/2],[1/2,1/3]]
 
@@ -75,7 +87,7 @@ class TestHardySum:
         f = AnalyticPoly([1.0, 1.0])
         c = classic_sequence(2)
         assert hardy_sum(f, c) == 1.5
-        assert hardy_ratio(f, c, 4096) == pytest.approx(3.0 * np.pi / 8.0, rel=1e-11)
+        assert hardy_ratio(f, c) == pytest.approx(3.0 * np.pi / 8.0, rel=1e-11)
 
 
 class TestHardyRatio:
@@ -285,6 +297,32 @@ class TestLanczos:
         with pytest.raises(ValueError):
             matrix_norm(classic_sequence(3), 2, "power_iteration")
 
+    def test_converges_at_two_to_the_twenty(self):
+        # At N = 2^20, with one BLAS thread, lam and theta differ by 1.2e-14
+        # on every restart: a quotient tolerance of 8 eps lam, without the
+        # sqrt(N) of a length-N sum's rounding, was never met and the solve
+        # ran on towards MAX_ITERATIONS.  The rounding depends on the BLAS
+        # thread count, so the solve runs in a one-thread child, whose cap
+        # of 64 products turns a stall into a quick failure.
+        script = (
+            "import json; from hardyhilbert import inequalities as q, seqspace\n"
+            "q.MAX_ITERATIONS = 64\n"
+            "e = q.matrix_norm(seqspace.classic_sequence(2**21 - 1), 2**20)\n"
+            "print(json.dumps([e.value, e.iterations, e.residual, e.converged]))\n"
+        )
+        src = str(Path(inequalities.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1",
+                   OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              timeout=120, env=env, check=True)
+        value, iterations, residual, converged = json.loads(proc.stdout)
+        assert converged
+        assert iterations <= 16
+        assert residual <= ROUNDING_FLOOR * value * np.sqrt(2**20)
+        # above the N = 2^19 value 2.78816 and below Hilbert's constant pi
+        assert 2.788 < value < np.pi
+
 
 class TestEquivalenceWitness:
     def test_trivial_size_one(self):
@@ -308,6 +346,36 @@ class TestEquivalenceWitness:
     def test_witness_degree(self):
         rep = equivalence_witness(classic_sequence(9), 5)
         assert rep.witness.degree == 8
+
+    @pytest.mark.parametrize("N, weight", [(1, "classic"), (2, "classic"), (24, "classic"),
+                                           (4096, "classic"), (24, "even")])
+    def test_witness_needs_no_quadrature(self, monkeypatch, N, weight):
+        # ||f||_1 = ||v||^2 is Parseval and f is squared on a grid: no
+        # boundary quadrature and no root finding may run.  Weights only at
+        # even indices zero half of v, and the odd coefficients of f come
+        # out of the transforms as rounding noise of both signs, clipped at 0
+        def refuse(*args, **kwargs):
+            raise AssertionError("quadrature or root finding on the witness")
+
+        for holder in (hardyspace, inequalities):
+            monkeypatch.setattr(holder, "hp_norm", refuse)
+        monkeypatch.setattr(hardyspace, "_trap_mean_abs", refuse)
+        monkeypatch.setattr(hardyspace, "_panel_mean_abs", refuse)
+        monkeypatch.setattr(hardyspace.AnalyticPoly, "roots", refuse)
+        k = np.arange(2 * N - 1)
+        c = classic_sequence(2 * N - 1) if weight == "classic" else XSequence(
+            np.where(k % 2 == 0, 1.0 / (k + 1), 0.0))
+        rep = equivalence_witness(c, N)
+        v = rep.estimate.top_vector
+        oracle = np.convolve(v, v)  # the direct Cauchy product, an independent route
+        f = np.zeros(2 * N - 1, dtype=complex)
+        f[: rep.witness.coeffs.size] = rep.witness.coeffs
+        assert np.all(f.real >= 0) and np.all(f.imag == 0)
+        assert np.abs(f - oracle).max() <= 1e-15 * (v @ v)
+        if weight == "classic":  # no coefficient of f sits at rounding level
+            assert rep.witness.degree == 2 * N - 2
+        assert rep.hardy_ratio == hardy_sum(rep.witness, c) / (xnorm(c) * (v @ v))
+        assert rep.gap <= 1e-14
 
 
 class TestBestConstantScan:
