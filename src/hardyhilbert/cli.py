@@ -3,12 +3,17 @@
 Data goes to the output stream (--out PATH, default stdout) in exactly the
 requested format; diagnostics and findings go to stderr.  Exit codes:
 0 success, 1 property failure, 2 usage error, 3 numerical non-convergence.
-Reports embed the defaults they ran with, so reruns are reproducible.
+Reports embed the defaults they ran with, so reruns with the same BLAS
+thread count are reproducible: large Hankel norms can move in their last
+bits with that count (``hilbert-norm --n-list 1048576`` differs in its
+16th digit between the default threads and OPENBLAS_NUM_THREADS=1), and
+no report echoes it.
 
-Every subcommand's JSON payload and CSV rows are laid out here and nowhere
-else; the engines return plain dataclasses.  The interchange CSVs
-(sequences, traces, polynomials) are read and written by ``seqspace`` and
-``hardyspace``, each writer next to its reader.
+Every subcommand's JSON payload and CSV rows are laid out here, except
+the JSON of ``suite``, which is harness.SuiteReport.to_json(); the engines
+return plain dataclasses.  The interchange CSVs (sequences, traces,
+polynomials) are read and written by ``seqspace`` and ``hardyspace``, each
+writer next to its reader.
 """
 
 from __future__ import annotations
@@ -197,7 +202,7 @@ def _cmd_hilbert_norm(args) -> int:
 
 def _cmd_equiv(args) -> int:
     c = _load_sequence(args, 2 * args.n - 1)
-    report = inequalities.equivalence_witness(c, args.n, M=args.grid, method=args.method)
+    report = inequalities.equivalence_witness(c, args.n, M=args.grid)
     fields = {"N": report.N, "matrix_norm": report.matrix_norm,
               "hardy_ratio": report.hardy_ratio, "gap": report.gap,
               "witness_degree": report.witness.degree}
@@ -205,7 +210,7 @@ def _cmd_equiv(args) -> int:
         _emit_rows(args, [list(fields), list(fields.values())])
     else:
         _emit_json(args, {**fields, "converged": report.estimate.converged,
-                          "params": {"grid": report.grid, "method": args.method,
+                          "params": {"grid": report.grid, "method": report.estimate.method,
                                      "residual_tol": inequalities.RESIDUAL_TOL}})
     return 0 if report.estimate.converged else 3
 
@@ -250,7 +255,7 @@ def _cmd_kconst(args) -> int:
 
 def _cmd_factorize(args) -> int:
     f = hardyspace.read_polynomial_csv(args.file)
-    report = hardyspace.factorization_report(f, M=args.grid)
+    report = hardyspace.factorization_report(f)
     if args.out_g:
         hardyspace.write_polynomial_csv(args.out_g, report.g)
     if args.out_h:
@@ -352,9 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("equiv", help="extremal witness closing the two best constants")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--method", choices=[inequalities.LANCZOS, inequalities.DENSE_EIGEN],
-                   default=inequalities.LANCZOS)
+    p.add_argument("--grid", type=int, default=None, help="fft length, at least 2N-1")
     _add_sequence_source(p)
     _add_common(p)
     p.set_defaults(func=_cmd_equiv)
@@ -373,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("factorize", help="factor f = g*h with |g|=|h|=|f|^(1/2) on the circle")
     p.add_argument("file", help="polynomial CSV (header index,re,im)")
-    p.add_argument("--grid", type=int, default=None)
     p.add_argument("--out-g", default=None, help="write g as polynomial CSV")
     p.add_argument("--out-h", default=None, help="write h as polynomial CSV")
     _add_common(p, csv_ok=False)

@@ -88,7 +88,7 @@ def _next_pow2(n: int) -> int:
     return 1 << max(0, int(n - 1).bit_length())
 
 
-# Smallest grid hp_norm starts from when no M is given.
+# Smallest grid the boundary 1-norm and the factorization start from.
 _MIN_GRID = 4096
 
 
@@ -160,22 +160,30 @@ def _panel_mean_abs(f: AnalyticPoly, kinks) -> float:
                            f"{_PANEL_ROUNDS} passes (last change {change:.3e})", residual=change)
 
 
-def hp_norm(f: AnalyticPoly, p: int, M: int | None = None) -> float:
+def hp_norm(f: AnalyticPoly, p: int) -> float:
     """Boundary p-norm of a polynomial, p in {1, 2}.
 
     p = 2 is Parseval on the coefficients.  p = 1 is the mean of |f| over
-    the circle, by one of two routes.  Trapezoid sums on M and 2M points
-    are accepted once they agree to TRAP_RTOL.  Otherwise the mean comes
-    from Gauss-Legendre panels split at the zeros within KINK_NEAR of the
-    circle (one arc over the whole circle when there is none), which raise
-    ConvergenceError if they do not settle.  M sets the starting resolution;
-    the returned value is grid-independent.
+    the circle by _boundary_mean_abs, started from the larger of 4096 and
+    the power of two at or above 4(deg f + 1).  The result does not depend
+    on that grid: the trapezoid pair is taken only once it agrees to
+    TRAP_RTOL, and the panels refine until they settle.
     """
     if p == 2:
         return float(np.linalg.norm(f.coeffs))
     if p != 1:
         raise ValueError(f"p must be 1 or 2, got {p}")
-    M = _resolve_grid(f.degree, M)
+    return _boundary_mean_abs(f, _resolve_grid(f.degree, None))
+
+
+def _boundary_mean_abs(f: AnalyticPoly, M: int) -> float:
+    """Mean of |f| over the circle, starting from an M-point grid.
+
+    Trapezoid sums on M and 2M points are accepted once they agree to
+    TRAP_RTOL.  Otherwise the mean comes from Gauss-Legendre panels split at
+    the zeros within KINK_NEAR of the circle (one arc over the whole circle
+    when there is none), which raise ConvergenceError if they do not settle.
+    """
     t1 = _trap_mean_abs(f, M)
     t2 = _trap_mean_abs(f, 2 * M)
     if abs(t2 - t1) <= TRAP_RTOL * max(t2, 1e-300):
@@ -215,7 +223,7 @@ class RieszFactorization:
     grid_size: int
 
 
-def factorization_report(f: AnalyticPoly, M: int | None = None) -> RieszFactorization:
+def factorization_report(f: AnalyticPoly) -> RieszFactorization:
     """Factor f = g*h with |g| = |h| = |f|^(1/2) on the circle.
 
     h is the outer square root of |f| and g = f/h, so ||f||_1 =
@@ -224,28 +232,28 @@ def factorization_report(f: AnalyticPoly, M: int | None = None) -> RieszFactoriz
     winding number of f around the grid.  A grid point where f vanishes
     exactly raises ConvergenceError.  The outer square root's Taylor tail
     is cut at the grid, so a zero on or near the circle needs a finer one:
-    without ``M`` the grid starts at max(4096, 16(d+1)) and doubles, up to
-    _FACTOR_GRID_CAP, while the residual exceeds FACTOR_RESIDUAL_REL *
-    ||f||_2.  A residual still above that on the last grid (or on the given
-    ``M``) raises ConvergenceError.  ``grid_size`` is the grid that passed.
+    the grid starts at the larger of 4096 and the power of two at or above
+    16(deg f + 1), and doubles, up to _FACTOR_GRID_CAP, while the residual
+    exceeds FACTOR_RESIDUAL_REL * ||f||_2.  A residual still above that on
+    the last grid raises ConvergenceError.  ``grid_size`` is the grid that
+    passed; ``norm_defect`` takes ||f||_1 by _boundary_mean_abs from it.
     """
     if f.is_zero:
         raise ValueError("cannot factorize the zero polynomial")
-    d = f.degree
-    grid = _resolve_grid(d, M, max(_MIN_GRID, _next_pow2(16 * (d + 1))))
+    grid = max(_MIN_GRID, _next_pow2(16 * (f.degree + 1)))
     limit = FACTOR_RESIDUAL_REL * hp_norm(f, 2)
     while True:
         g, h, residual, winding = _factor_on_grid(f, grid)
         if residual <= limit:
             break
-        if M is not None or 2 * grid > _FACTOR_GRID_CAP:
+        if 2 * grid > _FACTOR_GRID_CAP:
             raise ConvergenceError(
                 f"factor product misses f by {residual:.3e} (limit {limit:.3e}) "
                 f"on a {grid}-point grid",
                 residual=residual,
             )
         grid *= 2
-    defect = abs(hp_norm(f, 1, grid) - hp_norm(g, 2) * hp_norm(h, 2))
+    defect = abs(_boundary_mean_abs(f, grid) - hp_norm(g, 2) * hp_norm(h, 2))
     return RieszFactorization(
         g=g,
         h=h,

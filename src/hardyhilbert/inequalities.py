@@ -22,12 +22,14 @@ truncation size.
 The top pair comes from Lanczos with full reorthogonalization on a
 Hankel operator kept as its 2N-1 generating values: from N >= FFT_MIN_N
 (256) the operator holds the generator's FFT, computed once, and each
-product costs one rfft and one irfft of a power-of-two length >= 2N-1;
-below that the direct O(N^2) correlation is faster.  Lanczos converges
-at the Chebyshev rate in the square root of the spectral gap (Kaniel,
-Paige, Saad), where power iteration only gets the gap ratio itself: 10
-products against 56 at N = 8192.  A dense symmetric eigensolve, allowed
-for N <= 512, is the oracle the Lanczos route is tested against.
+product costs one rfft and one irfft of the smallest power-of-two length
+>= 2N-1; below that the direct O(N^2) correlation is faster.  Lanczos
+converges at the Chebyshev rate in the square root of the spectral gap
+(Kaniel, Paige, Saad), where power iteration only gets the gap ratio
+itself: 10 products against 56 at N = 8192.  A dense symmetric
+eigensolve, allowed for N <= 512, is the oracle the Lanczos route is
+tested against.  The witness square g^2 has 2N-1 coefficients, so it is
+taken on the same fft length at every N.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hardyspace import AnalyticPoly, _resolve_grid, hp_norm
+from .hardyspace import AnalyticPoly, _next_pow2, hp_norm
 from .seqspace import XSequence, xnorm
 
 LANCZOS = "lanczos"
@@ -97,6 +99,15 @@ def hilbert_form(a, b, c: XSequence) -> float:
     return float(np.einsum("n,m,nm->", A, B, C))
 
 
+def _fft_length(N: int, M: int | None = None) -> int:
+    """Smallest power of two >= 2N-1, the fft length of the N x N Hankel
+    operator, on which a circular square of N coefficients is linear; or
+    the smallest power of two >= M for a given M, which must be >= 2N-1."""
+    if M is not None and M < 2 * N - 1:
+        raise ValueError(f"grid too small: need M >= {2 * N - 1}, got {M}")
+    return _next_pow2(2 * N - 1 if M is None else M)
+
+
 def _hankel_operator(gen: np.ndarray, N: int, method: str):
     """Build v -> Hv for the N x N Hankel matrix H[n, m] = gen[n+m].
 
@@ -114,7 +125,7 @@ def _hankel_operator(gen: np.ndarray, N: int, method: str):
     if method == "direct":
         return lambda v: np.convolve(gen, v[::-1])[N - 1 : 2 * N - 1]
     if method == "fft":
-        L = 1 << (2 * N - 2).bit_length()  # smallest power of two >= 2N-1
+        L = _fft_length(N)
         spectrum = np.fft.rfft(gen, L)
         return lambda v: np.fft.irfft(spectrum * np.fft.rfft(v[::-1], L), L)[N - 1 : 2 * N - 1]
     raise ValueError(f"unknown matvec method {method!r}")
@@ -258,9 +269,8 @@ class EquivalenceReport:
     ``hardy_ratio`` is its weighted-sum ratio, with ||f||_1 = ||v||^2 by
     Parseval, and ``gap`` = |hardy_ratio - matrix_norm| checks the bridge
     identity in floats: one convolution against one Hankel product, so it
-    is rounding on the Lanczos route (whose value is v'Hv) and also carries
-    the eigensolve's residual on the dense one.  ``grid`` is the boundary
-    grid g was squared on.
+    is rounding, since the Lanczos value is v'Hv.  ``grid`` is the fft
+    length g was squared on.
     """
 
     N: int
@@ -272,24 +282,25 @@ class EquivalenceReport:
     grid: int
 
 
-def equivalence_witness(c: XSequence, N: int, M: int | None = None,
-                        method: str = LANCZOS) -> EquivalenceReport:
+def equivalence_witness(c: XSequence, N: int, M: int | None = None) -> EquivalenceReport:
     """Build the extremal witness f = g^2 from the top Hankel vector.
 
     With g = sum v_n z^n and v >= 0 the witness satisfies
     sum_n |f_n| c_n = v'Hv = lam and, since |f| = |g|^2 on the circle,
     ||f||_1 = ||g||_2^2 = ||v||^2 (Parseval), so the weighted-sum ratio
-    reproduces lam/||c|| with no quadrature.  g is squared on the M-point
-    grid that _resolve_grid gives degree 2N-2; its M >= 4(2N-1) keeps the
-    circular square linear.  Rounding noise below zero is clipped, since
-    v >= 0 makes every coefficient nonnegative.  An unconverged estimate
-    propagates through the ``estimate`` field.
+    reproduces lam/||c|| with no quadrature.  g is squared by one rfft and
+    one irfft of the Hankel operator's fft length, the smallest power of
+    two >= 2N-1, on which the circular square of N coefficients is linear.
+    A given M must be >= 2N-1 and is rounded up to a power of two.
+    Rounding noise below zero is clipped, since v >= 0 makes every
+    coefficient nonnegative.  An unconverged estimate propagates through
+    the ``estimate`` field.
     """
-    est = matrix_norm(c, N, method)
+    grid = _fft_length(N, M)
+    est = matrix_norm(c, N)
     xn = xnorm(c)
     if xn == 0.0:
         raise ValueError("witness undefined for the zero sequence")
-    grid = _resolve_grid(2 * N - 2, M)
     v = est.top_vector
     f = np.fft.irfft(np.fft.rfft(v, grid) ** 2, grid)[: 2 * N - 1]
     witness = AnalyticPoly(np.maximum(f, 0.0))

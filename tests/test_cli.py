@@ -412,15 +412,18 @@ class TestEquiv:
         assert out1 == out2
 
     def test_method_echo_is_lanczos(self, capsys):
+        # the echo is the route the estimate took; there is no --method to pick it
         code, out, _ = run(capsys, ["equiv", "--n", "4"])
         assert code == 0
         assert json.loads(out)["params"]["method"] == "lanczos"
-        code, _, _ = run(capsys, ["equiv", "--n", "4", "--method", "power_iteration"])
+        code, out, err = run(capsys, ["equiv", "--n", "4", "--method", "lanczos"])
         assert code == 2
+        assert out == ""
+        assert "--method" in err
 
     @pytest.mark.parametrize("argv, grid", [
-        (["--n", "4"], 4096),                       # the default grid
-        (["--n", "1100"], 16384),                   # 4 (deg + 1) = 8796 for degree 2198
+        (["--n", "4"], 8),                          # the smallest power of two >= 2N-1 = 7
+        (["--n", "1100"], 4096),                    # 2N-1 = 2199, the Hankel operator's length
         (["--n", "4", "--grid", "5000"], 8192),     # a given grid rounds up to a power of two
     ])
     def test_grid_echo_is_the_grid_g_was_squared_on(self, capsys, monkeypatch, argv, grid):
@@ -439,6 +442,16 @@ class TestEquiv:
         assert json.loads(out)["params"]["grid"] == grid
         assert seen[-1] == grid
         assert set(seen[:-1]) <= {4096}
+
+    def test_given_grid_must_hold_the_square(self, capsys):
+        # g^2 has 2N-1 = 7 coefficients: 7 points round up to 8, 6 are refused
+        code, out, _ = run(capsys, ["equiv", "--n", "4", "--grid", "7"])
+        assert code == 0
+        assert json.loads(out)["params"]["grid"] == 8
+        code, out, err = run(capsys, ["equiv", "--n", "4", "--grid", "6"])
+        assert code == 2
+        assert out == ""
+        assert "need M >= 7" in err
 
 
 class TestCarleson:
@@ -611,6 +624,13 @@ class TestFactorize:
         code, _, err = run(capsys, ["factorize", str(path)])
         assert code == 3
         assert "circle" in err
+
+    def test_grid_flag_removed(self, capsys, poly_file):
+        # the grid starts at max(4096, 16 (d + 1)) and doubles as needed
+        code, out, err = run(capsys, ["factorize", poly_file, "--grid", "4096"])
+        assert code == 2
+        assert out == ""
+        assert "--grid" in err
 
 
 class TestHardyCheck:

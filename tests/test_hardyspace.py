@@ -8,6 +8,7 @@ from hardyhilbert.hardyspace import (
     AnalyticPoly,
     FACTOR_RESIDUAL_REL,
     ConvergenceError,
+    _boundary_mean_abs,
     _on_circle,
     cauchy_product,
     dual_pairing,
@@ -52,7 +53,7 @@ class TestHpNorm:
     def test_one_plus_z_quadrature(self):
         # boundary zero: mean of |1+z| is 4/pi, beyond plain-trapezoid reach
         f = AnalyticPoly([1.0, 1.0])
-        assert hp_norm(f, 1, 4096) == pytest.approx(4.0 / np.pi, abs=1e-12)
+        assert _boundary_mean_abs(f, 4096) == pytest.approx(4.0 / np.pi, abs=1e-12)
 
     def test_parseval(self):
         assert hp_norm(AnalyticPoly([1.0, 1.0]), 2) == pytest.approx(np.sqrt(2.0), abs=1e-15)
@@ -80,24 +81,23 @@ class TestHpNorm:
             radii = np.concatenate([rng.uniform(0.0, 0.95, 3), rng.uniform(1.05, 2.0, 3)])
             f = poly_from_roots(rng, radii)
             M = 8 * (f.degree + 1)
-            a = hp_norm(f, 1, M)
-            b = hp_norm(f, 1, 2 * M)
+            a = _boundary_mean_abs(f, M)
+            b = _boundary_mean_abs(f, 2 * M)
             assert abs(a - b) <= 1e-12 * abs(b)
 
     def test_bad_p_and_small_grid(self):
         f = AnalyticPoly(np.ones(8))
         with pytest.raises(ValueError):
             hp_norm(f, 3)
-        with pytest.raises(ValueError):
-            hp_norm(f, 1, 16)  # needs 4*(d+1) = 32
 
     def test_grid_independence_from_coarse_start(self):
         # zero at radius 1.02: outside the kink window, so a coarse start
         # forces whole-circle panels; the answer must match a fine start
         f = AnalyticPoly([1.0, 1.0 / 1.02])
-        coarse = hp_norm(f, 1, 8)
-        fine = hp_norm(f, 1, 2**15)
+        coarse = _boundary_mean_abs(f, 8)
+        fine = _boundary_mean_abs(f, 2**15)
         assert coarse == pytest.approx(fine, rel=1e-12)
+        assert hp_norm(f, 1) == pytest.approx(fine, rel=1e-12)
 
     def test_disagreeing_pair_without_near_zero_goes_to_panels(self, monkeypatch):
         # the pair on 8 and 16 points disagrees, no zero is within KINK_NEAR:
@@ -116,10 +116,10 @@ class TestHpNorm:
         monkeypatch.setattr(hardyspace, "_trap_mean_abs", recording_trap)
         monkeypatch.setattr(hardyspace, "_panel_mean_abs", recording_panel)
         f = AnalyticPoly([1.0, 1.0 / 1.02])
-        coarse = hp_norm(f, 1, 8)
+        coarse = _boundary_mean_abs(f, 8)
         assert trap_grids == [8, 16]
         assert len(panel_kinks) == 1 and panel_kinks[0].size == 0
-        fine = hp_norm(f, 1, 2**15)
+        fine = _boundary_mean_abs(f, 2**15)
         assert trap_grids == [8, 16, 2**15, 2**16]
         assert len(panel_kinks) == 1
         assert coarse == pytest.approx(fine, rel=1e-12)
@@ -240,20 +240,15 @@ class TestRieszFactorize:
         with pytest.raises(ValueError):
             factorization_report(AnalyticPoly([0.0]))
 
-    def test_near_circle_root_hits_convergence_guard(self):
+    def test_near_circle_root_fails_on_the_finest_grid(self):
         # a zero 1e-7 from the circle misses every grid point, but the
-        # outer tail cannot be truncated at any reasonable grid
+        # outer tail cannot be truncated at any reasonable grid: the grid
+        # doubles up to 2^18 before giving up
         f = AnalyticPoly(np.poly([(1 - 1e-7) * np.exp(0.7j)])[::-1])
-        with pytest.raises(ConvergenceError) as err:
-            factorization_report(f, M=4096)
+        with pytest.raises(ConvergenceError, match="262144-point grid") as err:
+            factorization_report(f)
         assert err.value.residual is not None
         assert err.value.residual > 0
-
-    def test_near_circle_root_fails_on_the_finest_grid(self):
-        # without M the grid doubles up to 2^18 before giving up
-        f = AnalyticPoly(np.poly([(1 - 1e-7) * np.exp(0.7j)])[::-1])
-        with pytest.raises(ConvergenceError, match="262144-point grid"):
-            factorization_report(f)
 
     def test_no_root_finding(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -321,20 +316,24 @@ class TestFactorGridDoubling:
             grids.append(rep.grid_size)
         assert min(grids) == 4096 and max(grids) > 4096  # some inputs needed a finer grid
 
-    def test_reported_grid_reproduces_the_report(self):
-        for f in gaussian_polynomial_sets()[16][:6]:
-            rep = factorization_report(f)
-            again = factorization_report(f, M=rep.grid_size)
-            assert again.grid_size == rep.grid_size
-            assert np.array_equal(again.g.coeffs, rep.g.coeffs)
-            assert np.array_equal(again.h.coeffs, rep.h.coeffs)
-            assert again.residual_max == rep.residual_max
+    def test_one_mean_abs_route_for_hp_norm_and_the_defect(self, monkeypatch):
+        # hp_norm(f, 1) starts the |f| mean on 4096 points at these degrees;
+        # the norm defect starts it on the grid the factor pair passed on
+        starts = []
+        real = hardyspace._boundary_mean_abs
 
-    def test_given_grid_is_not_refined(self):
-        f = next(f for f in gaussian_polynomial_sets()[16]
-                 if factorization_report(f).grid_size > 4096)
-        with pytest.raises(ConvergenceError, match="4096-point grid"):
-            factorization_report(f, M=4096)
+        def recording(f, M):
+            starts.append(M)
+            return real(f, M)
+
+        monkeypatch.setattr(hardyspace, "_boundary_mean_abs", recording)
+        for f in gaussian_polynomial_sets()[16]:
+            starts.clear()
+            norm1 = hp_norm(f, 1)
+            rep = factorization_report(f)
+            assert starts == [4096, rep.grid_size]
+            if rep.grid_size == 4096:  # the same start, so the same ||f||_1
+                assert rep.norm_defect == abs(norm1 - hp_norm(rep.g, 2) * hp_norm(rep.h, 2))
 
 
 class TestPolynomialCsv:

@@ -377,6 +377,25 @@ class TestEquivalenceWitness:
         assert rep.hardy_ratio == hardy_sum(rep.witness, c) / (xnorm(c) * (v @ v))
         assert rep.gap <= 1e-14
 
+    @pytest.mark.parametrize("N", [1, 2, 255, 256, 257, 1100, 4096])
+    def test_witness_is_squared_on_the_hankel_fft_length(self, monkeypatch, N):
+        # the square g^2 has 2N-1 coefficients, so the fft operator's own
+        # length, the smallest power of two >= 2N-1, keeps it linear
+        lengths = []
+        real = np.fft.irfft
+
+        def recording_irfft(a, n=None, *args, **kwargs):
+            lengths.append(n)
+            return real(a, n, *args, **kwargs)
+
+        c = classic_sequence(2 * N - 1)
+        monkeypatch.setattr(np.fft, "irfft", recording_irfft)
+        inequalities._hankel_operator(c.values, N, "fft")(np.ones(N))
+        operator_length = lengths.pop()
+        rep = equivalence_witness(c, N)
+        assert lengths[-1] == rep.grid == operator_length
+        assert operator_length >= 2 * N - 1 > operator_length // 2
+
 
 class TestBestConstantScan:
     def test_classic_starts_at_one(self):
