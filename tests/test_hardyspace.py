@@ -240,10 +240,18 @@ class TestRieszFactorize:
         with pytest.raises(ValueError):
             factorization_report(AnalyticPoly([0.0]))
 
-    def test_near_circle_root_fails_on_the_finest_grid(self):
+    def test_near_circle_root_hits_convergence_guard(self):
         # a zero 1e-7 from the circle misses every grid point, but the
-        # outer tail cannot be truncated at any reasonable grid: the grid
-        # doubles up to 2^18 before giving up
+        # outer tail cannot be truncated at any reasonable grid; the error
+        # carries the residual that broke the limit
+        f = AnalyticPoly(np.poly([(1 - 1e-7) * np.exp(0.7j)])[::-1])
+        with pytest.raises(ConvergenceError) as err:
+            factorization_report(f)
+        assert err.value.residual is not None
+        assert err.value.residual > FACTOR_RESIDUAL_REL * hp_norm(f, 2)
+
+    def test_near_circle_root_fails_on_the_finest_grid(self):
+        # the grid doubles up to 2^18 before giving up
         f = AnalyticPoly(np.poly([(1 - 1e-7) * np.exp(0.7j)])[::-1])
         with pytest.raises(ConvergenceError, match="262144-point grid") as err:
             factorization_report(f)
