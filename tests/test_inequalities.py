@@ -221,6 +221,67 @@ class TestMatrixNorm:
         assert est.value == 0.0
         assert est.converged
 
+    @pytest.mark.parametrize("c, N", [(classic_sequence(1), 1), (XSequence([2.5]), 1),
+                                      (XSequence(np.zeros(5)), 3)])
+    def test_dense_singular_shift(self, c, N):
+        # H - lam I is exactly singular at N = 1 and for zero weights; the
+        # nudged retry still gives a nonnegative unit vector and residual 0
+        est = matrix_norm(c, N, DENSE_EIGEN)
+        assert est.converged
+        assert est.value == (c.values[0] if N == 1 else 0.0)
+        assert est.residual == 0.0
+        assert np.all(est.top_vector >= 0)
+        assert np.linalg.norm(est.top_vector) == pytest.approx(1.0, abs=1e-15)
+
+    def test_dense_failed_solve_takes_the_nudged_retry(self, monkeypatch):
+        # a solve that reports a singular shift once is retried a few ulps
+        # past lam, not replaced by some other vector
+        N = 40
+        c = XSequence(np.random.default_rng(29).uniform(0.05, 1.0, 2 * N - 1))
+        real = np.linalg.solve
+        shifts = []
+
+        def singular_once(a, b):
+            shifts.append(np.diag(a).copy())
+            if len(shifts) == 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", singular_once)
+        est = matrix_norm(c, N, DENSE_EIGEN)
+        monkeypatch.undo()
+        assert len(shifts) == 2
+        step = shifts[0] - shifts[1]
+        assert np.all(step > 0) and np.all(step <= 8 * np.spacing(est.value))
+        _, V = np.linalg.eigh(c.values[np.add.outer(np.arange(N), np.arange(N))])
+        assert est.converged
+        assert np.abs(est.top_vector - np.abs(V[:, -1])).max() <= 1e-9
+
+    @pytest.mark.parametrize("N", [3, 40, 256, 512])
+    def test_dense_matches_full_eigh(self, N):
+        # the eigenvalue-only solve plus one inverse-iteration step against
+        # the full symmetric eigensolve, eigenvectors and all
+        c = XSequence(np.random.default_rng(N).uniform(0.0, 1.0, 2 * N - 1))
+        w, V = np.linalg.eigh(c.values[np.add.outer(np.arange(N), np.arange(N))])
+        est = matrix_norm(c, N, DENSE_EIGEN)
+        assert est.converged
+        assert est.iterations == 0
+        assert abs(est.value - w[-1]) <= 1e-12 * w[-1]
+        assert np.abs(est.top_vector - np.abs(V[:, -1])).max() <= 1e-9
+        assert est.residual <= RESIDUAL_TOL
+
+    @pytest.mark.parametrize("N", [8, 300])
+    def test_dense_split_spectrum_top_vector_clipped(self, N):
+        # TestLanczos.test_split_spectrum_top_vector_clipped on the dense
+        # route: the odd block of the solve is rounding, clipped to zero
+        k = np.arange(2 * N - 1)
+        c = XSequence(np.where(k % 2 == 0, 1.0 / (k + 1), 0.0))
+        est = matrix_norm(c, N, DENSE_EIGEN)
+        assert est.converged
+        assert np.all(est.top_vector >= 0)
+        assert np.linalg.norm(est.top_vector) == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(est.top_vector[1::2]).max() <= 1e-12
+
     def test_non_finite_weights_stop_unconverged(self):
         for N in (3, 300):
             c = classic_sequence(2 * N - 1)
@@ -296,6 +357,13 @@ class TestLanczos:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             matrix_norm(classic_sequence(3), 2, "power_iteration")
+
+    def test_classic_scan_products_pinned(self):
+        # the tridiagonal is filled in place; the product counts of the
+        # classic scan over 2..8192 stay those the matrix_norm docstring quotes
+        scan = best_constant_scan(classic_sequence(2 * 8192 - 1), [2**k for k in range(1, 14)])
+        assert [e.iterations for e in scan] == [3, 5, 6, 7, 7, 8, 8, 9, 9, 9, 10, 10, 10]
+        assert all(e.converged for e in scan)
 
     def test_converges_at_two_to_the_twenty(self):
         # At N = 2^20, with one BLAS thread, lam and theta differ by 1.2e-14

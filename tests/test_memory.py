@@ -1,4 +1,5 @@
-"""Peak traced memory of the long slow-decay and sequence passes.
+"""Peak traced memory of the long slow-decay and sequence passes, and of
+the dense Hankel oracle.
 
 numpy reports its data buffers to tracemalloc, so a call's traced peak is
 deterministic.  The bounds sit between the blockwise passes and the
@@ -14,7 +15,8 @@ import numpy as np
 import pytest
 
 from hardyhilbert import cli
-from hardyhilbert.seqspace import XSequence
+from hardyhilbert.inequalities import DENSE_EIGEN, matrix_norm
+from hardyhilbert.seqspace import XSequence, classic_sequence
 
 MB = 2**20
 
@@ -79,3 +81,15 @@ def test_slowdecay_csv_out(trace_csv_peak):
 def test_xnorm_of_trace(capsys, tmp_path, trace_csv_peak):
     argv = ["xnorm", str(trace_csv_peak[1]), "--out", str(tmp_path / "xnorm.json")]
     assert run_cli(capsys, argv) <= 20.0   # 42.1
+
+
+def test_dense_oracle_one_matrix():
+    # H is a view of the weights and LAPACK's eigenvalue-only path keeps no
+    # eigenvectors, so the shifted copy H - lam I (2 MiB at N = 512) is the
+    # route's one N x N array: 2.02 traced, against 4.03 with the index
+    # gather and the full eigenvector matrix
+    c = classic_sequence(1023)
+    peak = []
+    with traced_peak(peak):
+        matrix_norm(c, 512, DENSE_EIGEN)
+    assert peak[0] <= 2.5
