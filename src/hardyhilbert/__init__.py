@@ -57,11 +57,8 @@ from .seqspace import (
     SlowDecayTrace,
     XSequence,
     classic_sequence,
-    exported_xnorm,
-    infinitude_report,
     prefix_ratios,
     read_sequence_csv,
-    replay_values,
     slow_decay_report,
     slow_decay_sequence,
     trace_csv,
@@ -84,7 +81,6 @@ __all__ = [
     "equivalence_witness", "hardy_degree_bound_check", "hardy_ratio", "hardy_sum",
     "hilbert_form", "matrix_norm",
     "HARMONIC", "POWER", "SlowDecayTrace", "XSequence", "classic_sequence",
-    "exported_xnorm", "infinitude_report", "prefix_ratios", "read_sequence_csv", "replay_values",
-    "slow_decay_report", "slow_decay_sequence", "trace_csv", "trace_to_xsequence", "verify_margins",
-    "write_sequence_csv", "xnorm",
+    "prefix_ratios", "read_sequence_csv", "slow_decay_report", "slow_decay_sequence", "trace_csv",
+    "trace_to_xsequence", "verify_margins", "write_sequence_csv", "xnorm",
 ]

@@ -33,11 +33,14 @@ limits at the right ends increase with m (proved in ``k_constant``), so
 the supremum over (0, r_max] is one of two candidates.  The supremum over
 [0, 1) is the r -> 1 limit (1 - e^{-2})^{-2}, approached from below.
 
-The sweep report carries the comparison of sup ratio against
-2 K ||c||^2.  The proof-side constant undercounts (its windowed-sum step
-is off by one term on the unit-norm classic sequence), so exceeding it is
-recorded as a finding in the report; boundedness of the sweep is the
-property that matters.
+The normalization: an arc of normalized length L spans 2 pi L radians,
+its box has depth L, and its ratio is integral / L.  The sweep report
+carries the comparison of the sup ratio against 2 K ||c||^2 and records
+an exceedance as a finding; the comparison is recorded, not explained.
+On the classic sequence the excess grows with N (depth-12 sup ratios
+3.7514, 5.0472 and 5.4231 at N = 64, 1024 and 8192, against
+2 K ||c||^2 = 2.6751).  Boundedness of the sweep is the property that
+matters.
 """
 
 from __future__ import annotations

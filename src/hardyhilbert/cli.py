@@ -279,18 +279,17 @@ def _cmd_hardy_check(args) -> int:
     ratio = inequalities.hardy_ratio(f, c, norm1=norm1)
     check = inequalities.hardy_degree_bound_check(f, c, norm1=norm1)
     verdict = "skipped" if check.skipped else ("holds" if check.holds else "violated")
-    payload = {
-        "hardy_sum": total,
-        "hardy_ratio": ratio,
-        "degree_bound": {"verdict": verdict, "lhs": check.lhs, "rhs": check.rhs,
-                         "slack": check.slack, "reason": check.reason},
-        "params": {"degree": f.degree, "tolerance": inequalities.DEGREE_BOUND_TOL},
-    }
     if args.format == "csv":
         _emit_rows(args, [["hardy_sum", "hardy_ratio", "verdict", "lhs", "rhs"],
-                          [repr(total), repr(ratio), verdict, repr(check.lhs), repr(check.rhs)]])
+                          [total, ratio, verdict, check.lhs, check.rhs]])
     else:
-        _emit_json(args, payload)
+        _emit_json(args, {
+            "hardy_sum": total,
+            "hardy_ratio": ratio,
+            "degree_bound": {"verdict": verdict, "lhs": check.lhs, "rhs": check.rhs,
+                             "slack": check.slack, "reason": check.reason},
+            "params": {"degree": f.degree, "tolerance": inequalities.DEGREE_BOUND_TOL},
+        })
     if check.skipped:
         print(f"degree bound skipped: {check.reason}", file=sys.stderr)
         return 3

@@ -39,6 +39,7 @@ DEFAULT_CASES = {
 TOLERANCES = {
     "bridge_rel": 1e-12,
     "norm_rel": 1e-12,
+    "value_rule_rel": 2.0**-51,   # 2 eps: np.power against the trace's scalar pow
     "pairing_rel": 1e-12,
     "factor_rel": 1e-8,
     "witness_gap": 1e-8,
@@ -200,8 +201,10 @@ def _slow_decay_certificate(rng, case):
     cert, rep = full.certificate, full.infinitude
     m_cert = 0.0 if cert.ok else max(1e-300, -cert.min_margin)
     choice = np.concatenate(list(t.choice()))
-    replay = seqspace.replay_values(r, choice)
-    m_replay = 0.0 if np.array_equal(replay, np.concatenate(list(t.values()))) else 1.0
+    n = np.arange(1.0, N + 1.0)
+    rule = np.where(choice == 1, n**-r, 1.0 / n)
+    values = np.concatenate(list(t.values()))
+    m_rule = float(np.max(np.abs(values - rule) / rule)) - TOLERANCES["value_rule_rel"]
     m_bound = full.export_norm - 2.0 * np.sqrt(beta)
     positions = np.flatnonzero(choice) + 1   # counted from the flags, not the runs
     consistent = (
@@ -211,7 +214,7 @@ def _slow_decay_certificate(rng, case):
                 for d1, d2 in zip(rep.decades, rep.decades[1:]))
     )
     m_report = 0.0 if consistent else 1.0
-    return (m_nonneg, m_cert, m_replay, m_bound, m_report), dict(r=r, beta=beta, N=N)
+    return (m_nonneg, m_cert, m_rule, m_bound, m_report), dict(r=r, beta=beta, N=N)
 
 
 def _pairing_phase_identity(rng, case):

@@ -199,7 +199,9 @@ def matrix_norm(c: XSequence, N: int, method: str = LANCZOS) -> OperatorNormEsti
     more.  v is the clipped nonnegative unit x, and the residual
     ||Hv - lam v|| comes from the shifted matrix itself, so the oracle
     shares no code with the Hankel operator.  The reported value is
-    LAPACK's eigenvalue and ``iterations`` is 0.
+    LAPACK's eigenvalue and ``iterations`` is 0.  Non-finite weights, on
+    which LAPACK's eigensolver does not converge, yield a flagged estimate
+    (value NaN, residual inf) without a solve.
     """
     if N < 1:
         raise ValueError("N must be positive")
@@ -210,6 +212,10 @@ def matrix_norm(c: XSequence, N: int, method: str = LANCZOS) -> OperatorNormEsti
     if method == DENSE_EIGEN:
         if N > DENSE_N_LIMIT:
             raise ValueError(f"dense eigensolve limited to N <= {DENSE_N_LIMIT}")
+        if not np.isfinite(gen).all():
+            return OperatorNormEstimate(N=N, value=np.nan, method=method, iterations=0,
+                                        residual=np.inf, top_vector=np.ones(N) / np.sqrt(N),
+                                        converged=False)
         H = np.lib.stride_tricks.sliding_window_view(gen, N)  # H[n, m] = gen[n+m], no copy
         lam = float(np.linalg.eigvalsh(H)[-1])
         A = np.array(H)  # the shifted copy H - lam I, the only N x N array made here

@@ -55,7 +55,7 @@ lasted, _LONG_RUN steps; shorter runs (about ten steps at r = 0.95,
 beta = 1.3) are taken one scalar step at a time, which is cheaper than a
 numpy call or the closed form.  Values and margins at power picks use
 scalar **, since np.power differs from it in the last ulp for about one n
-in twenty (replay_values).
+in twenty.
 
 The long per-term passes (weighted prefix sums, budget margins, running
 maxima of n^s c_n, the trace CSV) run in blocks of _BLOCK terms, so their
@@ -222,23 +222,23 @@ class SlowDecayTrace:
             raise ValueError("a trace needs one flag per run and run starts that increase "
                              "from step 1 and stay within 1..N")
 
-    def _flag_blocks(self):
-        """(start, flags) for steps start+1..start+flags.size, block by block."""
+    def _steps(self):
+        """(n, flags) block by block: the steps n as float64 and their choice flags."""
         for start, stop in _blocks(self.N):
             lo = int(np.searchsorted(self.starts, start + 1, side="right")) - 1
             hi = int(np.searchsorted(self.starts, stop, side="right"))
             edges = np.concatenate(([start + 1], self.starts[lo + 1 : hi], [stop + 1]))
-            yield start, np.repeat(self.flags[lo:hi], np.diff(edges))
+            yield np.arange(start + 1.0, stop + 1.0), np.repeat(self.flags[lo:hi], np.diff(edges))
 
     def choice(self):
         """The choice flags, block by block."""
-        for _, flags in self._flag_blocks():
+        for _, flags in self._steps():
             yield flags
 
     def values(self):
-        """c_1..c_N, block by block, with the bits of replay_values."""
-        for start, flags in self._flag_blocks():
-            yield _values_block(self.r, start, flags)
+        """c_1..c_N, block by block: 1/n, or scalar n ** -r at the power picks."""
+        for n, flags in self._steps():
+            yield _values_block(self.r, n, flags)
 
     def margins(self):
         """beta*n - sum_{k<=n} k^2 c_k^2 for n = 1..N, block by block.
@@ -248,10 +248,9 @@ class SlowDecayTrace:
         """
         expo = 2.0 - 2.0 * self.r
         carry = 0.0
-        for start, flags in self._flag_blocks():
-            n = np.arange(start + 1.0, start + flags.size + 1.0)
+        for n, flags in self._steps():
             sums = _harmonic_increments(n)
-            picks, powers = _scalar_powers(start, flags, expo)
+            picks, powers = _scalar_powers(n, flags, expo)
             sums[picks] = powers
             sums[0] += carry
             np.add.accumulate(sums, out=sums)
@@ -260,23 +259,21 @@ class SlowDecayTrace:
             yield np.subtract(n, sums, out=n)
 
 
-def _scalar_powers(start: int, flags: np.ndarray, expo: float):
-    """Positions of the power picks in a block of steps start+1.., and n ** expo
-    at each, computed with scalar ** (np.power can differ in the last ulp).
+def _scalar_powers(n: np.ndarray, flags: np.ndarray, expo: float):
+    """Positions of the power picks among the steps n, and n ** expo at each,
+    computed with scalar ** (np.power can differ in the last ulp).
 
     math.pow is the C pow that a float's ** calls for a positive finite
     base, with less call overhead.
     """
     picks = np.flatnonzero(flags)
-    steps = (picks + (start + 1.0)).tolist()
-    return picks, np.fromiter(map(math.pow, steps, repeat(expo)), float, picks.size)
+    return picks, np.fromiter(map(math.pow, n[picks].tolist(), repeat(expo)), float, picks.size)
 
 
-def _values_block(r: float, start: int, flags: np.ndarray) -> np.ndarray:
-    """c_n for steps n = start+1..start+flags.size: 1/n, or n ** -r at power picks."""
-    out = np.arange(start + 1.0, start + flags.size + 1.0)
-    np.divide(1.0, out, out=out)
-    picks, powers = _scalar_powers(start, flags, -r)
+def _values_block(r: float, n: np.ndarray, flags: np.ndarray) -> np.ndarray:
+    """c_n for the steps n: 1/n, or n ** -r at power picks."""
+    out = np.divide(1.0, n)
+    picks, powers = _scalar_powers(n, flags, -r)
     out[picks] = powers
     return out
 
@@ -451,16 +448,6 @@ def slow_decay_sequence(r: float, beta: float, N: int) -> SlowDecayTrace:
                           flags=flags)
 
 
-def replay_values(r: float, choice) -> np.ndarray:
-    """Rebuild trace values from the choice flags alone, bit for bit.
-
-    1/n everywhere, then scalar n ** -r at the power picks: vectorized
-    powers can differ from scalar ** in the last ulp.  A trace's values()
-    are this, block by block.
-    """
-    return _values_block(r, 0, np.asarray(choice))
-
-
 def trace_to_xsequence(t: SlowDecayTrace) -> XSequence:
     """Export a 1-indexed trace to the 0-indexed sequence convention.
 
@@ -538,7 +525,7 @@ def verify_margins(t: SlowDecayTrace) -> MarginCertificate:
 
 
 class _ExportNorm:
-    """exported_xnorm as a block pass.
+    """xnorm(trace_to_xsequence(t)), bit for bit, as a block pass.
 
     The exported sequence is c_0 := c_1, c_1, ..., c_N: c_n has weight n+1,
     and the head, weight 1, comes before the first block.  The prefix
@@ -565,11 +552,6 @@ class _ExportNorm:
         return float(np.sqrt(self.best))
 
 
-def exported_xnorm(t: SlowDecayTrace) -> float:
-    """xnorm(trace_to_xsequence(t)), bit for bit, in one streamed pass."""
-    return _report_pass(t, _ExportNorm())[0]
-
-
 @dataclass
 class DecadeStat:
     bound: int
@@ -579,7 +561,16 @@ class DecadeStat:
 
 @dataclass
 class InfinitudeReport:
-    """Evidence that the power choice recurs and n^s c_n keeps growing."""
+    """Evidence that the power choice recurs and n^s c_n keeps growing.
+
+    Power picks and running maxima of n^s c_n, tabulated at the decade
+    bounds 10, 100, ... and N.  It needs s > r: only there does a power
+    pick at n contribute the unbounded value n^{s-r}.
+    ``increasing_over_power_decades`` records whether the running maximum
+    strictly grew across every decade that contains a power pick (the first
+    decade has no predecessor and is skipped); ``strictly_growing`` requires
+    growth across all decades.  The power picks are counted from the runs.
+    """
 
     s: float
     power_count: int
@@ -590,7 +581,7 @@ class InfinitudeReport:
 
 
 def check_growth_exponent(r: float, s: float, N: int) -> None:
-    """Reject an exponent s for infinitude_report before any per-term work.
+    """Reject a growth exponent s for slow_decay_report before any per-term work.
 
     s must be finite and exceed r, and N**s must be a finite float, since
     the report evaluates n**s for n up to N.
@@ -606,7 +597,7 @@ def check_growth_exponent(r: float, s: float, N: int) -> None:
 
 
 class _Growth:
-    """infinitude_report as a block pass: the running maximum of n^s c_n,
+    """InfinitudeReport as a block pass: the running maximum of n^s c_n,
     read at each decade bound as the maximum of the block up to the bound
     and the maximum of the blocks before (carry); the power picks are
     counted from the runs."""
@@ -658,19 +649,6 @@ class _Growth:
         )
 
 
-def infinitude_report(t: SlowDecayTrace, s: float) -> InfinitudeReport:
-    """Tabulate power picks and running maxima of n^s c_n across decades.
-
-    Requires s > r: only there does a power pick at n contribute the
-    unbounded value n^{s-r}.  ``increasing_over_power_decades`` records
-    whether the running maximum strictly grew across every decade that
-    contains a power pick (the first decade has no predecessor and is
-    skipped); ``strictly_growing`` requires growth across all decades.
-    The power picks are counted from the runs.
-    """
-    return _report_pass(t, _Growth(t, s))[0]
-
-
 @dataclass
 class SlowDecayReport:
     certificate: MarginCertificate
@@ -679,11 +657,14 @@ class SlowDecayReport:
 
 
 def slow_decay_report(t: SlowDecayTrace, s: float) -> SlowDecayReport:
-    """verify_margins, infinitude_report and exported_xnorm in one pass.
+    """The margin certificate, the growth record and the export norm in one pass.
 
-    Each block of the trace's values is built once and fed to all three;
-    every field has the bits of the standalone call.  s is checked before
-    any per-term work.
+    ``certificate`` is verify_margins(t), bit for bit; ``infinitude`` is the
+    InfinitudeReport at exponent s, which must exceed r (checked, with
+    check_growth_exponent, before any per-term work); ``export_norm`` is
+    xnorm(trace_to_xsequence(t)), bit for bit, without the whole exported
+    sequence in memory.  Each block of the trace's values is built once and
+    fed to all three.
     """
     return SlowDecayReport(*_report_pass(t, _Certificate(t.beta), _Growth(t, s), _ExportNorm()))
 
@@ -778,13 +759,13 @@ def trace_csv(t: SlowDecayTrace):
     read_sequence_csv reads the text back as the exported sequence,
     ignoring the choice column.
     """
-    for start, flags in t._flag_blocks():
-        values = _values_block(t.r, start, flags)
-        if not start:
+    for n, flags in t._steps():
+        values = _values_block(t.r, n, flags)
+        if n[0] == 1:
             yield f"index,value,choice\n0,{float(values[0])!r}{_CHOICE_CELLS[flags[0]]}"
         for a in range(0, flags.size, _CSV_ROWS):
             b = min(a + _CSV_ROWS, flags.size)
             yield _floattext.rows(
-                _floattext.int_field(np.arange(start + a + 1, start + b + 1)), ",",
+                _floattext.int_field(n[a:b].astype(np.int64)), ",",
                 _floattext.float_field(values[a:b]),
                 _floattext.label_field(flags[a:b], _CHOICE_CELLS))

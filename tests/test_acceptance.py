@@ -21,7 +21,6 @@ from hardyhilbert import (
     hardy_sum,
     hilbert_form,
     hp_norm,
-    infinitude_report,
     k_constant,
     k_term,
     matrix_norm,
@@ -29,10 +28,10 @@ from hardyhilbert import (
     run_suite,
     sample_polynomial,
     sample_xsequence,
+    slow_decay_report,
     slow_decay_sequence,
     sweep_is_bounded,
     trace_to_xsequence,
-    verify_margins,
     xnorm,
 )
 from hardyhilbert.inequalities import DENSE_EIGEN, best_constant_scan
@@ -201,9 +200,10 @@ def test_c10_slow_decay_large_scale():
     notes = []
     for r, beta in ((0.6, 1.5), (0.75, 2.0), (0.9, 1.2)):
         trace = slow_decay_sequence(r, beta, 10**6)
+        full = slow_decay_report(trace, s=r + 0.1)
         margins_ok = (all(bool(np.all(m >= 0.0)) for m in trace.margins())
-                      and verify_margins(trace).ok)
-        report = infinitude_report(trace, s=r + 0.1)
+                      and full.certificate.ok)
+        report = full.infinitude
         shorter = slow_decay_sequence(r, beta, 10**5)
         count_short = sum(int(np.sum(flags == 1)) for flags in shorter.choice())
         grows = report.power_count > count_short

@@ -274,7 +274,6 @@ class TestSlowdecay:
         assert run(capsys, argv) == (2, "", message)
 
     def test_csv_skips_the_report(self, capsys, monkeypatch):
-        monkeypatch.setattr(seqspace, "infinitude_report", None)
         monkeypatch.setattr(seqspace, "slow_decay_report", None)
         code, out, _ = run(capsys, ["slowdecay", "--r", "0.6", "--beta", "1.5", "--n", "100",
                                     "--format", "csv"])
@@ -666,6 +665,23 @@ class TestHardyCheck:
         assert code == 3
         assert err.startswith("error:")
         assert out == ""
+
+    def test_csv_row_matches_json(self, capsys, tmp_path):
+        # 1 + z takes the panel route, whose 1-norm is a numpy float: the CSV
+        # cells must still be plain float text that reads back to the JSON values
+        path = tmp_path / "kink.csv"
+        write_polynomial_csv(path, AnalyticPoly([1.0, 1.0]))
+        code, out, _ = run(capsys, ["hardy-check", str(path)])
+        assert code == 0
+        payload = json.loads(out)
+        code, out, _ = run(capsys, ["hardy-check", str(path), "--format", "csv"])
+        assert code == 0
+        header, row = (line.split(",") for line in out.splitlines())
+        assert header == ["hardy_sum", "hardy_ratio", "verdict", "lhs", "rhs"]
+        bound = payload["degree_bound"]
+        assert row[2] == bound["verdict"]
+        assert [float(row[i]) for i in (0, 1, 3, 4)] == \
+            [payload["hardy_sum"], payload["hardy_ratio"], bound["lhs"], bound["rhs"]]
 
     def test_one_norm_computed_once(self, capsys, monkeypatch, tmp_path):
         # the ratio and the degree bound share one ||f||_1: for 1 + z/2 that is

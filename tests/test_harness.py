@@ -84,6 +84,17 @@ class TestMutationDetection:
         assert not report.passed
         assert '"pass": false' in report.to_json()  # failing report serializes too
 
+    def test_dropped_power_picks_are_caught(self, monkeypatch):
+        # every value 1/n: margins, certificate and export bound still pass,
+        # so only the check of values() against the np.power rule can fail;
+        # a trace whose only power pick is c_1 = 1 (= 1/1) passes it too
+        monkeypatch.setattr(seqspace, "_values_block", lambda r, n, flags: 1.0 / n)
+        report = run_suite(SuiteConfig(seed=3))
+        prop = next(p for p in report.properties if p.name == "slow_decay_certificate")
+        assert prop.failures >= prop.cases - 1
+        assert prop.witnesses and {"r", "beta", "N"} <= set(prop.witnesses[0])
+        assert not report.passed
+
     def test_witness_inputs_rerun_to_the_failure(self, monkeypatch):
         original = inequalities.hilbert_form
 

@@ -290,6 +290,15 @@ class TestMatrixNorm:
             assert not est.converged
             assert est.iterations == 1
 
+    @pytest.mark.parametrize("N", [3, 40])
+    def test_dense_non_finite_weights_flagged(self, N):
+        # LAPACK's eigensolver raises "did not converge" on these
+        c = classic_sequence(2 * N - 1)
+        c.values[1] = np.nan
+        est = matrix_norm(c, N, DENSE_EIGEN)
+        assert not est.converged and np.isnan(est.value)
+        assert (est.iterations, est.residual) == (0, np.inf)
+
 
 class TestLanczos:
     @pytest.mark.parametrize("N", [1024, 4096, 8192])

@@ -10,11 +10,8 @@ from hardyhilbert.seqspace import (
     XSequence,
     check_growth_exponent,
     classic_sequence,
-    exported_xnorm,
-    infinitude_report,
     prefix_ratios,
     read_sequence_csv,
-    replay_values,
     slow_decay_report,
     slow_decay_sequence,
     trace_csv,
@@ -258,8 +255,11 @@ class TestSlowDecay:
         assert np.array_equal(whole(a.margins()), whole(b.margins()))
 
     def test_values_bit_replay_from_flags(self):
+        # the flags alone fix the values: scalar n ** -r at power picks, else 1/n
         t = slow_decay_sequence(0.63, 1.7, 1500)
-        assert np.array_equal(replay_values(0.63, whole(t.choice())), whole(t.values()))
+        replay = [n ** -0.63 if f else 1.0 / n
+                  for n, f in enumerate(whole(t.choice()).tolist(), start=1)]
+        assert np.array_equal(np.array(replay), whole(t.values()))
 
     def test_prefix_consistency(self):
         long = slow_decay_sequence(0.8, 1.4, 800)
@@ -283,7 +283,7 @@ class TestSlowDecay:
         (0.9, 1.2, 10**5), (1.0, 1.01, 10**5)])
     def test_streamed_export_norm_is_bit_identical(self, r, beta, N):
         want = loop_slow_decay(r, beta, N)
-        norm = exported_xnorm(slow_decay_sequence(r, beta, N))
+        norm = slow_decay_report(slow_decay_sequence(r, beta, N), r + 0.1).export_norm
         assert norm == xnorm(XSequence(exported_values(want.values)))
         assert norm == xnorm(trace_to_xsequence(slow_decay_sequence(r, beta, N)))
 
@@ -431,11 +431,12 @@ class TestSmallWindows:
         assert_same_trace(t, want)
         assert all(len(b) == min(64, N - 64 * j) for j, b in enumerate(t.values()))
         exported = exported_values(want.values)
-        assert exported_xnorm(t) == xnorm(XSequence(exported))
+        full = slow_decay_report(t, r + 0.05)
+        assert full.export_norm == xnorm(XSequence(exported))
         cert = verify_margins(t)
         assert (cert.ok, cert.min_margin, cert.argmin_index) == \
             full_margin_certificate(want.values, beta)
-        rep = infinitude_report(t, r + 0.05)
+        rep = full.infinitude
         positions = np.flatnonzero(want.choice) + 1
         assert rep.power_count == positions.size
         assert rep.largest_power_index == positions[-1]
@@ -446,8 +447,8 @@ class TestSmallWindows:
         assert "".join(chunks) == "index,value,choice\n" + "".join(rows)
 
 
-# Fields of slow_decay_report at N = 10^6, s = r + 0.1, as verify_margins,
-# exported_xnorm and infinitude_report computed them before the one pass:
+# Fields of slow_decay_report at N = 10^6, s = r + 0.1, as separate passes
+# for the certificate, the export norm and the growth record computed them:
 # (argmin_index, min_margin, export_norm, power_count).
 MILLION_TERM_REPORTS = {
     (0.6, 1.5): (17189, 0.0016440972545304078, 1.7240917932670676, 33),
@@ -458,11 +459,10 @@ MILLION_TERM_REPORTS = {
 
 
 def assert_report_matches(t, s):
-    """slow_decay_report against the standalone reports and the full-array oracles."""
+    """slow_decay_report against verify_margins and the full-array oracles."""
     full = slow_decay_report(t, s)
     assert full.certificate == verify_margins(t)
-    assert full.infinitude == infinitude_report(t, s)
-    assert full.export_norm == exported_xnorm(t)
+    assert full.export_norm == xnorm(trace_to_xsequence(t))
     values = whole(t.values())
     cert = full.certificate
     assert (cert.ok, cert.min_margin, cert.argmin_index) == \
@@ -471,6 +471,9 @@ def assert_report_matches(t, s):
     running = np.maximum.accumulate(np.arange(1.0, t.N + 1.0) ** s * values)
     assert [d.running_max for d in full.infinitude.decades] == \
         [float(running[d.bound - 1]) for d in full.infinitude.decades]
+    positions = np.flatnonzero(whole(t.choice())) + 1
+    assert full.infinitude.power_count == positions.size
+    assert full.infinitude.largest_power_index == (positions[-1] if positions.size else 0)
     return full
 
 
@@ -555,9 +558,9 @@ class TestInfinitudeReport:
     def test_requires_s_above_r(self):
         t = slow_decay_sequence(0.6, 1.5, 100)
         with pytest.raises(ValueError):
-            infinitude_report(t, 0.6)
+            slow_decay_report(t, 0.6)
         with pytest.raises(ValueError):
-            infinitude_report(t, 0.5)
+            slow_decay_report(t, 0.5)
 
     @pytest.mark.parametrize("s, match", [
         (np.nan, "s must be finite"), (np.inf, "s must be finite"),
@@ -566,34 +569,34 @@ class TestInfinitudeReport:
         t = slow_decay_sequence(0.6, 1.5, 100)
         t.values = None   # the check must come before the first block
         with pytest.raises(ValueError, match=match):
-            infinitude_report(t, s)
+            slow_decay_report(t, s)
         with pytest.raises(ValueError, match=match):
             check_growth_exponent(0.6, s, 100)
 
     def test_largest_s_without_overflow(self):
         # 100.0 ** 154 = 1e308 is still a float
-        rep = infinitude_report(slow_decay_sequence(0.6, 1.5, 100), 154.0)
+        rep = slow_decay_report(slow_decay_sequence(0.6, 1.5, 100), 154.0).infinitude
         assert np.isfinite(rep.decades[-1].running_max)
 
     def test_power_recurrence_moderate_size(self):
         t = slow_decay_sequence(0.6, 1.5, 10**4)
         longer = slow_decay_sequence(0.6, 1.5, 10**5)
-        rep = infinitude_report(t, 0.7)
-        rep_longer = infinitude_report(longer, 0.7)
+        rep = slow_decay_report(t, 0.7).infinitude
+        rep_longer = slow_decay_report(longer, 0.7).infinitude
         assert rep_longer.power_count > rep.power_count
         positions = np.flatnonzero(whole(t.choice())) + 1
         assert positions.size == rep.power_count
         assert rep.largest_power_index == positions[-1]
 
     def test_power_count_grows_with_length(self):
-        short = infinitude_report(slow_decay_sequence(0.75, 2.0, 10**3), 0.8)
-        long_ = infinitude_report(slow_decay_sequence(0.75, 2.0, 10**4), 0.8)
+        short = slow_decay_report(slow_decay_sequence(0.75, 2.0, 10**3), 0.8).infinitude
+        long_ = slow_decay_report(slow_decay_sequence(0.75, 2.0, 10**4), 0.8).infinitude
         assert long_.power_count > short.power_count
 
     def test_all_harmonic_flagged_non_growing(self):
         N = 10**4
         t = SlowDecayTrace(r=0.5, beta=2.0, N=N, starts=[1], flags=[0])
-        rep = infinitude_report(t, 0.8)
+        rep = slow_decay_report(t, 0.8).infinitude
         assert rep.power_count == 0
         assert rep.largest_power_index == 0
         assert not rep.strictly_growing
@@ -601,7 +604,7 @@ class TestInfinitudeReport:
 
     def test_decade_bounds_cover_length(self):
         t = slow_decay_sequence(0.7, 1.5, 5432)
-        rep = infinitude_report(t, 0.8)
+        rep = slow_decay_report(t, 0.8).infinitude
         assert [d.bound for d in rep.decades] == [10, 100, 1000, 5432]
 
 
@@ -759,7 +762,7 @@ class TestBlockBoundaries:
         s = 0.7
         running = np.maximum.accumulate(np.arange(1, N + 1, dtype=float) ** s * whole(t.values()))
         positions = np.nonzero(whole(t.choice()))[0] + 1
-        rep = infinitude_report(t, s)
+        rep = slow_decay_report(t, s).infinitude
         prev = 0
         for d in rep.decades:
             assert d.running_max == float(running[d.bound - 1])
