@@ -136,13 +136,14 @@ def k_constant(r_max: float) -> KConstantScan:
       below 1/(3x^2), while the first is at least 1/(2x^2) for x >= 1.
 
     When the f(m_max - 1) candidate wins, argmax_r = 1 - 1/m_max is that
-    unattained left limit.  Powers go through log1p/expm1, so r_max near 1
-    (m_max ~ 1e12 and beyond) costs the same as any other.
+    unattained left limit.  Powers go through log/expm1, so r_max near 1
+    (m_max ~ 1e12 and beyond) costs the same as any other; log(r_max), not
+    log1p(r_max - 1), since r_max - 1 rounds to -1 below 2^-53.
     """
     if not 0.0 < r_max < 1.0:
         raise ValueError(f"r_max must lie in (0, 1), got {r_max}")
     m_max = int(math.floor(1.0 / (1.0 - r_max)))
-    value = (r_max / -math.expm1(2 * m_max * math.log1p(r_max - 1.0))) ** 2
+    value = (r_max / -math.expm1(2 * m_max * math.log(r_max))) ** 2
     argmax_r = r_max
     if m_max > 1:
         m = m_max - 1

@@ -9,11 +9,10 @@ bits with that count (``hilbert-norm --n-list 1048576`` differs in its
 16th digit between the default threads and OPENBLAS_NUM_THREADS=1), and
 no report echoes it.
 
-Every subcommand's JSON payload and CSV rows are laid out here, except
-the JSON of ``suite``, which is harness.SuiteReport.to_json(); the engines
-return plain dataclasses.  The interchange CSVs (sequences, traces,
-polynomials) are read and written by ``seqspace`` and ``hardyspace``, each
-writer next to its reader.
+Each summary subcommand builds one record, a dict, and _emit_report writes
+it as JSON or as a CSV view of it; the engines return plain dataclasses.
+The interchange CSVs (sequences, traces, polynomials) are read and written
+by ``seqspace`` and ``hardyspace``, each writer next to its reader.
 """
 
 from __future__ import annotations
@@ -118,14 +117,36 @@ def _record_template(keys: tuple[str, ...]) -> str:
     return "{" + ",".join(fields) + _ITEM + "}"
 
 
-def _emit_rows(args, rows) -> None:
-    """CSV rows, header first: cells by str(), LF line ends.
+def _emit_report(args, record: dict, splice: str | None = None) -> None:
+    """``record`` as JSON (_emit_json, with its ``splice``), or with
+    ``--format csv`` as a table: one row per item of the record's one list
+    of records, or else the record itself as one row.  A row's cells are
+    the item's fields as _cells flattens them, and the header is their keys.
 
-    A float cell's str() is its repr, so it reads back bit for bit.  No
-    cell written here holds a comma, quote or line break, so none is
-    quoted.  Long float columns go through seqspace.indexed_csv instead.
+    Cells are written by str(), LF line ends: a float cell's str() is its
+    repr, so it reads back bit for bit.  No cell written here holds a comma,
+    quote or line break, so none is quoted.  Long float columns go through
+    seqspace.indexed_csv instead.
     """
-    _emit(args, ["".join(",".join(map(str, row)) + "\n" for row in rows)])
+    if args.format != "csv":
+        _emit_json(args, record, splice)
+        return
+    items = next((v for v in record.values() if isinstance(v, list) and v
+                  and isinstance(v[0], dict)), [record])
+    rows = [dict(_cells(item)) for item in items]
+    lines = chain([rows[0].keys()], (row.values() for row in rows))
+    _emit(args, ["".join(",".join(map(str, line)) + "\n" for line in lines)])
+
+
+def _cells(record: dict):
+    """(key, value) of a record's scalar fields in order, with a nested
+    record's fields in its place; ``params`` and lists are left out."""
+    for key, value in record.items():
+        if isinstance(value, dict):
+            if key != "params":
+                yield from _cells(value)
+        elif not isinstance(value, list):
+            yield key, value
 
 
 def _load_sequence(args, default_len: int) -> seqspace.XSequence:
@@ -155,7 +176,9 @@ def _cmd_xnorm(args) -> int:
 
 def _cmd_slowdecay(args) -> int:
     s = args.s if args.s is not None else args.r + 0.1
-    seqspace.check_growth_exponent(args.r, s, args.n)   # the CSV has no report, but --s is checked
+    # r, beta and N first, since s defaults to r + 0.1; the CSV has no report, but --s is checked
+    seqspace.check_slow_decay_parameters(args.r, args.beta, args.n)
+    seqspace.check_growth_exponent(args.r, s, args.n)
     trace = seqspace.slow_decay_sequence(args.r, args.beta, args.n)
     if args.format == "csv":
         cert = seqspace.verify_margins(trace)
@@ -187,31 +210,25 @@ def _cmd_hilbert_norm(args) -> int:
         raise ValueError("--n-list must name at least one truncation size")
     c = _load_sequence(args, 2 * max(sizes) - 1)
     estimates = inequalities.best_constant_scan(c, sizes, method=args.method)
-    if args.format == "csv":
-        _emit_rows(args, chain([["N", "norm", "residual", "iterations"]],
-                               ([e.N, e.value, e.residual, e.iterations] for e in estimates)))
-    else:
-        _emit_json(args, {
-            "rows": [{"N": e.N, "norm": e.value, "residual": e.residual,
-                      "iterations": e.iterations, "converged": e.converged}
-                     for e in estimates],
-            "params": {"method": args.method, "sequence_len": len(c)},
-        })
+    _emit_report(args, {
+        "rows": [{"N": e.N, "norm": e.value, "residual": e.residual,
+                  "iterations": e.iterations, "converged": e.converged}
+                 for e in estimates],
+        "params": {"method": args.method, "sequence_len": len(c)},
+    })
     return 0 if all(e.converged for e in estimates) else 3
 
 
 def _cmd_equiv(args) -> int:
     c = _load_sequence(args, 2 * args.n - 1)
     report = inequalities.equivalence_witness(c, args.n, M=args.grid)
-    fields = {"N": report.N, "matrix_norm": report.matrix_norm,
-              "hardy_ratio": report.hardy_ratio, "gap": report.gap,
-              "witness_degree": report.witness.degree}
-    if args.format == "csv":
-        _emit_rows(args, [list(fields), list(fields.values())])
-    else:
-        _emit_json(args, {**fields, "converged": report.estimate.converged,
-                          "params": {"grid": report.grid, "method": report.estimate.method,
-                                     "residual_tol": inequalities.RESIDUAL_TOL}})
+    _emit_report(args, {
+        "N": report.N, "matrix_norm": report.matrix_norm, "hardy_ratio": report.hardy_ratio,
+        "gap": report.gap, "witness_degree": report.witness.degree,
+        "converged": report.estimate.converged,
+        "params": {"grid": report.grid, "method": report.estimate.method,
+                   "residual_tol": inequalities.RESIDUAL_TOL},
+    })
     return 0 if report.estimate.converged else 3
 
 
@@ -221,35 +238,27 @@ def _cmd_carleson(args) -> int:
     bounded = bmoa.sweep_is_bounded(report)
     if report.finding:
         print(report.finding, file=sys.stderr)
-    if args.format == "csv":
-        _emit_rows(args, chain([["length", "center", "box_integral", "ratio"]],
-                               ([r.arc.length_norm, r.arc.center, r.box_integral, r.ratio]
-                                for r in report.records)))
-    else:
-        _emit_json(args, {
-            "arcs": [{"center": r.arc.center, "length": r.arc.length_norm,
-                      "box_integral": r.box_integral, "ratio": r.ratio}
-                     for r in report.records],
-            "sup_ratio": report.sup_ratio,
-            "k_constant": report.k_constant,
-            "bound_2k": report.bound_2k,
-            "pass": report.passes_2k,
-            "eta_estimate": report.eta_estimate,
-            "xnorm_sq": report.xnorm_sq,
-            "finding": report.finding,
-            "bounded": bounded,
-            "params": {"arcs": len(report.records)},
-        }, splice="arcs")
+    _emit_report(args, {
+        "arcs": [{"length": r.arc.length_norm, "center": r.arc.center,
+                  "box_integral": r.box_integral, "ratio": r.ratio}
+                 for r in report.records],
+        "sup_ratio": report.sup_ratio,
+        "k_constant": report.k_constant,
+        "bound_2k": report.bound_2k,
+        "pass": report.passes_2k,
+        "eta_estimate": report.eta_estimate,
+        "xnorm_sq": report.xnorm_sq,
+        "finding": report.finding,
+        "bounded": bounded,
+        "params": {"arcs": len(report.records)},
+    }, splice="arcs")
     return 0 if bounded else 1
 
 
 def _cmd_kconst(args) -> int:
     scan = bmoa.k_constant(args.rmax)
-    fields = {"value": scan.value, "limit": scan.limit, "argmax_r": scan.argmax_r}
-    if args.format == "csv":
-        _emit_rows(args, [list(fields), list(fields.values())])
-    else:
-        _emit_json(args, {**fields, "params": {"rmax": scan.r_max, "m_max": scan.m_max}})
+    _emit_report(args, {"value": scan.value, "limit": scan.limit, "argmax_r": scan.argmax_r,
+                        "params": {"rmax": scan.r_max, "m_max": scan.m_max}})
     return 0
 
 
@@ -260,7 +269,7 @@ def _cmd_factorize(args) -> int:
         hardyspace.write_polynomial_csv(args.out_g, report.g)
     if args.out_h:
         hardyspace.write_polynomial_csv(args.out_h, report.h)
-    _emit_json(args, {
+    _emit_report(args, {
         "residual_max": report.residual_max,
         "norm_defect": report.norm_defect,
         "blaschke_degree": report.blaschke_degree,
@@ -279,17 +288,13 @@ def _cmd_hardy_check(args) -> int:
     ratio = inequalities.hardy_ratio(f, c, norm1=norm1)
     check = inequalities.hardy_degree_bound_check(f, c, norm1=norm1)
     verdict = "skipped" if check.skipped else ("holds" if check.holds else "violated")
-    if args.format == "csv":
-        _emit_rows(args, [["hardy_sum", "hardy_ratio", "verdict", "lhs", "rhs"],
-                          [total, ratio, verdict, check.lhs, check.rhs]])
-    else:
-        _emit_json(args, {
-            "hardy_sum": total,
-            "hardy_ratio": ratio,
-            "degree_bound": {"verdict": verdict, "lhs": check.lhs, "rhs": check.rhs,
-                             "slack": check.slack, "reason": check.reason},
-            "params": {"degree": f.degree, "tolerance": inequalities.DEGREE_BOUND_TOL},
-        })
+    _emit_report(args, {
+        "hardy_sum": total,
+        "hardy_ratio": ratio,
+        "degree_bound": {"verdict": verdict, "lhs": check.lhs, "rhs": check.rhs,
+                         "slack": check.slack, "reason": check.reason},
+        "params": {"degree": f.degree, "tolerance": inequalities.DEGREE_BOUND_TOL},
+    })
     if check.skipped:
         print(f"degree bound skipped: {check.reason}", file=sys.stderr)
         return 3
@@ -299,12 +304,7 @@ def _cmd_hardy_check(args) -> int:
 def _cmd_suite(args) -> int:
     config = harness.SuiteConfig(seed=args.seed)
     report = harness.run_suite(config)
-    if args.format == "csv":
-        _emit_rows(args, [["name", "cases", "failures", "worst_margin"]] +
-                   [[p.name, p.cases, p.failures, repr(p.worst_margin)]
-                    for p in report.properties])
-    else:
-        _emit(args, [report.to_json() + "\n"])
+    _emit_report(args, report.to_dict())
     return 0 if report.passed else 1
 
 

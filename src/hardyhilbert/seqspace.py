@@ -377,18 +377,9 @@ def _skip_power(i, s, L, N, beta, expo):
     return N, s
 
 
-def slow_decay_sequence(r: float, beta: float, N: int) -> SlowDecayTrace:
-    """Generate the slow-decay sequence c_1..c_N for parameters (r, beta).
-
-    c_1 = 1.  Given c_1..c_n with running sum S = sum k^2 c_k^2, the next
-    term is (n+1)^{-r} if S + (n+1)^{2-2r} <= beta*(n+1), else 1/(n+1).
-    Pure function of (r, beta, N); the same inputs reproduce the same bits.
-    Short runs of one choice are taken step by step, long power runs skipped
-    with numpy and long harmonic runs by their closed form (see the module
-    docstring); both give the bits of a plain loop.
-    The parameters are checked before any per-term work: the budget beta*N
-    must be a finite float.
-    """
+def check_slow_decay_parameters(r: float, beta: float, N: int) -> None:
+    """Reject parameters of slow_decay_sequence: r in [1/2, 1], beta finite
+    and above 1, N in [1, N_CAP], and the budget beta*N a finite float."""
     if not 0.5 <= r <= 1.0:
         raise ValueError(f"r must lie in [1/2, 1], got {r}")
     if not math.isfinite(beta):
@@ -399,6 +390,21 @@ def slow_decay_sequence(r: float, beta: float, N: int) -> SlowDecayTrace:
         raise ValueError(f"N must lie in [1, {N_CAP}], got {N}")
     if not math.isfinite(beta * N):
         raise ValueError(f"the budget beta*N overflows: beta = {beta}, N = {N}")
+
+
+def slow_decay_sequence(r: float, beta: float, N: int) -> SlowDecayTrace:
+    """Generate the slow-decay sequence c_1..c_N for parameters (r, beta).
+
+    c_1 = 1.  Given c_1..c_n with running sum S = sum k^2 c_k^2, the next
+    term is (n+1)^{-r} if S + (n+1)^{2-2r} <= beta*(n+1), else 1/(n+1).
+    Pure function of (r, beta, N); the same inputs reproduce the same bits.
+    Short runs of one choice are taken step by step, long power runs skipped
+    with numpy and long harmonic runs by their closed form (see the module
+    docstring); both give the bits of a plain loop.
+    The parameters are checked before any per-term work, by
+    check_slow_decay_parameters.
+    """
+    check_slow_decay_parameters(r, beta, N)
     expo = 2.0 - 2.0 * r
     starts = array("d", [1.0])   # the first step of each run; the runs alternate
     new_run = starts.append

@@ -124,6 +124,11 @@ class TestKConstant:
         r_max = 1.0 - gap
         assert k_constant(r_max).value == pytest.approx(decimal_k_constant(r_max), rel=1e-14)
 
+    @pytest.mark.parametrize("r_max", [2.0**-54, 1e-17, 1e-300])
+    def test_matches_decimal_oracle_below_epsilon(self, r_max):
+        # r_max - 1 rounds to -1 here, so phi_1(r_max) must not take log1p of it
+        assert k_constant(r_max).value == pytest.approx(decimal_k_constant(r_max), rel=1e-14)
+
     def test_right_end_limits_increase(self):
         # the lemma behind the closed form: f(m) strictly increases in m
         m = np.arange(1.0, 10.0**6 + 1)

@@ -261,6 +261,15 @@ class TestSlowdecay:
         assert not target.exists()
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("r", ["nan", "inf", "0.4"])
+    def test_bad_r_is_usage_error_before_the_growth_check(self, capsys, monkeypatch, fmt, r):
+        # the default s = r + 0.1 is derived from r, so r is checked first
+        monkeypatch.setattr(seqspace, "check_growth_exponent", None)
+        monkeypatch.setattr(seqspace, "slow_decay_sequence", None)
+        argv = ["slowdecay", "--r", r, "--beta", "1.5", "--n", "1000", "--format", fmt]
+        assert run(capsys, argv) == (2, "", f"error: r must lie in [1/2, 1], got {float(r)}\n")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("s, message", [
         ("nan", "error: s must be finite, got s = nan\n"),
         ("inf", "error: s must be finite, got s = inf\n"),
@@ -361,14 +370,14 @@ class TestHilbertNorm:
         code, out, _ = run(capsys, ["hilbert-norm", "--n-list", "1", "--format", "csv"])
         assert code == 0
         lines = out.splitlines()
-        assert lines[0] == "N,norm,residual,iterations"
+        assert lines[0] == "N,norm,residual,iterations,converged"
         assert lines[1].startswith("1,1.0,")
 
     def test_csv_bytes(self, capsys):
         sizes = [1, 2, 4, 8]
-        rows = [[e.N, repr(e.value), repr(e.residual), e.iterations]
+        rows = [[e.N, repr(e.value), repr(e.residual), e.iterations, e.converged]
                 for e in best_constant_scan(classic_sequence(15), sizes)]
-        header = ["N", "norm", "residual", "iterations"]
+        header = ["N", "norm", "residual", "iterations", "converged"]
         code, out, _ = run(capsys, ["hilbert-norm", "--n-list", "1,2,4,8", "--format", "csv"])
         assert code == 0
         assert out == rows_text(header, rows)
@@ -666,23 +675,6 @@ class TestHardyCheck:
         assert err.startswith("error:")
         assert out == ""
 
-    def test_csv_row_matches_json(self, capsys, tmp_path):
-        # 1 + z takes the panel route, whose 1-norm is a numpy float: the CSV
-        # cells must still be plain float text that reads back to the JSON values
-        path = tmp_path / "kink.csv"
-        write_polynomial_csv(path, AnalyticPoly([1.0, 1.0]))
-        code, out, _ = run(capsys, ["hardy-check", str(path)])
-        assert code == 0
-        payload = json.loads(out)
-        code, out, _ = run(capsys, ["hardy-check", str(path), "--format", "csv"])
-        assert code == 0
-        header, row = (line.split(",") for line in out.splitlines())
-        assert header == ["hardy_sum", "hardy_ratio", "verdict", "lhs", "rhs"]
-        bound = payload["degree_bound"]
-        assert row[2] == bound["verdict"]
-        assert [float(row[i]) for i in (0, 1, 3, 4)] == \
-            [payload["hardy_sum"], payload["hardy_ratio"], bound["lhs"], bound["rhs"]]
-
     def test_one_norm_computed_once(self, capsys, monkeypatch, tmp_path):
         # the ratio and the degree bound share one ||f||_1: for 1 + z/2 that is
         # one trapezoid pair (M and 2M points), not two
@@ -763,6 +755,15 @@ class TestSuiteCommand:
         assert payload["pass"] is False
         assert payload["properties"][0]["worst_margin"] is None
 
+    def test_nan_margin_csv_cell(self, capsys, monkeypatch):
+        # the CSV is a view of the JSON record, where a NaN margin is null
+        for name in list(harness.DEFAULT_CASES):
+            monkeypatch.setitem(harness.DEFAULT_CASES, name, 1)
+        monkeypatch.setattr(inequalities, "hilbert_form", lambda a, b, c: float("nan"))
+        code, out, _ = run(capsys, ["suite", "--seed", "9", "--format", "csv"])
+        assert code == 1
+        assert out.splitlines()[1] == "bridge_identity,1,1,None"
+
 
 class TestUsageContract:
     def test_unknown_flag_is_error(self, capsys, classic_file):
@@ -818,7 +819,7 @@ class TestParserReuse:
         first = rounds[0]
         assert [r[0] for r in first] == [2, 0, 0, 0, 0]
         assert "unrecognized arguments" in first[0][2]
-        assert first[3][1] == "" and first[3][3].startswith(b"N,norm,residual,iterations\n")
+        assert first[3][1] == "" and first[3][3].startswith(b"N,norm,residual,iterations,converged\n")
         assert first[4][3] is None and json.loads(first[4][1])["params"]["rmax"] == 0.9
         assert rounds[1] == first
         assert rounds[2] == first
@@ -835,10 +836,10 @@ OUTPUT_LAYOUTS = {
                   "index,value,choice"),
     "hilbert-norm": (["hilbert-norm", "--n-list", "2,4,8"],
                      ["params", "rows"],
-                     "N,norm,residual,iterations"),
+                     "N,norm,residual,iterations,converged"),
     "equiv": (["equiv", "--n", "4"],
               ["N", "converged", "gap", "hardy_ratio", "matrix_norm", "params", "witness_degree"],
-              "N,matrix_norm,hardy_ratio,gap,witness_degree"),
+              "N,matrix_norm,hardy_ratio,gap,witness_degree,converged"),
     "carleson": (["carleson", "--depth", "3", "--centers", "2", "--classic-n", "16"],
                  ["arcs", "bound_2k", "bounded", "eta_estimate", "finding", "k_constant",
                   "params", "pass", "sup_ratio", "xnorm_sq"],
@@ -851,7 +852,7 @@ OUTPUT_LAYOUTS = {
                   None),
     "hardy-check": (["hardy-check", "{poly}", "--sequence", "{sequence}"],
                     ["degree_bound", "hardy_ratio", "hardy_sum", "params"],
-                    "hardy_sum,hardy_ratio,verdict,lhs,rhs"),
+                    "hardy_sum,hardy_ratio,verdict,lhs,rhs,slack,reason"),
     "suite": (["suite", "--seed", "3"],
               ["fingerprint", "pass", "properties", "seed"],
               "name,cases,failures,worst_margin"),
@@ -883,3 +884,47 @@ def test_out_file_matches_stdout_and_layout(capsys, monkeypatch, tmp_path, class
         assert sorted(json.loads(out)) == keys
     else:
         assert out.split("\n", 1)[0] == header
+
+
+def scalar_fields(record):
+    """A JSON record's scalar fields, a nested record's in its place, params
+    and lists left out: the fields a CSV row of it shows."""
+    fields = {}
+    for key, value in record.items():
+        if isinstance(value, dict):
+            if key != "params":
+                fields.update(scalar_fields(value))
+        elif not isinstance(value, list):
+            fields[key] = value
+    return fields
+
+
+@pytest.mark.parametrize("command", ["hilbert-norm", "equiv", "carleson", "kconst",
+                                     "hardy-check", "suite"])
+def test_csv_is_a_view_of_json(capsys, monkeypatch, tmp_path, classic_file, command):
+    for name in list(harness.DEFAULT_CASES):
+        monkeypatch.setitem(harness.DEFAULT_CASES, name, 1)
+    # 1 + z takes hp_norm's panel route, whose 1-norm is a numpy float: the
+    # hardy-check cells must still be plain float text
+    kink = tmp_path / "kink.csv"
+    write_polynomial_csv(kink, AnalyticPoly([1.0, 1.0]))
+    argv = [a.format(sequence=classic_file, poly=str(kink)) for a in OUTPUT_LAYOUTS[command][0]]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    record = json.loads(out)
+    code, out, _ = run(capsys, argv + ["--format", "csv"])
+    assert code == 0
+    header, *rows = [line.split(",") for line in out.splitlines()]
+    tables = [v for v in record.values() if isinstance(v, list) and v and isinstance(v[0], dict)]
+    items = tables[0] if tables else [record]
+    assert len(tables) <= 1 and len(rows) == len(items)
+    assert len(set(header)) == len(header)   # JSON sorts its keys; the header order is pinned above
+    for item, row in zip(items, rows):
+        fields = scalar_fields(item)
+        assert sorted(header) == sorted(fields)
+        for key, cell in zip(header, row, strict=True):
+            value = fields[key]
+            if isinstance(value, float):
+                assert float(cell).hex() == value.hex()
+            else:   # bools, ints and strings as text
+                assert cell == str(value)
