@@ -13,6 +13,11 @@ Each summary subcommand builds one record, a dict, and _emit_report writes
 it as JSON or as a CSV view of it; the engines return plain dataclasses.
 The interchange CSVs (sequences, traces, polynomials) are read and written
 by ``seqspace`` and ``hardyspace``, each writer next to its reader.
+
+Engines load on first use: importing this module loads ``seqspace`` and
+numpy only, and ``hardyspace``, ``bmoa``, ``inequalities`` and ``harness``
+are imported inside the subcommands that call them, so a fresh process
+compiles and runs only the engines its subcommand needs.
 """
 
 from __future__ import annotations
@@ -26,9 +31,8 @@ from itertools import chain
 
 import numpy as np
 
-from . import _floattext, bmoa, harness, hardyspace, inequalities, seqspace
+from . import _floattext, seqspace
 from ._version import __version__
-from .hardyspace import ConvergenceError
 
 
 def _emit(args, chunks) -> None:
@@ -117,11 +121,14 @@ def _record_template(keys: tuple[str, ...]) -> str:
     return "{" + ",".join(fields) + _ITEM + "}"
 
 
-def _emit_report(args, record: dict, splice: str | None = None) -> None:
+def _emit_report(args, record: dict, splice: str | None = None,
+                 verdict: tuple[str, ...] = ()) -> None:
     """``record`` as JSON (_emit_json, with its ``splice``), or with
     ``--format csv`` as a table: one row per item of the record's one list
     of records, or else the record itself as one row.  A row's cells are
     the item's fields as _cells flattens them, and the header is their keys.
+    A table of the list leaves the record's own fields out, so in CSV mode
+    the fields named in ``verdict`` go to stderr as one ``key=value`` line.
 
     Cells are written by str(), LF line ends: a float cell's str() is its
     repr, so it reads back bit for bit.  No cell written here holds a comma,
@@ -131,6 +138,8 @@ def _emit_report(args, record: dict, splice: str | None = None) -> None:
     if args.format != "csv":
         _emit_json(args, record, splice)
         return
+    if verdict:
+        print(" ".join(f"{key}={record[key]}" for key in verdict), file=sys.stderr)
     items = next((v for v in record.values() if isinstance(v, list) and v
                   and isinstance(v[0], dict)), [record])
     rows = [dict(_cells(item)) for item in items]
@@ -205,6 +214,8 @@ def _cmd_slowdecay(args) -> int:
 
 
 def _cmd_hilbert_norm(args) -> int:
+    from . import inequalities
+
     sizes = [int(x) for x in args.n_list.split(",") if x.strip()]
     if not sizes:
         raise ValueError("--n-list must name at least one truncation size")
@@ -220,6 +231,8 @@ def _cmd_hilbert_norm(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
+    from . import inequalities
+
     c = _load_sequence(args, 2 * args.n - 1)
     report = inequalities.equivalence_witness(c, args.n, M=args.grid)
     _emit_report(args, {
@@ -233,6 +246,8 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_carleson(args) -> int:
+    from . import bmoa
+
     c = _load_sequence(args, 256)
     report = bmoa.carleson_constant(c, depth=args.depth, centers_per_length=args.centers)
     bounded = bmoa.sweep_is_bounded(report)
@@ -251,11 +266,13 @@ def _cmd_carleson(args) -> int:
         "finding": report.finding,
         "bounded": bounded,
         "params": {"arcs": len(report.records)},
-    }, splice="arcs")
+    }, splice="arcs", verdict=("sup_ratio", "bound_2k", "pass", "bounded"))
     return 0 if bounded else 1
 
 
 def _cmd_kconst(args) -> int:
+    from . import bmoa
+
     scan = bmoa.k_constant(args.rmax)
     _emit_report(args, {"value": scan.value, "limit": scan.limit, "argmax_r": scan.argmax_r,
                         "params": {"rmax": scan.r_max, "m_max": scan.m_max}})
@@ -263,6 +280,8 @@ def _cmd_kconst(args) -> int:
 
 
 def _cmd_factorize(args) -> int:
+    from . import hardyspace
+
     f = hardyspace.read_polynomial_csv(args.file)
     report = hardyspace.factorization_report(f)
     if args.out_g:
@@ -281,6 +300,8 @@ def _cmd_factorize(args) -> int:
 
 
 def _cmd_hardy_check(args) -> int:
+    from . import hardyspace, inequalities
+
     f = hardyspace.read_polynomial_csv(args.file)
     c = _load_sequence(args, 2 * f.degree + 1)
     total = inequalities.hardy_sum(f, c)
@@ -302,9 +323,11 @@ def _cmd_hardy_check(args) -> int:
 
 
 def _cmd_suite(args) -> int:
+    from . import harness
+
     config = harness.SuiteConfig(seed=args.seed)
     report = harness.run_suite(config)
-    _emit_report(args, report.to_dict())
+    _emit_report(args, report.to_dict(), verdict=("pass", "seed"))
     return 0 if report.passed else 1
 
 
@@ -348,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hilbert-norm", help="Hankel norm scan over truncation sizes")
     p.add_argument("--n-list", required=True, help="comma-separated truncation sizes")
-    p.add_argument("--method", choices=[inequalities.LANCZOS, inequalities.DENSE_EIGEN],
-                   default=inequalities.LANCZOS)
+    # inequalities.LANCZOS and DENSE_EIGEN, spelt out so the parser loads no engine
+    p.add_argument("--method", choices=["lanczos", "dense_eigen"], default="lanczos")
     _add_sequence_source(p)
     _add_common(p)
     p.set_defaults(func=_cmd_hilbert_norm)
@@ -405,12 +428,20 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except _convergence_error() as exc:   # evaluated only once an exception gets here
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+
+
+def _convergence_error() -> type:
+    """hardyspace's ConvergenceError; only hardyspace raises it, so it is
+    loaded already whenever one is raised."""
+    from .hardyspace import ConvergenceError
+
+    return ConvergenceError
 
 
 def console_main() -> None:

@@ -397,6 +397,13 @@ class TestHilbertNorm:
         assert payload["params"]["method"] == "lanczos"
         assert all(r["converged"] for r in payload["rows"])
 
+    @pytest.mark.parametrize("method", [inequalities.LANCZOS, inequalities.DENSE_EIGEN])
+    def test_method_choices_are_the_engines(self, capsys, method):
+        # the parser spells the names out; each must still select its route
+        code, out, _ = run(capsys, ["hilbert-norm", "--n-list", "2,4", "--method", method])
+        assert code == 0
+        assert json.loads(out)["params"]["method"] == method
+
     def test_power_iteration_method_removed(self, capsys):
         code, out, err = run(capsys, ["hilbert-norm", "--n-list", "2", "--method", "power_iteration"])
         assert code == 2
@@ -489,6 +496,17 @@ class TestCarleson:
         golden = rows_text(["length", "center", "box_integral", "ratio"], rows)
         assert len(rows) == 1 + 3 * 2
         assert out_path.read_bytes() == golden.encode()  # LF line ends
+
+    def test_csv_verdict_on_stderr(self, capsys):
+        argv = ["carleson", "--depth", "3", "--classic-n", "64"]
+        _, out, err = run(capsys, argv)
+        payload = json.loads(out)
+        code, out, err = run(capsys, argv + ["--format", "csv"])
+        assert code == 0
+        assert out.splitlines()[0] == "length,center,box_integral,ratio"
+        assert err.splitlines()[-1] == (
+            f"sup_ratio={payload['sup_ratio']!r} bound_2k={payload['bound_2k']!r} "
+            f"pass={payload['pass']} bounded={payload['bounded']}")
 
 
 def carleson_payload(c, depth, centers):
@@ -740,6 +758,16 @@ class TestSuiteCommand:
         code, out, _ = run(capsys, ["suite", "--seed", "0"])
         assert code == 1
         assert json.loads(out)["pass"] is False
+
+    def test_csv_verdict_on_stderr(self, capsys, monkeypatch):
+        fake = harness.SuiteReport(
+            properties=[harness.PropertyResult("bridge_identity", 1, 1, 1.0, [])],
+            passed=False, seed=5, fingerprint={})
+        monkeypatch.setattr(harness, "run_suite", lambda config: fake)
+        code, out, err = run(capsys, ["suite", "--seed", "5", "--format", "csv"])
+        assert code == 1
+        assert out == "name,cases,failures,worst_margin\nbridge_identity,1,1,1.0\n"
+        assert err == "pass=False seed=5\n"
 
     def test_nan_margin_exit_code(self, capsys, monkeypatch):
         for name in list(harness.DEFAULT_CASES):
