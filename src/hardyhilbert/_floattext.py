@@ -52,6 +52,12 @@ row writer joins such fields and constant strings into rows, drops the
 NULs by one boolean mask compaction per chunk and decodes the bytes as
 ASCII.
 
+Chunks.  table() is the one loop that cuts long text outputs into chunks of
+CHUNK_ROWS rows: the CSV interchange files, the trace CSV and the long
+lists spliced into JSON all come from it.  It formats every float column
+of a chunk with one float_field call, so a many-column table pays the
+fixed cost of a call (some forty numpy calls) once per chunk.
+
 The tables (10**q, the four-digit groups, the patterns) are built on first
 use.  Everything here works on one block at a time; callers pass blocks of
 a few thousand values, so the temporaries stay small.
@@ -63,6 +69,9 @@ import functools
 
 import numpy as np
 
+# Rows per chunk of every long text table: a chunk's text and its character
+# arrays take about 0.5 MB, where a block of 2**16 rows would take 6 MB.
+CHUNK_ROWS = 2**12
 # Columns of a float field: repr of a float64 takes at most 24 characters
 # ("-2.2250738585072014e-308").
 WIDTH = 24
@@ -255,8 +264,11 @@ def float_field(x) -> np.ndarray:
 
 
 def int_field(i) -> np.ndarray:
-    """Nonnegative integers below 10**12, right-aligned in 12 columns, NUL before."""
-    i = np.asarray(i, dtype=np.int64)
+    """Nonnegative integers below 10**12, right-aligned in 12 columns, NUL before.
+
+    i is an array of integers or a range, which is never held whole.
+    """
+    i = np.arange(i.start, i.stop) if isinstance(i, range) else np.asarray(i, dtype=np.int64)
     words = np.empty((i.size, 3), dtype=np.uint32)
     _group_words(i, words)
     chars = words.view(np.uint8)
@@ -282,6 +294,29 @@ def rows(*fields) -> str:
     """
     n = next(len(f) for f in fields if not isinstance(f, str))
     chars = np.concatenate([
-        np.broadcast_to(np.frombuffer(f.encode("ascii"), dtype=np.uint8), (n, len(f)))
+        np.frombuffer((f * n).encode("ascii"), dtype=np.uint8).reshape(n, len(f))
         if isinstance(f, str) else f for f in fields], axis=1)
     return str(chars[chars != 0].data, "ascii")
+
+
+def table(*fields):
+    """The rows of rows(*fields), yielded in chunks of CHUNK_ROWS rows.
+
+    A field is a str, the same in every row, or a column with one entry per
+    row: a 1-d float64 array, a range or 1-d array of integers (written by
+    int_field), or the characters of label_field.  Each chunk formats its
+    slice of every column; the float columns go through one float_field
+    call together.
+    """
+    columns = [j for j, f in enumerate(fields) if not isinstance(f, str)]
+    floats = [j for j in columns if getattr(fields[j], "dtype", None) == np.float64]
+    ints = [j for j in columns if isinstance(fields[j], range) or fields[j].dtype.kind == "i"]
+    for a in range(0, len(fields[columns[0]]), CHUNK_ROWS):
+        chunk = [f if isinstance(f, str) else f[a : a + CHUNK_ROWS] for f in fields]
+        for j in ints:
+            chunk[j] = int_field(chunk[j])
+        if floats:
+            text = float_field(np.concatenate([chunk[j] for j in floats]))
+            for j, part in zip(floats, text.reshape(len(floats), -1, WIDTH)):
+                chunk[j] = part
+        yield rows(*chunk)

@@ -28,6 +28,7 @@ import json
 import math
 import sys
 from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -53,16 +54,16 @@ def _emit_json(args, payload: dict, splice: str | None = None) -> None:
     ``json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)``.
 
     ``splice`` names a top-level key whose value is one large list: a list
-    or 1-d array of floats, or a list of flat records (dicts) of floats.
-    json's indented encoder is pure Python and handles each item in turn;
-    instead the rest of the payload is dumped with a placeholder string in
-    the list's place, the text is split at the placeholder, and the items,
-    at the list's indentation, are written between the two halves.  Floats
-    are written as their shortest round-trip repr, the text json writes,
-    by _floattext, one chunk of seqspace's _CSV_ROWS items at a time, so the
-    list's text is never held whole; record fields use float.__repr__.  A
-    non-finite item raises ValueError, as ``allow_nan=False`` does, and is
-    found before a byte is written.
+    or 1-d array of floats, or a list of flat records (dicts) that share one
+    key set and hold only floats.  json's indented encoder is pure Python
+    and handles each item in turn; instead the rest of the payload is
+    dumped with a placeholder string in the list's place, the text is split
+    at the placeholder, and the items, at the list's indentation, are
+    written between the two halves.  The items come from _floattext.table,
+    one chunk at a time, so the list's text is never held whole; its floats
+    are their shortest round-trip repr, the text json writes.  A non-finite
+    float, a record with another key set and a record value that is not a
+    float raise ValueError, found before a byte is written.
     """
     if splice is None:
         _emit(args, [json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"])
@@ -78,47 +79,32 @@ def _emit_json(args, payload: dict, splice: str | None = None) -> None:
 _PLACEHOLDER = "\0spliced list\0"
 _ITEM = "\n    "        # a top-level list's items sit at depth 2 of indent=2
 _FIELD = "\n      "      # and a record's fields at depth 3
-_NOT_JSON = "Out of range float values are not JSON compliant"
 
 
 def _list_chunks(items):
     """Text chunks of json.dumps(items, indent=2) for a list at a top-level
-    key of a payload; raises on a non-finite item before returning."""
+    key of a payload, from _floattext.table: one row per item, each after
+    its separator.  Raises on a bad item before returning."""
     if len(items) == 0:
         return ["[]"]
     if isinstance(items[0], dict):
-        return ["[" + _ITEM + ("," + _ITEM).join(map(_record_text, items)) + "\n  ]"]
-    values = np.asarray(items, dtype=float)
+        keys = sorted(items[0])
+        same = keys and all(item.keys() == items[0].keys() for item in items)
+        values = [list(map(itemgetter(k), items)) for k in keys] if same else []
+        if not same or not {*map(type, chain(*values))} <= {float, np.float64}:
+            raise ValueError("spliced records must share one nonempty key set of floats")
+        values = np.array(values)   # one row per key
+        heads = ("," * (j > 0) + _FIELD + json.dumps(k) + ": " for j, k in enumerate(keys))
+        fields = ["{", *chain(*zip(heads, values)), _ITEM + "}"]
+    else:
+        values = np.asarray(items, dtype=float)
+        fields = [values]
     # NaN propagates into both extremes, and an infinity is one of them
     if not (math.isfinite(values.min()) and math.isfinite(values.max())):
-        raise ValueError(_NOT_JSON)
-    return chain(_float_items(values), ["\n  ]"])
-
-
-def _float_items(values):
-    """The list's opening bracket and its items, each after its separator,
-    in chunks of seqspace's _CSV_ROWS items."""
-    chunk = seqspace._CSV_ROWS
-    for a in range(0, values.size, chunk):
-        text = _floattext.rows("," + _ITEM, _floattext.float_field(values[a : a + chunk]))
-        yield text if a else "[" + text[1:]   # the first item has no comma
-
-
-def _record_text(record: dict) -> str:
-    keys = tuple(sorted(record))
-    values = [record[k] for k in keys]
-    if not all(map(math.isfinite, values)):
-        raise ValueError(_NOT_JSON)
-    return _record_template(keys) % tuple(map(float.__repr__, values))
-
-
-@functools.cache
-def _record_template(keys: tuple[str, ...]) -> str:
-    """Indented text of a record with these sorted keys, %s for each value."""
-    if not keys:
-        return "{}"
-    fields = (f"{_FIELD}{json.dumps(k)}: ".replace("%", "%%") + "%s" for k in keys)
-    return "{" + ",".join(fields) + _ITEM + "}"
+        raise ValueError("Out of range float values are not JSON compliant")
+    chunks = _floattext.table("," + _ITEM, *fields)
+    first = next(chunks)
+    return chain(["[" + first[1:]], chunks, ["\n  ]"])
 
 
 def _emit_report(args, record: dict, splice: str | None = None,

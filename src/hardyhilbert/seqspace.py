@@ -75,7 +75,7 @@ import stat
 import warnings
 from array import array
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -111,9 +111,6 @@ _NEWTON_STEPS = 8
 # slow-decay generator's per-step arrays: about 0.5 MB per float64 array;
 # N_CAP terms at once would take 0.8 GB per array.
 _BLOCK = 2**16
-# Rows per chunk of every long CSV or JSON list: a chunk's text and its
-# character arrays take about 0.5 MB, where one block's would take 6 MB.
-_CSV_ROWS = 2**12
 # File name suffixes numpy's loadtxt opens as compressed files.
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
@@ -678,16 +675,11 @@ def slow_decay_report(t: SlowDecayTrace, s: float) -> SlowDecayReport:
 def indexed_csv(*columns):
     """CSV rows ``i,columns[0][i],columns[1][i],...`` for i = 0..n-1, no header.
 
-    Each cell is the repr of its float, written by _floattext for a whole
-    chunk of _CSV_ROWS rows at once; the text is yielded chunk by chunk.
+    Each cell is the repr of its float; the text comes from _floattext.table,
+    chunk by chunk.
     """
-    n = len(columns[0])
-    for a in range(0, n, _CSV_ROWS):
-        b = min(a + _CSV_ROWS, n)
-        fields = [_floattext.int_field(np.arange(a, b))]
-        for column in columns:
-            fields += [",", _floattext.float_field(column[a:b])]
-        yield _floattext.rows(*fields, "\n")
+    cells = chain.from_iterable((",", column) for column in columns)
+    return _floattext.table(range(len(columns[0])), *cells, "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -757,21 +749,16 @@ def trace_csv(t: SlowDecayTrace):
     """The trace as CSV text, header index,value,choice, yielded in chunks.
 
     The text is the chunks joined: the header with row 0, then the rows of
-    each block of _BLOCK steps in chunks of at most _CSV_ROWS, so a writer
-    never holds the whole text, nor one block's rows at once.  Row 0 is the
-    exported head c_0 := c_1; row i is c_i with its choice label.  Each
-    value is written as its repr, byte for byte, by _floattext, which
-    formats a chunk's index, value and choice columns as arrays.
-    read_sequence_csv reads the text back as the exported sequence,
-    ignoring the choice column.
+    each block of _BLOCK steps in the chunks of _floattext.table, so a
+    writer never holds the whole text, nor one block's rows at once.  Row 0
+    is the exported head c_0 := c_1; row i is c_i with its choice label.
+    Each value is written as its repr, byte for byte.  read_sequence_csv
+    reads the text back as the exported sequence, ignoring the choice
+    column.
     """
     for n, flags in t._steps():
         values = _values_block(t.r, n, flags)
         if n[0] == 1:
             yield f"index,value,choice\n0,{float(values[0])!r}{_CHOICE_CELLS[flags[0]]}"
-        for a in range(0, flags.size, _CSV_ROWS):
-            b = min(a + _CSV_ROWS, flags.size)
-            yield _floattext.rows(
-                _floattext.int_field(n[a:b].astype(np.int64)), ",",
-                _floattext.float_field(values[a:b]),
-                _floattext.label_field(flags[a:b], _CHOICE_CELLS))
+        yield from _floattext.table(range(int(n[0]), int(n[-1]) + 1), ",", values,
+                                    _floattext.label_field(flags, _CHOICE_CELLS))

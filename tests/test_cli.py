@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hardyhilbert import bmoa, cli, hardyspace, harness, inequalities, seqspace
+from hardyhilbert import _floattext, bmoa, cli, hardyspace, harness, inequalities, seqspace
 from hardyhilbert.bmoa import carleson_constant, sweep_is_bounded
 from hardyhilbert.hardyspace import AnalyticPoly, hp_norm, write_polynomial_csv
 from hardyhilbert.inequalities import best_constant_scan
@@ -296,7 +296,7 @@ class TestSmallBlocks:
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
         monkeypatch.setattr(seqspace, "_BLOCK", 5)
-        monkeypatch.setattr(seqspace, "_CSV_ROWS", 3)
+        monkeypatch.setattr(_floattext, "CHUNK_ROWS", 3)
 
     @staticmethod
     def trace_golden(r, beta, n):
@@ -561,12 +561,54 @@ class TestJsonSplice:
     @pytest.mark.parametrize("payload", [
         {"a": 1, "list": [], "z": "last"},
         {"list": [0.1, -2.5e-300, 1e300, 3.0], "a": {"nested": [1, 2]}},
-        {"b": True, "list": [{"y": 1.5, "x": -0.0}, {}, {"%s": 2.0, "b\"q": 0.5}]},
+        {"b": True, "list": [{"y": 1.5, "x": -0.0, "%s": 2.0, "b\"q": 0.5},
+                             {"y": 1e-300, "x": 3.0, "%s": -2.5e16, "b\"q": 0.1}]},
         {"list": [{"only": 7.25}]},
     ])
     def test_matches_indented_dumps(self, capsys, payload):
         cli._emit_json(SimpleNamespace(out=None), payload, splice="list")
         assert capsys.readouterr().out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("items", [
+        [{"y": 1.5, "x": -0.0}, {}, {"%s": 2.0, "b\"q": 0.5}],   # mixed key sets
+        [{"a": 1.0}, {"b": 1.0}],
+        [{"a": 1.0}, {"a": 1.0, "b": 2.0}],
+        [{}, {}],
+        [{"a": 1.0}, {"a": 2}],          # json writes an int without ".0"
+        [{"a": True}],
+        [{"a": 1.0, "b": "text"}],
+        [{"a": np.float32(1.0)}],
+    ])
+    def test_records_outside_the_table_raise(self, capsys, tmp_path, items):
+        kept = tmp_path / "kept.json"
+        kept.write_text("earlier output\n")
+        for out in (None, str(kept)):
+            with pytest.raises(ValueError, match="spliced records"):
+                cli._emit_json(SimpleNamespace(out=out), {"n": 1, "list": items}, splice="list")
+        assert capsys.readouterr().out == ""
+        assert kept.read_text() == "earlier output\n"
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_records_across_chunk_edges_match_indented_dumps(self, capsys, monkeypatch, n):
+        monkeypatch.setattr(_floattext, "CHUNK_ROWS", 4)
+        rng = np.random.default_rng(n)
+        items = [{"length": 2.0**-k, "center": float(c), "box_integral": float(b), "ratio": -0.0}
+                 for k, (c, b) in enumerate(zip(rng.uniform(0, 7, n), rng.lognormal(0, 30, n)))]
+        payload = {"arcs": items, "sup_ratio": 1.5, "pass": True}
+        cli._emit_json(SimpleNamespace(out=None), payload, splice="arcs")
+        assert capsys.readouterr().out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    def test_nan_in_last_record_chunk_writes_nothing(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(_floattext, "CHUNK_ROWS", 4)
+        items = [{"a": float(i), "b": 0.5} for i in range(9)]
+        items[-1]["b"] = float("nan")
+        kept = tmp_path / "kept.json"
+        kept.write_text("earlier output\n")
+        for out in (None, str(kept)):
+            with pytest.raises(ValueError, match="JSON compliant"):
+                cli._emit_json(SimpleNamespace(out=out), {"n": 1, "list": items}, splice="list")
+        assert capsys.readouterr().out == ""
+        assert kept.read_text() == "earlier output\n"
 
     @pytest.mark.parametrize("items", [
         [1.0, float("nan")],
@@ -583,7 +625,7 @@ class TestJsonSplice:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 22])
     def test_array_in_small_blocks_matches_indented_dumps(self, capsys, monkeypatch, n):
         monkeypatch.setattr(seqspace, "_BLOCK", 5)
-        monkeypatch.setattr(seqspace, "_CSV_ROWS", 4)
+        monkeypatch.setattr(_floattext, "CHUNK_ROWS", 4)
         items = np.random.default_rng(n).uniform(-1.0, 1.0, n) * 1e-3
         cli._emit_json(SimpleNamespace(out=None), {"n": n, "list": items}, splice="list")
         want = json.dumps({"n": n, "list": items.tolist()}, sort_keys=True, indent=2) + "\n"
@@ -591,7 +633,7 @@ class TestJsonSplice:
 
     def test_nan_in_last_block_writes_nothing(self, capsys, monkeypatch):
         monkeypatch.setattr(seqspace, "_BLOCK", 5)
-        monkeypatch.setattr(seqspace, "_CSV_ROWS", 4)   # the NaN is in the last chunk too
+        monkeypatch.setattr(_floattext, "CHUNK_ROWS", 4)   # the NaN is in the last chunk too
         items = np.arange(1.0, 23.0)
         items[-1] = np.nan
         with pytest.raises(ValueError, match="JSON compliant"):
@@ -600,7 +642,7 @@ class TestJsonSplice:
 
     def test_nan_in_last_block_leaves_out_file_alone(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(seqspace, "_BLOCK", 5)
-        monkeypatch.setattr(seqspace, "_CSV_ROWS", 4)
+        monkeypatch.setattr(_floattext, "CHUNK_ROWS", 4)
         items = np.arange(1.0, 23.0)
         items[-1] = np.nan
         fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"

@@ -169,6 +169,26 @@ def test_chunks_of_one_row(monkeypatch):
     whole = "".join(seqspace.indexed_csv(values, values[::-1]))
     assert whole == "".join(f"{i},{a!r},{b!r}\n" for i, (a, b) in
                             enumerate(zip(values.tolist(), values[::-1].tolist())))
-    monkeypatch.setattr(seqspace, "_CSV_ROWS", 1)
+    monkeypatch.setattr(_floattext, "CHUNK_ROWS", 1)
     chunks = list(seqspace.indexed_csv(values, values[::-1]))
     assert len(chunks) == 4 and "".join(chunks) == whole
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 8, 9, 13])
+def test_table_mixed_columns_across_chunk_edges(monkeypatch, n):
+    """table over int, float and label columns and constants, in chunks of 4
+    rows, against f-string repr rows; two float columns share each chunk's
+    float_field call."""
+    rng = np.random.default_rng(n)
+    a = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-30, 30, n)
+    b = np.where(rng.random(n) < 0.3, 0.0, 1.0 / rng.uniform(1e-3, 1.0, n))
+    idx = rng.integers(0, 10**11, n)
+    flags = rng.integers(0, 2, n)
+    labels = ("|no\n", "|yes\n")
+    want = "".join(f"<{i},{x!r};{y!r}{labels[f]}" for i, x, y, f in
+                   zip(idx.tolist(), a.tolist(), b.tolist(), flags.tolist()))
+    monkeypatch.setattr(_floattext, "CHUNK_ROWS", 4)
+    chunks = list(_floattext.table("<", idx, ",", a, ";", b, _floattext.label_field(flags, labels)))
+    assert len(chunks) == -(-n // 4) and "".join(chunks) == want
+    ranged = "".join(_floattext.table(range(5, 5 + n), ",", a, "\n"))
+    assert ranged == "".join(f"{5 + i},{x!r}\n" for i, x in enumerate(a.tolist()))

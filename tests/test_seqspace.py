@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hardyhilbert import seqspace
+from hardyhilbert import _floattext, seqspace
 from hardyhilbert.seqspace import (
     SlowDecayTrace,
     XSequence,
@@ -412,7 +412,7 @@ class TestSmallWindows:
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
         monkeypatch.setattr(seqspace, "_BLOCK", 64)
-        monkeypatch.setattr(seqspace, "_CSV_ROWS", 24)
+        monkeypatch.setattr(_floattext, "CHUNK_ROWS", 24)
 
     @pytest.mark.parametrize("r, beta, N", [
         (0.6, 1.5, 20000),     # long harmonic runs over many blocks
