@@ -157,15 +157,54 @@ def k_constant(r_max: float) -> KConstantScan:
 def _radial_factors(lengths: np.ndarray, n: int) -> np.ndarray:
     """R_L(s) = (1 - r0^s)/s - (1 - r0^(s+2))/(s+2), r0 = 1 - L, for s = 2..2n.
 
-    One row per length, column s - 2.  Powers go through expm1/log1p; a
-    length-1 row has r0 = 0 and stays 1/s - 1/(s+2), so log1p(-1) is never
+    One row per length, column s - 2.  The two terms are near 1/s and their
+    difference far smaller, near L^2 for a deep arc and 2/s^2 for large s,
+    so that form loses up to log2(1/L) or log2(s) bits.  With l = -log(r0)
+    and x = s l it is
+
+        R = [2 A(x) + s e^{-x} B(2 l)] / (s (s + 2)),
+        A(x) = 1 - (1 + x) e^{-x},   B(y) = y + expm1(-y),
+
+    a sum of positive terms.  A and B cancel near 0, so below _SERIES_BELOW
+    each is summed from its Taylor series (_series).  Lengths are taken
+    below 1 by an ulp: a length-1 row has r0 = 2^-53, whose powers vanish
+    in R's rounding, so the row is 2/(s(s+2)) and log1p(-1) is never
     evaluated.
     """
-    s = np.arange(2, 2 * n + 3, dtype=float)
-    one_minus = np.ones((lengths.size, s.size))
-    short = lengths < 1.0
-    one_minus[short] = -np.expm1(np.outer(np.log1p(-lengths[short]), s))
-    return one_minus[:, :-2] / s[:-2] - one_minus[:, 2:] / s[2:]
+    s = np.arange(2, 2 * n + 1, dtype=float)
+    l = -np.log1p(-np.minimum(lengths, 1.0 - 2.0**-53))
+    B = _series(2.0 * l, 2.0 * l + np.expm1(-2.0 * l), _B_TERMS)
+    x = np.outer(l, s)
+    decay = np.exp(-x)                  # r0^s
+    R = x + 1.0
+    R *= decay
+    np.subtract(1.0, R, out=R)
+    _series(x, R, _A_TERMS)             # A(x); in place, the arrays are 13 x 2n at a sweep
+    decay *= s
+    decay *= B[:, None]
+    R *= 2.0
+    R += decay
+    R /= s * (s + 2.0)
+    return R
+
+
+# Taylor coefficients from t^2 on, highest power first (np.polyval's order),
+# of A(t) = sum_{k>=2} (-1)^k (k-1) t^k / k! and B(t) = sum_{k>=2} (-t)^k / k!.
+# Below _SERIES_BELOW the first term left out (k = 22) is under 2**-60 of
+# either sum.  At and above it the direct forms lose under 3 bits: A's at
+# t = 1 is 1 - 2/e, where A at 0.5 would need expm1 to keep its bits.
+_SERIES_BELOW = 1.0
+_A_TERMS = [(-1) ** k * (k - 1) / math.factorial(k) for k in range(21, 1, -1)]
+_B_TERMS = [(-1) ** k / math.factorial(k) for k in range(21, 1, -1)]
+
+
+def _series(t: np.ndarray, direct: np.ndarray, terms: list[float]) -> np.ndarray:
+    """``direct``, with the entries where t < _SERIES_BELOW replaced in place
+    by the series t^2 polyval(terms, t)."""
+    small = t < _SERIES_BELOW
+    ts = t[small]
+    direct[small] = np.polyval(terms, ts) * ts * ts
+    return direct
 
 
 def _diagonal_sums(b: np.ndarray, R: np.ndarray) -> np.ndarray:

@@ -212,12 +212,14 @@ class SlowDecayTrace:
 
     def __post_init__(self):
         self.starts = np.asarray(self.starts, dtype=np.int64)
-        self.flags = np.asarray(self.flags, dtype=np.uint8)
+        flags = np.asarray(self.flags)
         s = self.starts
-        if not (self.N >= 1 and s.ndim == 1 and s.size == self.flags.size and s.size
-                and s[0] == 1 and s[-1] <= self.N and np.all(s[1:] > s[:-1])):
-            raise ValueError("a trace needs one flag per run and run starts that increase "
-                             "from step 1 and stay within 1..N")
+        if not (self.N >= 1 and s.ndim == 1 and s.shape == flags.shape and s.size
+                and s[0] == 1 and s[-1] <= self.N and np.all(s[1:] > s[:-1])
+                and np.all((flags == 0) | (flags == 1))):
+            raise ValueError("a trace needs one flag, 0 or 1, per run and run starts that "
+                             "increase from step 1 and stay within 1..N")
+        self.flags = flags.astype(np.uint8)
 
     def _steps(self):
         """(n, flags) block by block: the steps n as float64 and their choice flags."""

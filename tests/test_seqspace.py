@@ -548,6 +548,11 @@ class TestVerifyMargins:
         ([1, 6], [1, 0], 5),      # and stay within 1..N
         ([1, 3], [1], 5),         # one flag per run
         ([1], [1], 0),
+        ([1, 3], [1, 2], 5),      # a flag is 0 or 1
+        ([1, 3], [1, 256], 5),
+        ([1, 3], [-1, 0], 5),
+        ([1, 3], [1, 0.5], 5),
+        ([1, 3], [[1, 0]], 5),
     ])
     def test_bad_runs_rejected(self, starts, flags, N):
         with pytest.raises(ValueError, match="run"):
