@@ -266,7 +266,8 @@ def float_field(x) -> np.ndarray:
 def int_field(i) -> np.ndarray:
     """Nonnegative integers below 10**12, right-aligned in 12 columns, NUL before.
 
-    i is an array of integers or a range, which is never held whole.
+    i is an array of integers or a range, so that table can number its rows
+    without an index array of the whole table.
     """
     i = np.arange(i.start, i.stop) if isinstance(i, range) else np.asarray(i, dtype=np.int64)
     words = np.empty((i.size, 3), dtype=np.uint32)

@@ -179,7 +179,7 @@ def _radial_factors(lengths: np.ndarray, n: int) -> np.ndarray:
     R = x + 1.0
     R *= decay
     np.subtract(1.0, R, out=R)
-    _series(x, R, _A_TERMS)             # A(x); in place, the arrays are 13 x 2n at a sweep
+    _series(x, R, _A_TERMS)             # A(x); in place: at a sweep a temporary costs a pass
     decay *= s
     decay *= B[:, None]
     R *= 2.0
@@ -191,8 +191,8 @@ def _radial_factors(lengths: np.ndarray, n: int) -> np.ndarray:
 # Taylor coefficients from t^2 on, highest power first (np.polyval's order),
 # of A(t) = sum_{k>=2} (-1)^k (k-1) t^k / k! and B(t) = sum_{k>=2} (-t)^k / k!.
 # Below _SERIES_BELOW the first term left out (k = 22) is under 2**-60 of
-# either sum.  At and above it the direct forms lose under 3 bits: A's at
-# t = 1 is 1 - 2/e, where A at 0.5 would need expm1 to keep its bits.
+# either sum.  From it up the direct forms lose under 2 bits (A(1) = 1 - 2/e
+# = 0.26, B(1) = 1/e); from 0.5 up, the direct A would need expm1.
 _SERIES_BELOW = 1.0
 _A_TERMS = [(-1) ** k * (k - 1) / math.factorial(k) for k in range(21, 1, -1)]
 _B_TERMS = [(-1) ** k / math.factorial(k) for k in range(21, 1, -1)]
