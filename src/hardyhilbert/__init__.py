@@ -24,7 +24,7 @@ from ._version import __version__
 _EXPORTS = {
     "bmoa": (
         "Arc", "CarlesonReport", "K_LIMIT", "bmo_seminorm", "carleson_constant",
-        "dyadic_arc_family", "k_constant", "k_term", "sweep_is_bounded",
+        "k_constant", "k_term", "sweep_is_bounded",
     ),
     "hardyspace": (
         "AnalyticPoly", "ConvergenceError",

@@ -11,6 +11,9 @@ no report echoes it.
 
 Each summary subcommand builds one record, a dict, and _emit_report writes
 it as JSON or as a CSV view of it; the engines return plain dataclasses.
+A long list of records travels as a table of float64 columns (``carleson``'s
+arcs), which the chunked writer of ``_floattext`` turns into JSON records
+or CSV rows without an object per row.
 The interchange CSVs (sequences, traces, polynomials) are read and written
 by ``seqspace`` and ``hardyspace``, each writer next to its reader.
 
@@ -28,7 +31,6 @@ import json
 import math
 import sys
 from itertools import chain
-from operator import itemgetter
 
 import numpy as np
 
@@ -54,16 +56,16 @@ def _emit_json(args, payload: dict, splice: str | None = None) -> None:
     ``json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)``.
 
     ``splice`` names a top-level key whose value is one large list: a list
-    or 1-d array of floats, or a list of flat records (dicts) that share one
-    key set and hold only floats.  json's indented encoder is pure Python
-    and handles each item in turn; instead the rest of the payload is
-    dumped with a placeholder string in the list's place, the text is split
-    at the placeholder, and the items, at the list's indentation, are
-    written between the two halves.  The items come from _floattext.table,
-    one chunk at a time, so the list's text is never held whole; its floats
-    are their shortest round-trip repr, the text json writes.  A non-finite
-    float, a record with another key set and a record value that is not a
-    float raise ValueError, found before a byte is written.
+    or 1-d array of floats, or a table of float64 columns (_list_chunks),
+    written as a list of records, one per row, with the table's keys.  json's indented
+    encoder is pure Python and handles each item in turn; instead the rest
+    of the payload is dumped with a placeholder string in the list's place,
+    the text is split at the placeholder, and the items, at the list's
+    indentation, are written between the two halves.  The items come from
+    _floattext.table, one chunk at a time, so the list's text is never held
+    whole; its floats are their shortest round-trip repr, the text json
+    writes.  A non-finite float and a table that is not one raise
+    ValueError, found before a byte is written.
     """
     if splice is None:
         _emit(args, [json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"])
@@ -84,23 +86,23 @@ _FIELD = "\n      "      # and a record's fields at depth 3
 def _list_chunks(items):
     """Text chunks of json.dumps(items, indent=2) for a list at a top-level
     key of a payload, from _floattext.table: one row per item, each after
-    its separator.  Raises on a bad item before returning."""
-    if len(items) == 0:
-        return ["[]"]
-    if isinstance(items[0], dict):
-        keys = sorted(items[0])
-        same = keys and all(item.keys() == items[0].keys() for item in items)
-        values = [list(map(itemgetter(k), items)) for k in keys] if same else []
-        if not same or not {*map(type, chain(*values))} <= {float, np.float64}:
-            raise ValueError("spliced records must share one nonempty key set of floats")
-        values = np.array(values)   # one row per key
+    its separator.  A table, a nonempty dict from key to a column (a 1-d
+    float64 array), every column of one length, is written as its list of
+    records, one per row.  Raises on a bad item before returning."""
+    if isinstance(items, dict):
+        keys = sorted(items)
+        columns = [np.asarray(items[k]) for k in keys]
+        if not keys or {(col.dtype, col.shape) for col in columns} != {
+                (np.dtype(float), (columns[0].size,))}:
+            raise ValueError("spliced records must be a table: equal-length 1-d float64 columns")
         heads = ("," * (j > 0) + _FIELD + json.dumps(k) + ": " for j, k in enumerate(keys))
-        fields = ["{", *chain(*zip(heads, values)), _ITEM + "}"]
+        fields = ["{", *chain(*zip(heads, columns)), _ITEM + "}"]
     else:
-        values = np.asarray(items, dtype=float)
-        fields = [values]
+        columns = fields = [np.asarray(items, dtype=float)]
+    if columns[0].size == 0:
+        return ["[]"]
     # NaN propagates into both extremes, and an infinity is one of them
-    if not (math.isfinite(values.min()) and math.isfinite(values.max())):
+    if not all(math.isfinite(col.min()) and math.isfinite(col.max()) for col in columns):
         raise ValueError("Out of range float values are not JSON compliant")
     chunks = _floattext.table("," + _ITEM, *fields)
     first = next(chunks)
@@ -110,22 +112,28 @@ def _list_chunks(items):
 def _emit_report(args, record: dict, splice: str | None = None,
                  verdict: tuple[str, ...] = ()) -> None:
     """``record`` as JSON (_emit_json, with its ``splice``), or with
-    ``--format csv`` as a table: one row per item of the record's one list
-    of records, or else the record itself as one row.  A row's cells are
-    the item's fields as _cells flattens them, and the header is their keys.
-    A table of the list leaves the record's own fields out, so in CSV mode
-    the fields named in ``verdict`` go to stderr as one ``key=value`` line.
+    ``--format csv`` as a table: the record's ``splice`` table of float64
+    columns (_list_chunks) with its keys in order as the header, else one row per
+    item of the record's one list of records, or else the record itself as
+    one row.  A row's cells are the item's fields as _cells flattens them,
+    and the header is their keys.  A table leaves the record's own fields
+    out, so in CSV mode the fields named in ``verdict`` go to stderr as one
+    ``key=value`` line.
 
     Cells are written by str(), LF line ends: a float cell's str() is its
     repr, so it reads back bit for bit.  No cell written here holds a comma,
-    quote or line break, so none is quoted.  Long float columns go through
-    seqspace.indexed_csv instead.
+    quote or line break, so none is quoted.  A table's float columns are
+    written by _floattext.table, the same repr text.
     """
     if args.format != "csv":
         _emit_json(args, record, splice)
         return
     if verdict:
         print(" ".join(f"{key}={record[key]}" for key in verdict), file=sys.stderr)
+    if isinstance(table := record.get(splice), dict):
+        separated = chain(*zip(table.values(), [","] * (len(table) - 1) + ["\n"]))
+        _emit(args, chain([",".join(table) + "\n"], _floattext.table(*separated)))
+        return
     items = next((v for v in record.values() if isinstance(v, list) and v
                   and isinstance(v[0], dict)), [record])
     rows = [dict(_cells(item)) for item in items]
@@ -240,9 +248,8 @@ def _cmd_carleson(args) -> int:
     if report.finding:
         print(report.finding, file=sys.stderr)
     _emit_report(args, {
-        "arcs": [{"length": r.arc.length_norm, "center": r.arc.center,
-                  "box_integral": r.box_integral, "ratio": r.ratio}
-                 for r in report.records],
+        "arcs": {"length": report.lengths, "center": report.centers,
+                 "box_integral": report.box_integrals, "ratio": report.ratios},
         "sup_ratio": report.sup_ratio,
         "k_constant": report.k_constant,
         "bound_2k": report.bound_2k,
@@ -251,7 +258,7 @@ def _cmd_carleson(args) -> int:
         "xnorm_sq": report.xnorm_sq,
         "finding": report.finding,
         "bounded": bounded,
-        "params": {"arcs": len(report.records)},
+        "params": {"arcs": report.lengths.size},
     }, splice="arcs", verdict=("sup_ratio", "bound_2k", "pass", "bounded"))
     return 0 if bounded else 1
 

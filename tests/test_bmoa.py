@@ -1,6 +1,7 @@
 import math
 import time
-from decimal import Decimal, localcontext
+from dataclasses import replace
+from decimal import Decimal, getcontext, localcontext
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from hardyhilbert.bmoa import (
     K_LIMIT,
     bmo_seminorm,
     carleson_constant,
-    dyadic_arc_family,
     k_constant,
     k_term,
     sweep_is_bounded,
@@ -25,6 +25,14 @@ from hardyhilbert.seqspace import (
 )
 
 
+def dyadic_columns(depth, centers_per_length=8):
+    """Reference for the default family, arc by arc: the whole circle, then
+    centers 2 pi k / centers_per_length for each length 2^-j, j = 1..depth."""
+    arcs = [(1.0, 0.0)] + [(2.0**-j, 2.0 * np.pi * k / centers_per_length)
+                           for j in range(1, depth + 1) for k in range(centers_per_length)]
+    return tuple(np.array(column) for column in zip(*arcs))
+
+
 class TestArc:
     def test_center_wrapped(self):
         assert Arc(2.5 * np.pi, 0.5).center == pytest.approx(0.5 * np.pi)
@@ -36,15 +44,28 @@ class TestArc:
             Arc(0.0, 1.5)
 
     def test_dyadic_family_shape(self):
-        arcs = dyadic_arc_family(3, centers_per_length=4)
-        assert len(arcs) == 1 + 3 * 4
-        lengths = sorted({a.length_norm for a in arcs}, reverse=True)
+        report = carleson_constant(classic_sequence(8), depth=3, centers_per_length=4)
+        assert len(report.lengths) == 1 + 3 * 4
+        lengths = sorted(set(report.lengths.tolist()), reverse=True)
         assert lengths == [1.0, 0.5, 0.25, 0.125]
+        for depth, centers in ((0, 8), (12, 8), (5, 3), (2, 1)):
+            report = carleson_constant(classic_sequence(8), depth=depth,
+                                       centers_per_length=centers)
+            want_lengths, want_centers = dyadic_columns(depth, centers)
+            assert np.array_equal(report.lengths, want_lengths)
+            assert np.array_equal(report.centers, want_centers)
 
     @pytest.mark.parametrize("centers", [0, -2])
     def test_dyadic_family_needs_a_center(self, centers):
         with pytest.raises(ValueError, match="centers per length"):
-            dyadic_arc_family(0, centers_per_length=centers)
+            carleson_constant(classic_sequence(8), depth=0, centers_per_length=centers)
+
+    def test_depth_below_the_least_double_refused(self):
+        assert carleson_constant(classic_sequence(8), depth=1074, centers_per_length=1).lengths[
+            -1] == 2.0**-1074
+        for depth in (-1, 1075):
+            with pytest.raises(ValueError, match="depth must lie in 0..1074"):
+                carleson_constant(classic_sequence(8), depth=depth)
 
 
 def scan_k_constant(r_max):
@@ -175,7 +196,7 @@ class TestKConstant:
 
 def box(values, arc):
     """One box integral, read off a single-arc sweep."""
-    return carleson_constant(XSequence(values), arc_family=[arc]).records[0].box_integral
+    return carleson_constant(XSequence(values), arc_family=[arc]).box_integrals[0]
 
 
 def tensor_gauss_box(coeffs, arc, points=400):
@@ -192,6 +213,53 @@ def tensor_gauss_box(coeffs, arc, points=400):
     k = np.arange(dg.size)
     values = (dg * np.power.outer(r, k)) @ np.exp(1j * np.outer(k, theta))
     return float(np.einsum("i,j,ij->", (1.0 - r**2) * r * wr, wt, np.abs(values) ** 2))
+
+
+# pi to 60 digits, for the 50-digit oracle below
+DECIMAL_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+
+
+def decimal_sin(x):
+    """sin(x) for a Decimal x in [0, 2 pi), by its Taylor series at the current precision."""
+    if x > DECIMAL_PI:
+        return -decimal_sin(x - DECIMAL_PI)
+    total, term, k = Decimal(0), x, 1
+    while abs(term) > Decimal(10) ** -(getcontext().prec + 5):
+        total += term
+        term = -term * x * x / ((k + 1) * (k + 2))
+        k += 2
+    return total
+
+
+def decimal_deep_boxes(values, k):
+    """The closed form of the box integrals at length L = 2^-k, in 50-digit
+    decimals from the exact float inputs: (I at center 0, I at center pi,
+    sum_m |D[m]| W_m), where I = sum_m D[m] W_m cos(mc) with W_0 = 2 pi L and
+    W_m = 4 sin(m pi L)/m, and the error weights are W_0 and
+    (4/m)(|sin(m pi L)| + pi (mL mod 2)).  R_L(s) is exact in r0 = 1 - L,
+    cos(m pi) = (-1)^m and sin(m pi L) comes from its Taylor series."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        L = Decimal(1) / (1 << k)
+        b = [j * Decimal(v) for j, v in enumerate(map(float, values))][1:]   # b_j, j >= 1
+        n = len(b)
+        powers = [Decimal(1)]
+        for _ in range(2 * n + 2):
+            powers.append(powers[-1] * (1 - L))
+        R = [None, None] + [(1 - powers[s]) / s - (1 - powers[s + 2]) / (s + 2)
+                            for s in range(2, 2 * n + 1)]
+        # 0-based i is j - 1, so R_L(2j + m) is R[2i + m + 2]
+        D = [sum(b[i] * b[i + m] * R[2 * i + m + 2] for i in range(n - m)) for m in range(n)]
+        at_zero = at_pi = 2 * DECIMAL_PI * L * D[0]
+        weight_sum = abs(at_zero)
+        for m in range(1, n):
+            turns = Decimal(m % (2 << k)) / (1 << k)         # mL mod 2
+            sin = decimal_sin(DECIMAL_PI * turns)
+            term = D[m] * 4 * sin / m
+            at_zero += term
+            at_pi += -term if m % 2 else term
+            weight_sum += abs(D[m]) * 4 * (abs(sin) + DECIMAL_PI * turns) / m
+        return float(at_zero), float(at_pi), float(weight_sum)
 
 
 def radial_factor(s, length):
@@ -232,6 +300,35 @@ class TestBoxIntegral:
         assert vals[0] == pytest.approx(vals[1], rel=1e-12)
         assert vals[0] == pytest.approx(vals[2], rel=1e-12)
 
+    def test_deep_arcs_against_decimal_oracle(self):
+        """Box integrals at lengths 2^-4..2^-12 and centers 0 and pi against
+        the 50-digit closed form, within an a priori bound.
+
+        With u = 2^-53 and n = N - 1 weighted terms: b_j b_{j+m} carries 3
+        roundings, R_L(s) at most 2e-15 < 18u (TestRadialFactors), and each
+        D[m], a sum of at most n positive terms here, at most (n + 22) u
+        relative.  sin(m pi L) is taken at pi (mL mod 2), whose argument is
+        off by at most 2u pi (mL mod 2) and its value by 1 ulp; the weight
+        4 sin D[m] / m adds 2 roundings, the cosine of m fl(pi) is +-1 to
+        within 2u (and its center fl(pi) moves the box only at second
+        order, where d/dc vanishes), and the (lengths x centers) product
+        sums n terms.  Each term's error is so below (2n + 32) u |D[m]| W_m,
+        W_0 = 2 pi L, W_m = (4/m)(|sin(m pi L)| + pi (mL mod 2)), and the
+        bound is that times the sum over m.  The center-pi boxes cancel
+        in that sum, so their relative error is the larger.
+        """
+        values = classic_sequence(256).values
+        n = values.size - 1
+        u = 2.0**-53
+        for k in range(4, 13):
+            L = 2.0**-k
+            got = carleson_constant(XSequence(values), arc_family=[Arc(0.0, L), Arc(np.pi, L)])
+            at_zero, at_pi, weight_sum = decimal_deep_boxes(values, k)
+            bound = (2 * n + 32) * u * weight_sum
+            assert abs(got.box_integrals[0] - at_zero) <= bound, k
+            assert abs(got.box_integrals[1] - at_pi) <= bound, k
+            assert bound <= 1e-12 * abs(at_zero), k      # the bound is not vacuous
+
     def test_degree_two_homogeneity(self):
         coeffs = np.array([0.5, 1.0, 0.25])
         arc = Arc(0.3, 0.125)
@@ -256,28 +353,31 @@ def exact_radial_factor_errors(k, approx):
     return errors
 
 
+S_1024 = np.arange(2.0, 2049.0)   # s = 2..2048, the radial powers of a sweep at N = 1025
+
+
 class TestRadialFactors:
     def test_deep_arcs_against_exact_rationals(self):
         # the difference form loses log2(1/L) bits: 9.9e-13 at 2^-12, 2.6e-7 at 2^-30
         for k in range(4, 31):
-            R = bmoa._radial_factors(np.array([2.0**-k]), 1024)[0]   # s = 2..2048
+            R = bmoa._radial_factors(np.array([2.0**-k]), S_1024)[0]
             assert max(exact_radial_factor_errors(k, R)) <= 2e-15, k
 
     def test_shallow_and_full_arcs(self):
         lengths = np.array([1.0, 0.5, 0.25, 0.125])
-        R = bmoa._radial_factors(lengths, 1024)
-        s = np.arange(2, 2049, dtype=float)
+        R = bmoa._radial_factors(lengths, S_1024)
+        s = S_1024
         assert np.array_equal(R[0], 2.0 / (s * (s + 2.0)))
         for k in (1, 2, 3):
             assert max(exact_radial_factor_errors(k, R[k])) <= 2e-15, k
 
 
-def diagonal_box_integrals(values, arcs):
+def diagonal_box_integrals(values, lengths, centers):
     """Oracle for the blocked engine: each distinct length's diagonal sums
     D[m] = sum_j b_j b_{j+m} R(2j+m) from one einsum over strided n x n views,
     then the same per-arc closed form."""
     a = np.asarray(values, dtype=float)
-    out = np.zeros(len(arcs))
+    out = np.zeros(len(lengths))
     n = a.size - 1
     if n < 1:
         return out
@@ -287,7 +387,6 @@ def diagonal_box_integrals(values, arcs):
     shifted = np.lib.stride_tricks.as_strided(b_pad, shape=(n, n), strides=(step, step))
     s = np.arange(2, 3 * n + 2, dtype=float)
     m = np.arange(1, n)
-    lengths = np.array([arc.length_norm for arc in arcs])
     for length in np.unique(lengths):
         if length >= 1.0:
             one_minus = np.ones_like(s)
@@ -298,21 +397,23 @@ def diagonal_box_integrals(values, arcs):
         D = np.einsum("j,mj,mj->m", b, shifted, R_diag)
         weights = 4.0 * D[1:] * np.sin(np.pi * np.mod(m * length, 2.0)) / m
         for i in np.flatnonzero(lengths == length):
-            out[i] = 2.0 * np.pi * length * D[0] + weights @ np.cos(m * arcs[i].center)
+            out[i] = 2.0 * np.pi * length * D[0] + weights @ np.cos(m * centers[i])
     return out
 
 
 def _oracle_cases():
     rng = np.random.default_rng(2026)
-    yield "classic-1024", classic_sequence(1024).values, dyadic_arc_family(12)
+    yield "classic-1024", classic_sequence(1024).values, *dyadic_columns(12)
     r, beta = rng.uniform(0.5, 1.0), rng.uniform(1.05, 3.0)
     slow = trace_to_xsequence(slow_decay_sequence(r, beta, 800))
-    yield "slow-decay", slow.values, dyadic_arc_family(10)
+    yield "slow-decay", slow.values, *dyadic_columns(10)
     # n = len(values) - 1 weighted terms, both parities of n
     for n in (1, 2, 3, 4, 5, 17, 96):
-        arcs = dyadic_arc_family(6, centers_per_length=3) + [
-            Arc(rng.uniform(0.0, 2.0 * np.pi), rng.uniform(0.01, 1.0)) for _ in range(4)]
-        yield f"random-{n}", rng.standard_normal(n + 1), arcs
+        lengths, centers = dyadic_columns(6, centers_per_length=3)
+        arcs = [Arc(rng.uniform(0.0, 2.0 * np.pi), rng.uniform(0.01, 1.0)) for _ in range(4)]
+        lengths = np.concatenate([lengths, [arc.length_norm for arc in arcs]])
+        centers = np.concatenate([centers, [arc.center for arc in arcs]])
+        yield f"random-{n}", rng.standard_normal(n + 1), lengths, centers
 
 
 ORACLE_CASES = list(_oracle_cases())
@@ -325,9 +426,9 @@ class TestBlockedBoxIntegrals:
         # block 64 splits n = 96 and n = 1024 into many trimmed row blocks
         if block is not None:
             monkeypatch.setattr(bmoa, "_BLOCK", block)
-        _, values, arcs = case
-        expected = diagonal_box_integrals(values, arcs)
-        got = bmoa._box_integrals(values, arcs)
+        _, values, lengths, centers = case
+        expected = diagonal_box_integrals(values, lengths, centers)
+        got = bmoa._box_integrals(values, lengths, centers)
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
@@ -354,16 +455,30 @@ class TestCarlesonConstant:
         lam = 1.7
         base = carleson_constant(c, depth=4, centers_per_length=2)
         scaled = carleson_constant(XSequence(lam * c.values), depth=4, centers_per_length=2)
-        for r, s in zip(base.records, scaled.records):
-            assert s.ratio == pytest.approx(lam**2 * r.ratio, rel=1e-11)
+        for r, s in zip(base.ratios, scaled.ratios):
+            assert s == pytest.approx(lam**2 * r, rel=1e-11)
         assert scaled.eta_estimate == pytest.approx(lam * base.eta_estimate, rel=1e-11)
 
     def test_report_schema(self):
         report = carleson_constant(classic_sequence(16), depth=2, centers_per_length=2)
-        family = dyadic_arc_family(2, 2)
-        assert [r.arc for r in report.records] == family
-        assert all(r.ratio == r.box_integral / r.arc.length_norm for r in report.records)
-        assert report.sup_ratio == max(r.ratio for r in report.records)
+        # the dyadic family in order: the whole circle, then each length's centers
+        assert report.lengths.tolist() == [1.0, 0.5, 0.5, 0.25, 0.25]
+        assert report.centers.tolist() == [0.0, 0.0, np.pi, 0.0, np.pi]
+        for column in (report.lengths, report.centers, report.box_integrals, report.ratios):
+            assert column.dtype == np.float64 and column.shape == (5,)
+        assert all(r == b / L for r, b, L in zip(report.ratios.tolist(),
+                                                 report.box_integrals.tolist(),
+                                                 report.lengths.tolist()))
+        assert report.sup_ratio == max(report.ratios.tolist())
+
+    def test_custom_family_columns(self):
+        arcs = [Arc(2.5 * np.pi, 0.5), Arc(0, 1), Arc(1.0, 0.125)]
+        report = carleson_constant(classic_sequence(32), arc_family=arcs)
+        assert report.lengths.tolist() == [0.5, 1.0, 0.125]
+        assert report.centers.tolist() == [arc.center for arc in arcs]
+        assert report.lengths.dtype == report.centers.dtype == np.float64
+        for arc, value in zip(arcs, report.box_integrals):
+            assert value == pytest.approx(box(classic_sequence(32).values, arc), rel=1e-13)
 
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError):
@@ -413,16 +528,35 @@ class TestBmoSeminorm:
             bmo_seminorm(AnalyticPoly([0.0, 1.0]), 10, 1024)  # 1024/2^10 = 1 < 8
 
 
+def report_with_ratios(lengths, ratios):
+    """A sweep report whose columns are the given arcs' lengths and ratios."""
+    lengths, ratios = np.asarray(lengths, dtype=float), np.asarray(ratios, dtype=float)
+    rep = carleson_constant(classic_sequence(4), arc_family=[Arc(0.0, 1.0)])
+    return replace(rep, lengths=lengths, centers=np.zeros(lengths.size),
+                   box_integrals=ratios * lengths, ratios=ratios)
+
+
+def loop_sweep_is_bounded(lengths, ratios):
+    """Reference: the criterion as one loop over the arcs and one over the depths."""
+    by_length = {}
+    for L, ratio in zip(lengths, ratios):
+        by_length[L] = max(by_length.get(L, 0.0), ratio)
+    depths = {}
+    for L, ratio in by_length.items():
+        j = int(round(-np.log2(L))) if L < 1.0 else 0
+        depths[j] = max(depths.get(j, 0.0), ratio)
+    js = sorted(depths)
+    for j in js:
+        if j < bmoa.SWEEP_START_DEPTH or (j + 2) not in depths:
+            continue
+        if depths[j + 2] > bmoa.SWEEP_GROWTH_FACTOR * max(depths[i] for i in js if i <= j):
+            return False
+    return True
+
+
 class TestSweepBoundedCriterion:
     def _report_with_ratios(self, per_depth):
-        records = []
-        for j, ratio in enumerate(per_depth):
-            L = 2.0 ** -j
-            records.append(type("R", (), {"arc": Arc(0.0, L), "ratio": ratio,
-                                          "box_integral": ratio * L})())
-        rep = carleson_constant(classic_sequence(4), arc_family=[Arc(0.0, 1.0)])
-        rep.records = records
-        return rep
+        return report_with_ratios(2.0 ** -np.arange(len(per_depth)), per_depth)
 
     def test_flat_profile_bounded(self):
         assert sweep_is_bounded(self._report_with_ratios([1.0] * 13))
@@ -433,3 +567,20 @@ class TestSweepBoundedCriterion:
 
     def test_shallow_sweep_vacuous(self):
         assert sweep_is_bounded(self._report_with_ratios([1.0, 2.0, 4.0]))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_loop_oracle(self, seed):
+        # several centers per length, gaps in the depths, lengths off the
+        # dyadic grid, NaN and tiny negative ratios (a NaN never wins a max)
+        rng = np.random.default_rng(seed)
+        depth = int(rng.integers(0, 14))
+        lengths = np.repeat(2.0 ** -np.arange(depth + 1), rng.integers(1, 4, depth + 1))
+        lengths = lengths[rng.random(lengths.size) < 0.85]
+        lengths = np.concatenate([[1.0], lengths, rng.uniform(1e-4, 1.0, rng.integers(0, 3))])
+        growth = rng.uniform(1.0, 1.5)        # per depth; a criterion edge near 1.22
+        ratios = rng.lognormal(0.0, 0.2, lengths.size) * growth ** np.log2(1.0 / lengths)
+        ratios[rng.random(lengths.size) < 0.05] = np.nan
+        ratios[rng.random(lengths.size) < 0.05] = -1e-20
+        report = report_with_ratios(lengths, ratios)
+        assert sweep_is_bounded(report) == loop_sweep_is_bounded(lengths.tolist(),
+                                                                 ratios.tolist())

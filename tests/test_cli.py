@@ -491,11 +491,19 @@ class TestCarleson:
                                   "--classic-n", "16", "--format", "csv", "--out", str(out_path)])
         assert code == 0
         report = carleson_constant(classic_sequence(16), depth=3, centers_per_length=2)
-        rows = [[repr(x) for x in (r.arc.length_norm, r.arc.center, r.box_integral, r.ratio)]
-                for r in report.records]
+        columns = (report.lengths, report.centers, report.box_integrals, report.ratios)
+        rows = [[repr(x) for x in row] for row in zip(*(col.tolist() for col in columns))]
         golden = rows_text(["length", "center", "box_integral", "ratio"], rows)
         assert len(rows) == 1 + 3 * 2
         assert out_path.read_bytes() == golden.encode()  # LF line ends
+
+    @pytest.mark.parametrize("chunk", [1, 2, 4])
+    def test_csv_across_chunk_edges(self, capsys, monkeypatch, chunk):
+        argv = ["carleson", "--depth", "3", "--centers", "2", "--classic-n", "16",
+                "--format", "csv"]
+        _, whole, _ = run(capsys, argv)
+        monkeypatch.setattr(_floattext, "CHUNK_ROWS", chunk)
+        assert run(capsys, argv)[1] == whole
 
     def test_csv_verdict_on_stderr(self, capsys):
         argv = ["carleson", "--depth", "3", "--classic-n", "64"]
@@ -508,18 +516,36 @@ class TestCarleson:
             f"sup_ratio={payload['sup_ratio']!r} bound_2k={payload['bound_2k']!r} "
             f"pass={payload['pass']} bounded={payload['bounded']}")
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_engine_entry_points_called_once(self, capsys, monkeypatch, fmt):
+        # the benchmark's per-layer spans wrap these two public names
+        calls = []
+        for name in ("carleson_constant", "sweep_is_bounded"):
+            original = getattr(bmoa, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(bmoa, name, counted)
+        code, _, _ = run(capsys, ["carleson", "--depth", "3", "--classic-n", "16",
+                                  "--format", fmt])
+        assert code == 0
+        assert calls == ["carleson_constant", "sweep_is_bounded"]
+
 
 def carleson_payload(c, depth, centers):
     """The sweep's JSON payload, laid out from the report's fields."""
     report = carleson_constant(c, depth=depth, centers_per_length=centers)
     return {
-        "arcs": [{"center": r.arc.center, "length": r.arc.length_norm,
-                  "box_integral": r.box_integral, "ratio": r.ratio} for r in report.records],
+        "arcs": [{"center": center, "length": length, "box_integral": box, "ratio": ratio}
+                 for length, center, box, ratio in zip(
+                     report.lengths.tolist(), report.centers.tolist(),
+                     report.box_integrals.tolist(), report.ratios.tolist())],
         "sup_ratio": report.sup_ratio, "k_constant": report.k_constant,
         "bound_2k": report.bound_2k, "pass": report.passes_2k,
         "eta_estimate": report.eta_estimate, "xnorm_sq": report.xnorm_sq,
         "finding": report.finding, "bounded": sweep_is_bounded(report),
-        "params": {"arcs": len(report.records)},
+        "params": {"arcs": len(report.lengths)},
     }
 
 
@@ -557,27 +583,35 @@ class TestCarlesonJsonBytes:
         assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def table_records(table):
+    """A table of columns as its list of records, the layout json.dumps sees."""
+    return [dict(zip(table, row)) for row in zip(*(col.tolist() for col in table.values()))]
+
+
 class TestJsonSplice:
     @pytest.mark.parametrize("payload", [
         {"a": 1, "list": [], "z": "last"},
         {"list": [0.1, -2.5e-300, 1e300, 3.0], "a": {"nested": [1, 2]}},
-        {"b": True, "list": [{"y": 1.5, "x": -0.0, "%s": 2.0, "b\"q": 0.5},
-                             {"y": 1e-300, "x": 3.0, "%s": -2.5e16, "b\"q": 0.1}]},
-        {"list": [{"only": 7.25}]},
+        {"b": True, "list": {"y": np.array([1.5, 1e-300]), "x": np.array([-0.0, 3.0]),
+                             "%s": np.array([2.0, -2.5e16]), "b\"q": np.array([0.5, 0.1])}},
+        {"list": {"only": np.array([7.25])}},
+        {"list": {"a": np.array([]), "b": np.array([])}, "z": 0},
     ])
     def test_matches_indented_dumps(self, capsys, payload):
         cli._emit_json(SimpleNamespace(out=None), payload, splice="list")
+        if isinstance(payload["list"], dict):
+            payload = {**payload, "list": table_records(payload["list"])}
         assert capsys.readouterr().out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     @pytest.mark.parametrize("items", [
-        [{"y": 1.5, "x": -0.0}, {}, {"%s": 2.0, "b\"q": 0.5}],   # mixed key sets
-        [{"a": 1.0}, {"b": 1.0}],
-        [{"a": 1.0}, {"a": 1.0, "b": 2.0}],
-        [{}, {}],
-        [{"a": 1.0}, {"a": 2}],          # json writes an int without ".0"
-        [{"a": True}],
-        [{"a": 1.0, "b": "text"}],
-        [{"a": np.float32(1.0)}],
+        {"y": np.array([1.5, -0.0]), "x": np.array([2.0])},   # columns of two lengths
+        {},
+        {"a": np.array([0.5, None])},              # objects
+        {"a": np.ones((2, 1))},
+        {"a": np.array([1, 2])},                   # json writes an int without ".0"
+        {"a": np.array([True])},
+        {"a": np.array([1.0]), "b": np.array(["text"])},
+        {"a": np.array([1.0], dtype=np.float32)},
     ])
     def test_records_outside_the_table_raise(self, capsys, tmp_path, items):
         kept = tmp_path / "kept.json"
@@ -592,16 +626,17 @@ class TestJsonSplice:
     def test_records_across_chunk_edges_match_indented_dumps(self, capsys, monkeypatch, n):
         monkeypatch.setattr(_floattext, "CHUNK_ROWS", 4)
         rng = np.random.default_rng(n)
-        items = [{"length": 2.0**-k, "center": float(c), "box_integral": float(b), "ratio": -0.0}
-                 for k, (c, b) in enumerate(zip(rng.uniform(0, 7, n), rng.lognormal(0, 30, n)))]
-        payload = {"arcs": items, "sup_ratio": 1.5, "pass": True}
+        table = {"length": 2.0 ** -np.arange(n), "center": rng.uniform(0, 7, n),
+                 "box_integral": rng.lognormal(0, 30, n), "ratio": np.full(n, -0.0)}
+        payload = {"arcs": table, "sup_ratio": 1.5, "pass": True}
         cli._emit_json(SimpleNamespace(out=None), payload, splice="arcs")
-        assert capsys.readouterr().out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        want = json.dumps({**payload, "arcs": table_records(table)}, sort_keys=True, indent=2)
+        assert capsys.readouterr().out == want + "\n"
 
     def test_nan_in_last_record_chunk_writes_nothing(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(_floattext, "CHUNK_ROWS", 4)
-        items = [{"a": float(i), "b": 0.5} for i in range(9)]
-        items[-1]["b"] = float("nan")
+        items = {"a": np.arange(9.0), "b": np.full(9, 0.5)}
+        items["b"][-1] = np.nan
         kept = tmp_path / "kept.json"
         kept.write_text("earlier output\n")
         for out in (None, str(kept)):
@@ -614,8 +649,8 @@ class TestJsonSplice:
         [1.0, float("nan")],
         [float("inf")],
         [-float("inf"), 2.0],
-        [{"a": 1.0}, {"a": float("nan")}],
-        [{"a": 1.0, "b": -float("inf")}],
+        {"a": np.array([1.0, np.nan])},
+        {"a": np.array([1.0]), "b": np.array([-np.inf])},
     ])
     def test_non_finite_item_raises(self, capsys, items):
         with pytest.raises(ValueError):
