@@ -386,8 +386,7 @@ def carleson_constant(c: XSequence, arc_family: list[Arc] | None = None,
     bound = 2.0 * K_LIMIT * c.xnorm_sq
     finding = ""
     if sup_ratio > bound:
-        finding = (f"sup ratio {sup_ratio:.6g} exceeds 2K||c||^2 = {bound:.6g}; "
-                   "the proof-side constant undercounts, boundedness still holds")
+        finding = f"sup ratio {sup_ratio:.6g} exceeds 2K||c||^2 = {bound:.6g}"
     return CarlesonReport(
         lengths=lengths,
         centers=centers,

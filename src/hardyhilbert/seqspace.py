@@ -184,6 +184,8 @@ def classic_sequence(N: int) -> XSequence:
     """The unit-norm element c_k = 1/(k+1), k = 0..N-1."""
     if N < 1:
         raise ValueError("N must be positive")
+    if N > N_CAP:   # before the terms are built: XSequence would refuse them
+        raise ValueError(f"sequence length {N} exceeds cap {N_CAP}")
     return XSequence(1.0 / np.arange(1, N + 1, dtype=float))
 
 
@@ -234,10 +236,14 @@ class SlowDecayTrace:
         for _, flags in self._steps():
             yield flags
 
+    def _value_blocks(self):
+        """(n, c_n) block by block: the steps n as float64 and their values."""
+        for n, flags in self._steps():
+            yield n, _values_block(self.r, n, flags)
+
     def values(self):
         """c_1..c_N, block by block: 1/n, or scalar n ** -r at the power picks."""
-        for n, flags in self._steps():
-            yield _values_block(self.r, n, flags)
+        return (values for _, values in self._value_blocks())
 
     def margins(self):
         """beta*n - sum_{k<=n} k^2 c_k^2 for n = 1..N, block by block.
@@ -469,18 +475,15 @@ def trace_to_xsequence(t: SlowDecayTrace) -> XSequence:
 # ---------------------------------------------------------------------------
 # The reports on a trace.  Each is a block pass: add(n, values) takes the
 # steps n = start+1..stop (floats) and c_n of one block, in order, and
-# result() gives the report.  _report_pass builds each block of values once
-# and feeds it to every pass it is given, so one walk over the trace serves
-# any subset of the reports.
+# result() gives the report.  _report_pass takes each block of the trace's
+# _value_blocks() once and feeds it to every pass it is given, so one walk
+# over the trace serves any subset of the reports.
 
 def _report_pass(t, *passes):
-    """Feed each block of ``t.values()``, with its steps, to every pass; their results."""
-    start = 0
-    for values in t.values():
-        n = np.arange(start + 1.0, start + values.size + 1.0)
+    """Feed each block of steps and values of ``t`` to every pass; their results."""
+    for n, values in t._value_blocks():
         for p in passes:
             p.add(n, values)
-        start += values.size
     return [p.result() for p in passes]
 
 
@@ -520,7 +523,7 @@ def verify_margins(t: SlowDecayTrace) -> MarginCertificate:
     """Recompute the budget slack beta*m - sum_{k<=m} k^2 c_k^2 for every m.
 
     Independent of the generator's running sum: reads ``t.beta`` and the
-    blocks of ``t.values()`` only.  ``ok`` allows a relative slop of
+    blocks of ``t._value_blocks()`` only.  ``ok`` allows a relative slop of
     MARGIN_REL_TOL so that exact-equality cases (e.g. the all-harmonic
     sequence at budget slope 1) are not rejected on roundoff.  The margins
     are taken block by block from the prefix sums XSequence uses; the worst

@@ -99,15 +99,19 @@ def test_c04_monotone_pi_bounded_constants():
     values = [e.value for e in scan]
     strictly_increasing = all(b > a for a, b in zip(values, values[1:]))
     below_pi = all(v < np.pi for v in values)
+    converged = all(e.converged for e in scan)
     agreement = 0.0
     for est in scan:
         if est.N <= 512:
             dense = matrix_norm(c, est.N, DENSE_EIGEN)
+            converged &= dense.converged
             agreement = max(agreement, abs(est.value - dense.value))
     elapsed = time.monotonic() - t0
-    _line(4, strictly_increasing and below_pi and agreement <= 1e-10 and elapsed < 60.0,
+    _line(4, strictly_increasing and below_pi and converged and agreement <= 1e-10
+          and elapsed < 60.0,
           f"strictly increasing={strictly_increasing}, max={values[-1]:.6f} < pi, "
-          f"dense/power agreement {agreement:.2e} (tol 1e-10), {elapsed:.2f}s < 60s")
+          f"both routes converged={converged}, "
+          f"dense/Lanczos agreement {agreement:.2e} (tol 1e-10), {elapsed:.2f}s < 60s")
 
 
 def test_c05_quadrature_exactness():

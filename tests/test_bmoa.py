@@ -445,8 +445,8 @@ class TestCarlesonConstant:
         assert np.isfinite(report.sup_ratio)
         assert sweep_is_bounded(report)
         assert report.bound_2k == pytest.approx(2.0 * K_LIMIT, rel=1e-12)
-        # the proof-side constant undercounts on the classic sequence;
-        # the exceedance is reported as a finding, not an error
+        # on the classic sequence the sup ratio exceeds 2K||c||^2; the
+        # exceedance is reported as a finding, not an error
         assert not report.passes_2k
         assert "exceeds" in report.finding
 

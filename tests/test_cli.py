@@ -1,8 +1,6 @@
 import argparse
 import json
 import os
-import subprocess
-import sys
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -24,6 +22,7 @@ from hardyhilbert.seqspace import (
     write_sequence_csv,
     xnorm,
 )
+from conftest import csv_table, fresh_python, strict_json
 from test_seqspace import exported_values, full_margin_certificate, loop_slow_decay
 
 
@@ -98,6 +97,19 @@ class TestXnorm:
         assert code == 0 and out == ""
         assert target.read_bytes() == golden.encode()  # LF, as on stdout
 
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_plain_text_under_a_compressed_suffix(self, capsys, tmp_path, suffix):
+        # numpy would decompress a file so named: it is read as the text it holds
+        text = "".join(trace_csv(slow_decay_sequence(0.6, 1.5, 3000)))
+        plain, named = tmp_path / "seq.csv", tmp_path / f"seq{suffix}"
+        for path in (plain, named):
+            path.write_text(text, newline="")
+        for fmt in ("json", "csv"):
+            want = run(capsys, ["xnorm", str(plain), "--format", fmt])
+            code, out, err = run(capsys, ["xnorm", str(named), "--format", fmt])
+            assert want[0] == 0
+            assert (code, out.replace(str(named), str(plain)), err) == want
+
 
 BAD_SEQUENCE_ROWS = {
     "nan": "0,1.0\n1,nan\n2,0.25\n",
@@ -112,12 +124,9 @@ def run_piped(text: bytes, argv):
 
     A pipe cannot be reopened by name: its text would be read twice or hang.
     """
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, "-m", "hardyhilbert.cli", argv[0], "/dev/stdin",
-                           *argv[1:]], input=text, capture_output=True, timeout=60, env=env)
-    return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+    proc = fresh_python("-m", "hardyhilbert.cli", argv[0], "/dev/stdin", *argv[1:],
+                        input=text, timeout=60)
+    return proc.code, proc.out.decode(), proc.err.decode()
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
@@ -196,6 +205,17 @@ class TestBadInput:
         assert out == ""
         assert err == (f"error: sequence length {cap + 1} exceeds the Carleson sweep cap "
                        f"CARLESON_N_CAP = {cap}\n")
+
+    @pytest.mark.parametrize("argv, length", [
+        (["hilbert-norm", "--n-list", "1000000000000000"], 2 * 10**15 - 1),
+        (["equiv", "--n", "1000000000000000"], 2 * 10**15 - 1),
+        (["carleson", "--classic-n", "1000000000000000"], 10**15)])
+    def test_classic_length_over_cap_is_usage_error(self, capsys, argv, length):
+        # refused before its terms are built, not by numpy's allocator
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: sequence length {length} exceeds cap {seqspace.N_CAP}\n"
 
 
 class TestSlowdecay:
@@ -939,7 +959,7 @@ OUTPUT_LAYOUTS = {
     "slowdecay": (["slowdecay", "--r", "0.6", "--beta", "1.5", "--n", "300"],
                   ["certificate", "export_norm", "infinitude", "params"],
                   "index,value,choice"),
-    "hilbert-norm": (["hilbert-norm", "--n-list", "2,4,8"],
+    "hilbert-norm": (["hilbert-norm", "--n-list", "2,4,8", "--sequence", "{sequence}"],
                      ["params", "rows"],
                      "N,norm,residual,iterations,converged"),
     "equiv": (["equiv", "--n", "4"],
@@ -986,9 +1006,10 @@ def test_out_file_matches_stdout_and_layout(capsys, monkeypatch, tmp_path, class
     assert run(capsys, argv + ["--out", str(target)]) == (code, "", err)
     assert target.read_bytes() == out.encode()
     if fmt == "json":
-        assert sorted(json.loads(out)) == keys
+        assert sorted(strict_json(out)) == keys
     else:
         assert out.split("\n", 1)[0] == header
+        csv_table(out)
 
 
 def scalar_fields(record):
@@ -1033,3 +1054,86 @@ def test_csv_is_a_view_of_json(capsys, monkeypatch, tmp_path, classic_file, comm
                 assert float(cell).hex() == value.hex()
             else:   # bools, ints and strings as text
                 assert cell == str(value)
+
+
+def readme_commands():
+    """The argument lists of the hardyhilbert lines in the README's
+    ``## Command line`` block, their ``#`` comments cut."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line.split("#", 1)[0].split()[1:] for line in block.splitlines()
+                if line.startswith("hardyhilbert ")]
+    assert commands, "no hardyhilbert line under ## Command line in README.md"
+    return commands
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_command(cli_run, argv):
+    # every README invocation exits 0 (an unconverged Hankel solve exits 3)
+    # and writes strict JSON, or CSV with every row as wide as its header;
+    # the pipe line is TestPipeInput's
+    run = cli_run(*argv)
+    assert run.code == 0, run.err.decode()
+    if "--format" in argv and argv[argv.index("--format") + 1] == "csv":
+        csv_table(run.out.decode())
+    else:
+        strict_json(run.out)
+
+
+def repr_rows(*columns):
+    """Rows of comma-joined repr cells, one per line."""
+    return "".join(",".join(map(repr, row)) + "\n" for row in zip(*columns))
+
+
+def test_table_writers_match_repr_rows(cli_run, trace_csv_peak):
+    """Every caller of the chunked table writer, run by a fresh CLI process,
+    writes float.__repr__: the text equals f-string repr rows or json.dumps.
+
+    The 300001-step trace spans many chunks of 2^12 rows, on stdout and
+    through --out alike; then its xnorm JSON and CSV, the carleson arcs in
+    JSON and CSV (whose stderr ends with the JSON's verdict) on the classic
+    sequence and on a trace file, and the factorize g/h files.
+    """
+    trace = trace_csv_peak[1]
+    t = slow_decay_sequence(0.62, 1.3, 300001)
+    values = np.concatenate(list(t.values())).tolist()
+    labels = ["power" if f else "harmonic" for f in np.concatenate(list(t.choice()))]
+    want = "".join([f"index,value,choice\n0,{values[0]!r},{labels[0]}\n"]
+                   + [f"{i + 1},{v!r},{labels[i]}\n" for i, v in enumerate(values)]).encode()
+    stdout = cli_run("slowdecay", "--r", "0.62", "--beta", "1.3", "--n", "300001",
+                     "--format", "csv")
+    assert stdout.code == 0
+    assert stdout.out == want
+    assert trace.read_bytes() == want
+
+    c = XSequence(values[:1] + values)
+    payload = {"n": len(c), "norm": xnorm(c), "norm_sq": c.xnorm_sq,
+               "params": {"input": str(trace)}, "prefix_ratios": c.ratios.tolist()}
+    out = cli_run("xnorm", str(trace)).out
+    strict_json(out)
+    assert out.decode() == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    out = cli_run("xnorm", str(trace), "--format", "csv").out
+    assert out.decode() == "index,ratio\n" + repr_rows(range(len(c)), c.ratios.tolist())
+
+    for source in (["--classic-n", "1024"], ["--sequence", "sequence.csv"]):
+        out = cli_run("carleson", "--depth", "12", *source).out.decode()
+        rec = strict_json(out)
+        assert out == json.dumps(rec, sort_keys=True, indent=2) + "\n"
+        table = cli_run("carleson", "--depth", "12", *source, "--format", "csv")
+        arcs = rec["arcs"]
+        assert table.out.decode() == "length,center,box_integral,ratio\n" + repr_rows(
+            *([a[key] for a in arcs] for key in ("length", "center", "box_integral", "ratio")))
+        assert table.err.decode().splitlines()[-1] == (
+            f"sup_ratio={rec['sup_ratio']!r} bound_2k={rec['bound_2k']!r} "
+            f"pass={rec['pass']} bounded={rec['bounded']}")
+
+    work = cli_run.cwd
+    (work / "factor-f.csv").write_text(
+        "index,re,im\n0,1.0,0.0\n1,0.5,-0.25\n2,-0.3,0.1\n3,0.0,0.2\n4,0.125,0.0\n")
+    assert cli_run("factorize", "factor-f.csv", "--out-g", "factor-g.csv",
+                   "--out-h", "factor-h.csv").code == 0
+    report = hardyspace.factorization_report(hardyspace.read_polynomial_csv(work / "factor-f.csv"))
+    for name, poly in (("g", report.g), ("h", report.h)):
+        z = poly.coeffs.tolist()
+        assert (work / f"factor-{name}.csv").read_bytes() == ("index,re,im\n" + repr_rows(
+            range(len(z)), [v.real for v in z], [v.imag for v in z])).encode()

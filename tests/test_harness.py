@@ -12,6 +12,7 @@ from hardyhilbert.harness import (
     sample_polynomial,
     sample_xsequence,
 )
+from conftest import fresh_python
 
 SMALL = SuiteConfig(seed=42, cases={
     "bridge_identity": 20,
@@ -42,6 +43,14 @@ class TestDeterminism:
         a = run_suite(SMALL)
         b = run_suite(SMALL)
         assert a.to_json() == b.to_json()
+
+    def test_same_bytes_across_hash_seeds(self):
+        # the test above compares two reports made in one process; these
+        # are made by two fresh interpreters with different string hashes
+        runs = [fresh_python("-m", "hardyhilbert.cli", "suite", "--seed", "7",
+                             PYTHONHASHSEED=seed) for seed in ("1", "2")]
+        assert [run.code for run in runs] == [0, 0]
+        assert runs[0].out == runs[1].out
 
     def test_different_seed_different_stream(self):
         a = run_suite(SMALL)

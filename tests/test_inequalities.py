@@ -1,8 +1,4 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +28,7 @@ from hardyhilbert.seqspace import (
     trace_to_xsequence,
     xnorm,
 )
+from conftest import fresh_python
 
 CLASSIC_N2 = (4.0 + np.sqrt(13.0)) / 6.0  # closed-form top eigenvalue of [[1,1/2],[1/2,1/3]]
 
@@ -387,13 +384,10 @@ class TestLanczos:
             "e = q.matrix_norm(seqspace.classic_sequence(2**21 - 1), 2**20)\n"
             "print(json.dumps([e.value, e.iterations, e.residual, e.converged]))\n"
         )
-        src = str(Path(inequalities.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1",
-                   OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                              timeout=120, env=env, check=True)
-        value, iterations, residual, converged = json.loads(proc.stdout)
+        run = fresh_python("-c", script, timeout=120, OPENBLAS_NUM_THREADS="1",
+                           OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        assert run.code == 0, run.err.decode()
+        value, iterations, residual, converged = json.loads(run.out)
         assert converged
         assert iterations <= 16
         assert residual <= ROUNDING_FLOOR * value * np.sqrt(2**20)

@@ -1,34 +1,23 @@
-"""Peak traced memory of the long slow-decay and sequence passes, and of
-the dense Hankel oracle.
+"""Peak memory of the long slow-decay and sequence passes, of the dense
+Hankel oracle and of the largest CLI runs.
 
 numpy reports its data buffers to tracemalloc, so a call's traced peak is
 deterministic.  The bounds sit between the blockwise passes and the
 full-array ones they replaced (the older peaks in each comment, MiB).  A
 slow-decay trace is stored as its runs, so its passes keep nothing
-per term and their peak does not grow with the length.
+per term and their peak does not grow with the length.  The CLI runs at
+the caps are measured by their own peak resident set, in a fresh process.
 """
 
-import tracemalloc
-from contextlib import contextmanager
+import math
 
 import numpy as np
 import pytest
 
 from hardyhilbert import cli
 from hardyhilbert.inequalities import DENSE_EIGEN, matrix_norm
-from hardyhilbert.seqspace import XSequence, classic_sequence
-
-MB = 2**20
-
-
-@contextmanager
-def traced_peak(out: list):
-    tracemalloc.start()
-    try:
-        yield
-        out.append(tracemalloc.get_traced_memory()[1] / MB)
-    finally:
-        tracemalloc.stop()
+from hardyhilbert.seqspace import N_CAP, XSequence, classic_sequence
+from conftest import strict_json, traced_peak
 
 
 def run_cli(capsys, argv):
@@ -61,19 +50,6 @@ def test_slowdecay_json_peak_independent_of_length(capsys, tmp_path):
     assert abs(peaks[1] - peaks[0]) < 1.0
 
 
-@pytest.fixture(scope="module")
-def trace_csv_peak(tmp_path_factory):
-    """The traced peak of writing a 3*10^5-row trace CSV, and the file."""
-    path = tmp_path_factory.mktemp("trace") / "trace.csv"
-    argv = ["slowdecay", "--r", "0.62", "--beta", "1.3", "--n", "300000",
-            "--format", "csv", "--out", str(path)]
-    peak = []
-    with traced_peak(peak):
-        code = cli.main(argv)
-    assert code == 0
-    return peak[0], path
-
-
 def test_slowdecay_csv_out(trace_csv_peak):
     assert trace_csv_peak[0] <= 8.0   # 65.3 with the text built whole, then 16.0
 
@@ -93,3 +69,36 @@ def test_dense_oracle_one_matrix():
     with traced_peak(peak):
         matrix_norm(c, 512, DENSE_EIGEN)
     assert peak[0] <= 2.5
+
+
+def test_classic_sequence_over_cap_allocates_nothing():
+    peak = []
+    with traced_peak(peak), pytest.raises(ValueError, match=f"exceeds cap {N_CAP}"):
+        classic_sequence(N_CAP + 1)
+    assert peak[0] < 1.0   # 763 MiB of terms were built before the check
+
+
+def test_slowdecay_peak_rss_at_the_cap(cli_run):
+    # a trace is stored as its runs and every pass works in blocks, so N_CAP
+    # = 10^8 terms run in bounded memory: about 35 MB of resident set
+    # against a fixed 64 MB bound (about 7 s on a 2-vCPU host)
+    run = cli_run("slowdecay", "--r", "0.6", "--beta", "1.5", "--n", "100000000")
+    assert run.code == 0, run.err.decode()
+    assert run.rss_mb <= 64.0
+
+
+def test_equiv_at_two_to_the_twenty(cli_run):
+    # the Lanczos solve converges (its quotient tolerance carries the
+    # sqrt(N) rounding floor of a length-N sum), the witness is squared on
+    # the Hankel operator's 2^21-point FFT length (the smallest power of
+    # two >= 2N-1) with no quadrature, and the Krylov basis of 32 vectors
+    # of 8 MB each stays under a fixed 512 MB peak resident set (about
+    # 256 MB and 2 s on a 2-vCPU host).  The README lists the same command.
+    run = cli_run("equiv", "--n", "1048576")
+    assert run.code == 0, run.err.decode()
+    report = strict_json(run.out)
+    assert report["converged"] is True
+    assert report["gap"] <= 1e-12
+    assert report["matrix_norm"] < math.pi
+    assert report["params"]["grid"] == 2097152
+    assert run.rss_mb <= 512.0

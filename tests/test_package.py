@@ -1,4 +1,5 @@
-"""The package's lazy namespace and the engines each entry point loads.
+"""The package's lazy namespace, the engines each entry point loads, and
+the demos.
 
 Imports are process-wide, so every load check runs in a fresh interpreter.
 """
@@ -6,9 +7,6 @@ Imports are process-wide, so every load check runs in a fresh interpreter.
 import importlib
 import inspect
 import json
-import os
-import subprocess
-import sys
 import textwrap
 from pathlib import Path
 
@@ -16,19 +14,17 @@ import pytest
 
 import hardyhilbert
 from hardyhilbert import seqspace
+from conftest import fresh_python
 
-SRC = str(Path(hardyhilbert.__file__).resolve().parents[1])
 ENGINES = {"bmoa", "hardyspace", "harness", "inequalities"}
 MODULES = [f"hardyhilbert.{m}" for m in sorted(ENGINES | {"seqspace"})]
 
 
 def fresh(code: str) -> str:
-    """stdout of ``code`` run by a fresh interpreter that imports from SRC."""
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], capture_output=True,
-                          text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path))
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    """stdout of ``code`` run by a fresh interpreter."""
+    run = fresh_python("-c", textwrap.dedent(code), timeout=60)
+    assert run.code == 0, run.err.decode()
+    return run.out.decode()
 
 
 def engines_loaded(code: str) -> set[str]:
@@ -119,3 +115,16 @@ class TestLazyNamespace:
                    if sys.modules[m.__name__] is not m])
             """)
         assert out == "[]\n"
+
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("0*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_runs_without_floating_point_warnings(tmp_path, demo):
+    run = fresh_python("-W", "error::RuntimeWarning", str(demo), cwd=tmp_path)
+    assert run.code == 0, run.err.decode()
+
+
+def test_demos_found():
+    assert DEMOS

@@ -709,10 +709,11 @@ def full_margin_certificate(values, beta, rel_tol=1e-13):
 
 
 def hand_trace(values, beta):
-    """Any values as verify_margins reads a trace: ``beta`` and blocks of ``values()``."""
+    """Any values as verify_margins reads a trace: ``beta`` and the blocks of
+    steps n and values of ``_value_blocks()``."""
     values = np.asarray(values, dtype=float)
-    return SimpleNamespace(beta=beta, whole=values, values=lambda: (
-        values[a:b] for a, b in seqspace._blocks(values.size)))
+    return SimpleNamespace(beta=beta, whole=values, _value_blocks=lambda: (
+        (np.arange(a + 1.0, b + 1.0), values[a:b]) for a, b in seqspace._blocks(values.size)))
 
 
 SMALL_BLOCK = 5
