@@ -57,7 +57,13 @@ an exceedance as a finding; the comparison is recorded, not explained.
 On the classic sequence the excess grows with N (depth-12 sup ratios
 3.7514, 5.0472 and 5.4231 at N = 64, 1024 and 8192, against
 2 K ||c||^2 = 2.6751).  Boundedness of the sweep is the property that
-matters.
+matters.  For the infinite classic sequence g'(z) ~ 1/(1 - z) near z = 1,
+so the ratio of the box at center 0 tends, as L -> 0, to
+
+    4 [arctan(pi) + (pi/2) ln(1 + pi^-2)] = 5.656902599,
+
+more than 2.1 times 2 K ||c||^2.  With |I| in radians that limit reads
+0.9003, and with area measure dA/pi it reads 1.8006.
 """
 
 from __future__ import annotations

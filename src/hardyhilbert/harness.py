@@ -8,6 +8,11 @@ how cases are scheduled.  A case passes only when its margin is <= 0, so
 a NaN margin fails.  Failures are recorded as data (inputs kept in
 re-runnable form), never raised.
 
+Polynomials come from one sampler, ``sample_polynomial``, which builds each
+from exactly max(1, degree) roots drawn at once, each inside or outside the
+circle with probability 1/2 and none within 0.05 of it, so every sample has
+the degree asked for and factorizes; no draw is rejected or redrawn.
+
 Engine calls go through the module objects (seqspace.xnorm, ...), which
 keeps the properties honest under instrumentation and lets a test inject
 a corrupted operation to confirm the suite notices.
@@ -113,37 +118,24 @@ def sample_xsequence(rng: np.random.Generator, N: int) -> seqspace.XSequence:
         beta = float(rng.uniform(1.05, 3.0))
         return seqspace.trace_to_xsequence(seqspace.slow_decay_sequence(r, beta, N - 1))
     raw = rng.uniform(0.0, 1.0, N)
-    norm = seqspace.xnorm(seqspace.XSequence(raw))
-    if norm == 0.0:
-        raw[0] = 1.0
-        norm = seqspace.xnorm(seqspace.XSequence(raw))
-    return seqspace.XSequence(raw / norm)
+    return seqspace.XSequence(raw / seqspace.xnorm(seqspace.XSequence(raw)))
 
 
-def sample_polynomial(rng: np.random.Generator, degree: int,
-                      for_factorization: bool = False) -> hardyspace.AnalyticPoly:
-    """Coefficients uniform in the unit disk; factorization-bound samples
-    reject roots within 0.05 of the circle, backing off in degree when the
-    rejection budget runs out."""
+def sample_polynomial(rng: np.random.Generator, degree: int) -> hardyspace.AnalyticPoly:
+    """A polynomial of degree exactly max(1, degree), built from its roots.
+
+    Each root lies inside or outside the circle with probability 1/2, at a
+    radius uniform in [0.27, 0.95) or [1.05, 3.5) and an argument uniform on
+    the circle, so every root keeps at least 0.05 from it (zeros that far
+    off let the factorization converge on its first grid).  The
+    coefficients, from np.poly, are scaled to unit 2-norm and then by a
+    factor uniform in the unit disk.
+    """
     d = max(1, int(degree))
-    total = 0
-    while True:
-        for _ in range(25):
-            total += 1
-            if total > 500:
-                raise RuntimeError("polynomial sampling failed to find an acceptable root layout")
-            mod = np.sqrt(rng.random(d + 1))
-            arg = rng.uniform(0.0, 2.0 * np.pi, d + 1)
-            coeffs = mod * np.exp(1j * arg)
-            while abs(coeffs[-1]) < 1e-2:
-                coeffs[-1] = np.sqrt(rng.random()) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-            f = hardyspace.AnalyticPoly(coeffs)
-            if not for_factorization:
-                return f
-            rts = f.roots()
-            if rts.size == 0 or float(np.abs(np.abs(rts) - 1.0).min()) >= 0.05:
-                return f
-        d = max(1, d // 2)
+    radii = np.where(rng.random(d) < 0.5, rng.uniform(0.27, 0.95, d), rng.uniform(1.05, 3.5, d))
+    coeffs = np.poly(radii * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, d)))[::-1]
+    scale = np.sqrt(rng.random()) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    return hardyspace.AnalyticPoly(scale * coeffs / np.linalg.norm(coeffs))
 
 
 def _payload(value):
@@ -232,8 +224,7 @@ def _pairing_phase_identity(rng, case):
 
 
 def _hardy_degree_bound(rng, case):
-    f = sample_polynomial(rng, int(rng.integers(1, MAX_POLY_DEGREE + 1)),
-                          for_factorization=True)
+    f = sample_polynomial(rng, int(rng.integers(1, MAX_POLY_DEGREE + 1)))
     c = sample_xsequence(rng, 2 * f.degree + 1)
     check = inequalities.hardy_degree_bound_check(f, c)
     margin = 0.0 if check.skipped else (check.lhs - check.rhs) / max(check.rhs, 1e-300)
@@ -241,8 +232,7 @@ def _hardy_degree_bound(rng, case):
 
 
 def _factorization_contract(rng, case):
-    f = sample_polynomial(rng, int(rng.integers(1, MAX_POLY_DEGREE + 1)),
-                          for_factorization=True)
+    f = sample_polynomial(rng, int(rng.integers(1, MAX_POLY_DEGREE + 1)))
     rep = hardyspace.factorization_report(f)
     g, h = rep.g, rep.h
     M = hardyspace._resolve_grid(max(f.degree, g.degree, h.degree), GRID_SIZE)

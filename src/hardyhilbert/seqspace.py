@@ -713,28 +713,36 @@ def _read_indexed_csv(path, header: list[str], what: str) -> np.ndarray:
     time.  So a regular file is handed over by name, skipping the header,
     and anything else (a pipe, /dev/stdin) as the open file after its
     header.  numpy decompresses a name ending in one of _COMPRESSED, so
-    such a file is read line by line as the text it holds.
+    such a file is read line by line as the text it holds.  Bytes that are
+    not UTF-8, as in a compressed file, raise a ValueError naming the file.
     """
     columns = ",".join(header)
     dtype = [("index", np.int64)] + [(name, float) for name in header[1:]]
-    with open(path, newline="") as fh:
-        if fh.readline().rstrip("\r\n").split(",")[: len(header)] != header:
-            raise ValueError(f"{what} CSV must start with header '{columns}'")
-        by_name = (stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
-                   and os.path.splitext(path)[1] not in _COMPRESSED)
-        try:
-            with warnings.catch_warnings():
-                # a header-only file: its empty result is rejected by the caller
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
-                                        UserWarning)
-                # an absolute name, which numpy cannot take for a URL
-                rec = np.loadtxt(os.path.abspath(path) if by_name else fh,
-                                 skiprows=int(by_name), delimiter=",",
-                                 usecols=range(len(header)), dtype=dtype,
-                                 comments=None, quotechar='"', ndmin=1)
-        except ValueError as exc:
-            raise ValueError(f"{what} CSV rows need columns {columns}, an integer index in "
-                             f"the int64 range and float values: {exc}") from None
+    try:
+        with open(path, newline="") as fh:
+            if fh.readline().rstrip("\r\n").split(",")[: len(header)] != header:
+                raise ValueError(f"{what} CSV must start with header '{columns}'")
+            by_name = (stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+                       and os.path.splitext(path)[1] not in _COMPRESSED)
+            try:
+                with warnings.catch_warnings():
+                    # a header-only file: its empty result is rejected by the caller
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                            UserWarning)
+                    # an absolute name, which numpy cannot take for a URL
+                    rec = np.loadtxt(os.path.abspath(path) if by_name else fh,
+                                     skiprows=int(by_name), delimiter=",",
+                                     usecols=range(len(header)), dtype=dtype,
+                                     comments=None, quotechar='"', ndmin=1)
+            except UnicodeDecodeError:
+                raise   # a ValueError too: named as such below
+            except ValueError as exc:
+                raise ValueError(f"{what} CSV rows need columns {columns}, an integer index "
+                                 f"in the int64 range and float values: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{what} CSV {path} is not UTF-8 text ({exc.reason}): input must "
+                         f"be plain UTF-8 text, and compressed files are not "
+                         f"decompressed") from None
     idx, n = rec["index"], rec.size
     outside = (idx < 0) | (idx >= n)
     if outside.any():

@@ -139,13 +139,13 @@ def test_c06_factorization_contract():
     rng = np.random.default_rng(6)
     worst_resid = worst_defect = 0.0
     for _ in range(100):
-        f = sample_polynomial(rng, int(rng.integers(1, 13)), for_factorization=True)
+        f = sample_polynomial(rng, int(rng.integers(1, 13)))
         rep = factorization_report(f)
         worst_resid = max(worst_resid, rep.residual_max / hp_norm(f, 2))
         worst_defect = max(worst_defect, rep.norm_defect / hp_norm(f, 1))
     elapsed = time.monotonic() - t0
     _line(6, worst_resid <= 1e-8 and worst_defect <= 1e-8 and elapsed < 60.0,
-          f"100 accepted inputs, worst residual {worst_resid:.2e}, worst norm defect "
+          f"100 sampled inputs, worst residual {worst_resid:.2e}, worst norm defect "
           f"{worst_defect:.2e} (tol 1e-8), {elapsed:.2f}s < 60s")
 
 
@@ -154,7 +154,7 @@ def test_c07_degree_bound():
     rng = np.random.default_rng(7)
     worst = -np.inf
     for _ in range(200):
-        f = sample_polynomial(rng, int(rng.integers(1, 11)), for_factorization=True)
+        f = sample_polynomial(rng, int(rng.integers(1, 11)))
         c = sample_xsequence(rng, 2 * f.degree + 1)
         check = hardy_degree_bound_check(f, c)
         assert not check.skipped

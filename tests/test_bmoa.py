@@ -450,6 +450,20 @@ class TestCarlesonConstant:
         assert not report.passes_2k
         assert "exceeds" in report.finding
 
+    def test_classic_sup_ratio_below_its_closed_form_limit(self):
+        # g' ~ 1/(1 - z) near z = 1, so with s = 1 - r the box ratio at center
+        # 0 tends to the integral of 2u / (u^2 + v^2) over 0 < u < 1,
+        # |v| < pi, as L -> 0 for the infinite classic sequence
+        limit = 4.0 * (math.atan(math.pi) + 0.5 * math.pi * math.log1p(math.pi**-2))
+        assert limit == pytest.approx(5.656902599, abs=1e-9)
+        # the same limit with |I| in radians, and with area measure dA/pi
+        assert (round(limit / (2.0 * math.pi), 4), round(limit / math.pi, 4)) == (0.9003, 1.8006)
+        reports = [carleson_constant(classic_sequence(N), depth=12) for N in (64, 1024, 8192)]
+        sups = [r.sup_ratio for r in reports]
+        assert sups == sorted(sups) and sups[-1] < limit
+        assert [round(s, 4) for s in sups] == [3.7514, 5.0472, 5.4231]
+        assert limit > 2.1 * reports[-1].bound_2k
+
     def test_ratio_scaling(self):
         c = classic_sequence(48)
         lam = 1.7

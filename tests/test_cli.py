@@ -1,4 +1,5 @@
 import argparse
+import gzip
 import json
 import os
 import time
@@ -167,6 +168,18 @@ class TestBadInput:
             assert code == 2
             assert out == ""
             assert err.startswith("error: ")
+
+    def test_gzip_input_is_named(self, capsys, tmp_path):
+        path = tmp_path / "s.csv.gz"
+        path.write_bytes(gzip.compress("".join(trace_csv(slow_decay_sequence(0.6, 1.5, 100)))
+                                       .encode()))
+        for argv in (["xnorm", str(path)],
+                     ["hilbert-norm", "--n-list", "2", "--sequence", str(path)]):
+            code, out, err = run(capsys, argv)
+            assert (code, out) == (2, "")
+            assert err == (f"error: sequence CSV {path} is not UTF-8 text (invalid start "
+                           f"byte): input must be plain UTF-8 text, and compressed files "
+                           f"are not decompressed\n")
 
     @pytest.mark.parametrize("body", ["0,1,0\n-1,2,0\n", "0,1,0\n2,2,0\n",
                                       "0,1,0\n0,2,0\n", "0,1,0\n1,nan,0\n"])

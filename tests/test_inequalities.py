@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -393,6 +394,67 @@ class TestLanczos:
         assert residual <= ROUNDING_FLOOR * value * np.sqrt(2**20)
         # above the N = 2^19 value 2.78816 and below Hilbert's constant pi
         assert 2.788 < value < np.pi
+
+
+def grunbaum_tridiagonal(N):
+    """Diagonal and superdiagonal of the tridiagonal T that commutes with the
+    N x N Hilbert matrix 1/(n+m+1) (Grünbaum, Linear Algebra Appl. 43, 1982);
+    every entry is an integer, exact in float64 up to N = 8192."""
+    i, k = np.arange(N, dtype=float), np.arange(1.0, N)
+    return 2.0 * i * (i + 1.0) * (i * i + i - (N * N - 1.0)), k * k * (N * N - k * k)
+
+
+def thomas_solve(diag, off, rhs):
+    """x with T x = rhs for the symmetric tridiagonal T = (diag, off)."""
+    n = diag.size
+    d, y = np.empty(n), np.empty(n)
+    d[0], y[0] = diag[0], rhs[0]
+    for i in range(1, n):
+        m = off[i - 1] / d[i - 1]
+        d[i] = diag[i] - m * off[i - 1]
+        y[i] = rhs[i] - m * y[i - 1]
+    x = np.empty(n)
+    x[-1] = y[-1] / d[-1]
+    for i in range(n - 2, -1, -1):
+        x[i] = (y[i] - off[i] * x[i + 1]) / d[i]
+    return x
+
+
+class TestHilbertTopVectorOracle:
+    """The classic weight's top vector past DENSE_N_LIMIT, from T's top eigenvector.
+
+    T's spectrum is simple, so T's eigenvectors are the Hilbert matrix's,
+    and T's top one is positive: the Perron vector of H.
+    """
+
+    @pytest.mark.parametrize("N", [5, 6, 8, 11])
+    def test_commutes_exactly(self, N):
+        H = [[Fraction(1, n + m + 1) for m in range(N)] for n in range(N)]
+        diag, off = (np.rint(x).astype(int).tolist() for x in grunbaum_tridiagonal(N))
+        T = [[0] * N for _ in range(N)]
+        for i in range(N):
+            T[i][i] = diag[i]
+        for k in range(N - 1):
+            T[k][k + 1] = T[k + 1][k] = off[k]
+        HT = [[sum(H[i][j] * T[j][k] for j in range(N)) for k in range(N)] for i in range(N)]
+        TH = [[sum(T[i][j] * H[j][k] for j in range(N)) for k in range(N)] for i in range(N)]
+        assert HT == TH
+
+    @pytest.mark.parametrize("N", [1024, 2048, 4096])
+    def test_lanczos_top_vector(self, N):
+        assert N > inequalities.DENSE_N_LIMIT
+        v = matrix_norm(classic_sequence(2 * N - 1), N).top_vector
+        diag, off = grunbaum_tridiagonal(N)
+        Tv = diag * v
+        Tv[:-1] += off * v[1:]
+        Tv[1:] += off * v[:-1]
+        shifted = diag - float(v @ Tv)   # T minus its Rayleigh quotient at v
+        x = np.ones(N)
+        for _ in range(2):   # inverse iteration, one Thomas solve a step
+            x = thomas_solve(shifted, off, x)
+            x /= np.linalg.norm(x)
+        x *= np.sign(x.sum())
+        assert np.abs(x - v).max() <= 1e-10
 
 
 class TestEquivalenceWitness:
