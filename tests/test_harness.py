@@ -251,10 +251,15 @@ class TestSamplers:
                 seen = True
         assert seen
 
-    def test_polynomial_samples_honor_degree_and_keep_roots_off_circle(self):
+    def test_factorization_samples_keep_roots_off_circle(self):
         rng = np.random.default_rng(3)
         for d in range(1, 17):
             for _ in range(20):
                 f = sample_polynomial(rng, d)
-                assert f.degree == d
                 assert np.abs(np.abs(np.roots(f.coeffs[::-1])) - 1.0).min() >= 0.05
+
+    def test_plain_samples_honor_degree(self):
+        rng = np.random.default_rng(4)
+        for d in range(1, 17):
+            for _ in range(20):
+                assert sample_polynomial(rng, d).degree == d
