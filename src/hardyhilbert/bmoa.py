@@ -78,6 +78,9 @@ from .hardyspace import AnalyticPoly, _next_pow2, _on_circle, _resolve_grid
 from .seqspace import XSequence
 
 K_LIMIT = (1.0 - math.exp(-2.0)) ** -2
+# The normalization of an arc's box and ratio, as the carleson JSON states it.
+NORMALIZATION = ("an arc of normalized length L spans 2*pi*L radians, its box has depth L, "
+                 "and its ratio is box_integral / L")
 _BLOCK = 2**15      # entries per block of coefficient products in _diagonal_sums
 _UFUNC_BUFFER = 512  # numpy's ufunc buffer, in elements, within _box_integrals
 # Longest sequence carleson_constant sweeps.  The diagonal sums cost O(N^2):

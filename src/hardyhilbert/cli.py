@@ -258,7 +258,7 @@ def _cmd_carleson(args) -> int:
         "xnorm_sq": report.xnorm_sq,
         "finding": report.finding,
         "bounded": bounded,
-        "params": {"arcs": report.lengths.size},
+        "params": {"arcs": report.lengths.size, "normalization": bmoa.NORMALIZATION},
     }, splice="arcs", verdict=("sup_ratio", "bound_2k", "pass", "bounded"))
     return 0 if bounded else 1
 

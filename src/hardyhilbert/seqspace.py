@@ -57,14 +57,20 @@ numpy call or the closed form.  Values and margins at power picks use
 scalar **, since np.power differs from it in the last ulp for about one n
 in twenty.
 
-The long per-term passes (weighted prefix sums, budget margins, running
-maxima of n^s c_n, the trace CSV) run in blocks of _BLOCK terms, so their
-temporaries take O(_BLOCK) memory at any length.  A block's running sums
-start from the last sum of the block before, and np.add.accumulate adds
-strictly in order, so they are bit for bit those of one pass over the
-whole sequence.  The margin certificate, the running maxima and the
-exported norm are block passes over the trace's values: slow_decay_report
-builds each block of values once and feeds it to all three.
+The long per-term passes (XSequence's weighted prefix sums, the trace's
+budget margins, running maxima of n^s c_n, the trace CSV) run in blocks of
+_BLOCK terms, so their temporaries take O(_BLOCK) memory at any length.  A
+block's running sums start from the last sum of the block before, and
+np.add.accumulate adds strictly in order, so they are bit for bit those of
+one pass over the whole sequence.  The margin certificate, the running
+maxima and the exported norm are block passes over the trace's values:
+slow_decay_report builds each block of values once and feeds it to all
+three.  The certificate and the export norm sum the float squares exactly,
+with no running sum per step: a stretch of harmonic steps adds as a whole,
+from its values' bit patterns, the power picks add one by one in
+whole-number limbs, and Python ints carry the sums from block to block.
+So their margins and ratios are exact, and no tolerance and no extended
+precision enter them.
 """
 
 from __future__ import annotations
@@ -75,16 +81,13 @@ import stat
 import warnings
 from array import array
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 
 import numpy as np
 
 from . import _floattext
 
 N_CAP = 10**8
-# Relative slop of verify_margins: a margin passes down to
-# -MARGIN_REL_TOL * max(1, beta*m).
-MARGIN_REL_TOL = 1e-13
 
 POWER = "power"
 HARMONIC = "harmonic"
@@ -221,6 +224,8 @@ class SlowDecayTrace:
                 and np.all((flags == 0) | (flags == 1))):
             raise ValueError("a trace needs one flag, 0 or 1, per run and run starts that "
                              "increase from step 1 and stay within 1..N")
+        # the exact passes rest on them: beta > 1 and every square at least 1/2
+        check_slow_decay_parameters(self.r, self.beta, self.N)
         self.flags = flags.astype(np.uint8)
 
     def _steps(self):
@@ -237,13 +242,15 @@ class SlowDecayTrace:
             yield flags
 
     def _value_blocks(self):
-        """(n, c_n) block by block: the steps n as float64 and their values."""
+        """(n, picks, c_n) block by block: the steps n as float64, the
+        positions of the power picks among them and the values."""
         for n, flags in self._steps():
-            yield n, _values_block(self.r, n, flags)
+            picks = np.flatnonzero(flags)
+            yield n, picks, _values_block(self.r, n, picks)
 
     def values(self):
         """c_1..c_N, block by block: 1/n, or scalar n ** -r at the power picks."""
-        return (values for _, values in self._value_blocks())
+        return (values for _, _, values in self._value_blocks())
 
     def margins(self):
         """beta*n - sum_{k<=n} k^2 c_k^2 for n = 1..N, block by block.
@@ -255,8 +262,8 @@ class SlowDecayTrace:
         carry = 0.0
         for n, flags in self._steps():
             sums = _harmonic_increments(n)
-            picks, powers = _scalar_powers(n, flags, expo)
-            sums[picks] = powers
+            picks = np.flatnonzero(flags)
+            sums[picks] = _scalar_powers(n, picks, expo)
             sums[0] += carry
             np.add.accumulate(sums, out=sums)
             carry = float(sums[-1])
@@ -264,22 +271,20 @@ class SlowDecayTrace:
             yield np.subtract(n, sums, out=n)
 
 
-def _scalar_powers(n: np.ndarray, flags: np.ndarray, expo: float):
-    """Positions of the power picks among the steps n, and n ** expo at each,
-    computed with scalar ** (np.power can differ in the last ulp).
+def _scalar_powers(n: np.ndarray, picks: np.ndarray, expo: float) -> np.ndarray:
+    """n ** expo at the positions ``picks`` of the steps n, computed with
+    scalar ** (np.power can differ in the last ulp).
 
     math.pow is the C pow that a float's ** calls for a positive finite
     base, with less call overhead.
     """
-    picks = np.flatnonzero(flags)
-    return picks, np.fromiter(map(math.pow, n[picks].tolist(), repeat(expo)), float, picks.size)
+    return np.fromiter(map(math.pow, n[picks].tolist(), repeat(expo)), float, picks.size)
 
 
-def _values_block(r: float, n: np.ndarray, flags: np.ndarray) -> np.ndarray:
-    """c_n for the steps n: 1/n, or n ** -r at power picks."""
+def _values_block(r: float, n: np.ndarray, picks: np.ndarray) -> np.ndarray:
+    """c_n for the steps n: 1/n, or n ** -r at the power picks' positions."""
     out = np.divide(1.0, n)
-    picks, powers = _scalar_powers(n, flags, -r)
-    out[picks] = powers
+    out[picks] = _scalar_powers(n, picks, -r)
     return out
 
 
@@ -473,18 +478,123 @@ def trace_to_xsequence(t: SlowDecayTrace) -> XSequence:
 
 
 # ---------------------------------------------------------------------------
-# The reports on a trace.  Each is a block pass: add(n, values) takes the
-# steps n = start+1..stop (floats) and c_n of one block, in order, and
-# result() gives the report.  _report_pass takes each block of the trace's
-# _value_blocks() once and feeds it to every pass it is given, so one walk
-# over the trace serves any subset of the reports.
+# The reports on a trace.  Each is a block pass: add(n, picks, values) takes
+# the steps n = start+1..stop (floats) of one block, in order, the positions
+# of its power picks and c_n, and result() gives the report.  _report_pass
+# takes each block of the trace's _value_blocks() once and feeds it to every
+# pass it is given, so one walk over the trace serves any subset of the
+# reports.  No pass writes to the arrays it is given.
+#
+# The margin certificate and the export norm sum their squares exactly:
+# x_n = fl((n c_n)^2) and y_n = fl(((n+1) c_n)^2) are at least 1/2 for
+# r in [1/2, 1], so each is a whole number of units of 2**-53, and a running
+# sum is a Python int in those units from block to block.  Within a block
+# the anchors add their own terms: the power picks, the block's first step
+# and step 2.  Between two anchors lies a gap of harmonic steps,
+# c_n = fl(1/n), summed as a whole from the bit patterns of a float v per
+# step (see _BlockSums):
+#   - certificate: v = n*fl(1/n) is 1 or 1 - 2**-53, so x = v^2 is 1 or
+#     1 - 2**-52, which is 1 + 2 * (bits(v) - bits(1.0)) units of 2**-53;
+#   - export: v = y lies in [1, 2) from n = 3 on, where its bit pattern
+#     less that of 1.0 is (y - 1) * 2**52, so y is 1 plus twice that in
+#     units of 2**-53.
+# A power pick whose v is of the same form joins the gaps (at r = 1 all
+# but about one in a thousand, where n ** -1.0 is not fl(1/n)).  The int64
+# sums of the bit patterns wrap, but the sums of the differences are exact:
+# the export's excess over 1, summed over every harmonic step up to N_CAP,
+# stays below 2**58 (2/n + 1/n^2 per step).
+# The extremes lie at anchors (see the passes); a float screen keeps the
+# anchors within its error bound of the block's extreme, and Python ints
+# decide among them.
+
+# Blocks with anchors on more than 1/_DENSE of their steps take every step
+# as an anchor, with no gaps to reduce: on blocks of short runs (certify's
+# CSV traces at seeds 2 and 11, anchors on 55-60% of the steps) that halves
+# the certificate's time, and the two ways cost the same near 27%.
+_DENSE = 4
+_ONE_BITS = np.float64(1.0).view(np.int64)
+
 
 def _report_pass(t, *passes):
-    """Feed each block of steps and values of ``t`` to every pass; their results."""
-    for n, values in t._value_blocks():
+    """Feed each block of steps, picks and values of ``t`` to every pass; their results."""
+    for n, picks, values in t._value_blocks():
         for p in passes:
-            p.add(n, values)
+            p.add(n, picks, values)
     return [p.result() for p in passes]
+
+
+def _anchors(n: np.ndarray, picks: np.ndarray, plain: np.ndarray):
+    """Positions that add their own term: the power picks whose term is not
+    ``plain`` (of the form a gap step's is), the block's first step and, in
+    the first block, step 2 (a harmonic y there is 2.25).  Where they would
+    be more than 1/_DENSE of the block, every step is an anchor:
+    slice(None)."""
+    head = min(2 if n[0] == 1.0 else 1, n.size)
+    picks = picks[~plain]
+    if _DENSE * picks.size > n.size:
+        return slice(None)
+    return np.concatenate((np.arange(head), picks[np.searchsorted(picks, head):]))
+
+
+class _BlockSums:
+    """Exact running sums of one block at its anchors.
+
+    ``terms`` are the anchors' terms: whole numbers of units of 2**-53, from
+    1/2 to below 2**27.  A gap step adds 1 + 2 * (bits(v) - bits(1.0)) units
+    of 2**-53, from the step's entry of ``v`` (the caller's own array).  Its
+    anchor entries are zeroed here, so that np.add.reduceat from each gap's
+    start sums the gap alone, and reads the next anchor's 0 for an empty
+    gap.
+
+    Column j holds anchor j's term and the gap before it, column K (one
+    past the last anchor) the gap after the last anchor.  ``approx`` is the
+    float64 running sum of the columns up to each anchor, within
+    (j + 3) * 2**-53 of its value at anchor j.  The exact sums come from
+    three limbs (h, m, f) per column: a term is h + (m + f) * 2**-26 with
+    whole h < 2**27 and m < 2**26 and f in [0, 1) a multiple of 2**-27, and
+    a gap adds its length to h and its deviation, split at bit 27, to m and
+    f.  Over a block of up to 2**16 steps any sum of a limb's entries, in
+    its own units, stays below 2**53 in magnitude, so numpy adds them
+    exactly in any order.
+    """
+
+    def __init__(self, v: np.ndarray, anchors, terms: np.ndarray):
+        self.limbs = limbs = np.empty((3, terms.size + 1))
+        limbs[:, -1] = 0.0
+        h, m, f = limbs[:, :-1]
+        np.floor(terms, out=h)
+        np.subtract(terms, h, out=f)
+        f *= 2.0**26
+        np.floor(f, out=m)
+        f -= m
+        columns = terms
+        if terms.size < v.size:
+            v[anchors] = 0.0
+            gaps = np.append(anchors[1:], v.size) - anchors - 1   # the gap after each anchor
+            starts = anchors + 1
+            starts[-1] = min(starts[-1], v.size - 1)   # past the end: the last anchor's 0
+            deviation = 2 * (np.add.reduceat(v.view(np.int64), starts) - gaps * _ONE_BITS)
+            h, m, f = limbs[:, 1:]
+            h += gaps
+            m += deviation >> 27
+            f += (deviation & (2**27 - 1)) * 2.0**-27
+            columns = terms + np.append(0.0, gaps[:-1] + deviation[:-1] * 2.0**-53)
+        self.approx = np.cumsum(columns)
+
+    def exact(self, anchors: list[int]) -> list[int]:
+        """The sums up to the given anchors (increasing), in units of 2**-53."""
+        segments = np.add.reduceat(self.limbs, [0] + [j + 1 for j in anchors], axis=1)
+        return list(accumulate(map(_from_limbs, segments.T[:-1].tolist())))
+
+    def total(self) -> int:
+        """The block's sum, in units of 2**-53."""
+        return _from_limbs(self.limbs.sum(axis=1).tolist())
+
+
+def _from_limbs(limbs) -> int:
+    """h * 2**53 + (m + f) * 2**27: a sum of limbs, in units of 2**-53."""
+    h, m, f = limbs
+    return (int(h) << 53) + (int(m) << 27) + int(f * 2.0**27)
 
 
 @dataclass
@@ -495,69 +605,100 @@ class MarginCertificate:
 
 
 class _Certificate:
-    """verify_margins as a block pass: the margins from the prefix sums
-    XSequence uses, the worst one per block, the first worst overall."""
+    """verify_margins as a block pass over exact sums.
+
+    A gap step raises the margin by beta - x > 0 (x <= 1 < beta), so the
+    first smallest margin is at an anchor.  A margin is kept as a whole
+    number of units of 2**-53 / den, where beta = num / den.
+    """
 
     def __init__(self, beta: float):
         self.beta = beta
-        self.carry = np.longdouble(0.0)
-        self.ok, self.worst, self.lows = True, [], []
+        self.num, self.den = beta.as_integer_ratio()
+        self.sum = 0   # sum of x before the block, in units of 2**-53
+        self.best = self.arg = None
 
-    def add(self, n, values):
-        sums = _prefix_block(n, values, self.carry)
-        self.carry = sums[-1]
-        budget = self.beta * n
-        margins = (budget - sums).astype(float)
-        self.ok &= bool(np.all(margins >= -MARGIN_REL_TOL * np.maximum(1.0, budget)))
-        j = int(margins.argmin())
-        self.worst.append(int(n[j]))
-        self.lows.append(margins[j])
+    def add(self, n, picks, values):
+        p = n * values
+        q = p[picks]
+        anchors = _anchors(n, picks, (q <= 1.0) & (q >= 1.0 - 2.0**-53))
+        steps = n[anchors]
+        sums = _BlockSums(p, anchors, np.square(p[anchors]))
+        margins = self.beta * steps
+        carry = self.sum * 2.0**-53
+        margins -= carry
+        margins -= sums.approx
+        # beta*n, the carry and the subtractions add a few roundings to approx's
+        err = (steps.size + 8) * 2.0**-53 * (self.beta * steps[-1] + carry + sums.approx[-1])
+        close = np.flatnonzero(margins <= margins.min() + 2.0 * err).tolist()
+        for i, below in zip(close, sums.exact(close)):
+            step = int(steps[i])
+            margin = (self.num * step << 53) - self.den * (self.sum + below)
+            if self.best is None or margin < self.best:
+                self.best, self.arg = margin, step
+        self.sum += sums.total()
 
     def result(self) -> MarginCertificate:
-        b = int(np.argmin(self.lows))   # ties and NaN resolve to the earliest block
-        return MarginCertificate(ok=self.ok, min_margin=float(self.lows[b]),
-                                 argmin_index=self.worst[b])
+        return MarginCertificate(ok=self.best >= 0, min_margin=self.best / (self.den << 53),
+                                 argmin_index=self.arg)
 
 
 def verify_margins(t: SlowDecayTrace) -> MarginCertificate:
-    """Recompute the budget slack beta*m - sum_{k<=m} k^2 c_k^2 for every m.
+    """The budget slack beta*m - sum_{k<=m} x_k for every m, exactly.
 
-    Independent of the generator's running sum: reads ``t.beta`` and the
-    blocks of ``t._value_blocks()`` only.  ``ok`` allows a relative slop of
-    MARGIN_REL_TOL so that exact-equality cases (e.g. the all-harmonic
-    sequence at budget slope 1) are not rejected on roundoff.  The margins
-    are taken block by block from the prefix sums XSequence uses; the worst
-    is the first smallest (or first NaN) margin, as np.argmin picks it.
+    x_k = fl((k c_k)^2) is the float square; beta*m and the sums are
+    exact, so ``ok`` says that every exact margin is >= 0, and
+    ``min_margin`` is the smallest margin correctly rounded, at the first
+    step where it occurs.  Independent of the generator's running sum:
+    reads ``t.beta`` and the blocks of ``t._value_blocks()`` only.
     """
     return _report_pass(t, _Certificate(t.beta))[0]
 
 
 class _ExportNorm:
-    """xnorm(trace_to_xsequence(t)), bit for bit, as a block pass.
+    """xnorm(trace_to_xsequence(t)) over exact sums, as a block pass.
 
     The exported sequence is c_0 := c_1, c_1, ..., c_N: c_n has weight n+1,
-    and the head, weight 1, comes before the first block.  The prefix
-    ratios are those XSequence computes; only their running maximum is
-    kept, each block's taken after the cast to float.  Rounding to float is
-    monotone, so that is the float of the extended-precision maximum; the
-    cast and a float64 max are still about three times faster than a
-    long double max, which numpy does not vectorize.
+    and the head, weight 1, comes before the first block.  The prefix ratio
+    at n is T_n / (n+1), T_n the sum of the y's up to n, a weighted mean of
+    the ratio at n-1 and y_n.  So along a gap the ratio stays below the
+    larger of the ratio at the anchor before and the gap's y's, which are
+    below 2; the ratio at step 1, an anchor, is (1 + 4) / 2 (c_1 = 1).  The
+    largest ratio is at an anchor, and the norm is its square root, the
+    ratio rounded once.
     """
 
     def __init__(self):
-        self.carry = self.best = None
+        self.sum = self.best = None   # T before the block; (T, n+1) of the largest ratio
 
-    def add(self, n, values):
-        if self.carry is None:
-            head = np.square(values[0])
-            self.carry, self.best = np.longdouble(head), float(head)
-        k = n + 1.0
-        sums = _prefix_block(k, values, self.carry)
-        self.carry = sums[-1]
-        self.best = max(self.best, float(np.divide(sums, k, out=sums).astype(float).max()))
+    def add(self, n, picks, values):
+        if self.sum is None:
+            self.sum = int(values[0] ** 2 * 2.0**53)
+            self.best = (self.sum, 1)
+        y = n + 1.0
+        y *= values
+        np.square(y, out=y)
+        q = y[picks]
+        anchors = _anchors(n, picks, (q >= 1.0) & (q < 2.0))
+        weights = n[anchors] + 1.0
+        sums = _BlockSums(y, anchors, y[anchors])
+        carry = self.sum * 2.0**-53
+        ratios = sums.approx + carry
+        # the carry, its addition and the division add a few roundings to approx's
+        err = (weights.size + 8) * 2.0**-53 * (carry + sums.approx[-1]) / weights
+        ratios /= weights
+        err += 2.0**-51 * ratios
+        floor = max((ratios - err).max(), self.best[0] / (self.best[1] << 53) * (1.0 - 2.0**-52))
+        close = np.flatnonzero(ratios + err >= floor).tolist()
+        for i, total in zip(close, sums.exact(close)):
+            total, weight = self.sum + total, int(weights[i])
+            if total * self.best[1] > self.best[0] * weight:
+                self.best = (total, weight)
+        self.sum += sums.total()
 
     def result(self) -> float:
-        return float(np.sqrt(self.best))
+        total, weight = self.best
+        return float(np.sqrt(total / (weight << 53)))
 
 
 @dataclass
@@ -622,7 +763,7 @@ class _Growth:
         self.at_bound = {}
         self.carry = -np.inf
 
-    def add(self, n, values):
+    def add(self, n, picks, values):
         grown = n**self.s * values
         start, stop = int(n[0]) - 1, int(n[-1])
         for b in self.bounds:
@@ -669,10 +810,11 @@ def slow_decay_report(t: SlowDecayTrace, s: float) -> SlowDecayReport:
 
     ``certificate`` is verify_margins(t), bit for bit; ``infinitude`` is the
     InfinitudeReport at exponent s, which must exceed r (checked, with
-    check_growth_exponent, before any per-term work); ``export_norm`` is
-    xnorm(trace_to_xsequence(t)), bit for bit, without the whole exported
-    sequence in memory.  Each block of the trace's values is built once and
-    fed to all three.
+    check_growth_exponent, before any per-term work); ``export_norm`` is the
+    norm of trace_to_xsequence(t) from exact sums, without the whole
+    exported sequence in memory (xnorm, whose sums are long double, agrees
+    to 2 ulp).  Each block of the trace's values is built once and fed to
+    all three.
     """
     return SlowDecayReport(*_report_pass(t, _Certificate(t.beta), _Growth(t, s), _ExportNorm()))
 
@@ -770,7 +912,7 @@ def trace_csv(t: SlowDecayTrace):
     column.
     """
     for n, flags in t._steps():
-        values = _values_block(t.r, n, flags)
+        values = _values_block(t.r, n, np.flatnonzero(flags))
         if n[0] == 1:
             yield f"index,value,choice\n0,{float(values[0])!r}{_CHOICE_CELLS[flags[0]]}"
         yield from _floattext.table(range(int(n[0]), int(n[-1]) + 1), ",", values,

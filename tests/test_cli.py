@@ -24,7 +24,7 @@ from hardyhilbert.seqspace import (
     xnorm,
 )
 from conftest import csv_table, fresh_python, strict_json
-from test_seqspace import exported_values, full_margin_certificate, loop_slow_decay
+from test_seqspace import exact_export_norm, exact_margins, loop_slow_decay
 
 
 @pytest.fixture
@@ -270,8 +270,8 @@ class TestSlowdecay:
                                     "--n", str(n)])
         assert code == 0
         payload = json.loads(out)
-        assert payload["export_norm"] == xnorm(XSequence(exported_values(want.values)))
-        ok, min_margin, argmin_index = full_margin_certificate(want.values, beta)
+        assert payload["export_norm"] == exact_export_norm(want.values)
+        ok, min_margin, argmin_index = exact_margins(want.values, beta)
         assert payload["certificate"] == {"ok": ok, "min_margin": min_margin,
                                           "argmin_index": argmin_index}
 
@@ -578,7 +578,9 @@ def carleson_payload(c, depth, centers):
         "bound_2k": report.bound_2k, "pass": report.passes_2k,
         "eta_estimate": report.eta_estimate, "xnorm_sq": report.xnorm_sq,
         "finding": report.finding, "bounded": sweep_is_bounded(report),
-        "params": {"arcs": len(report.lengths)},
+        "params": {"arcs": len(report.lengths),
+                   "normalization": "an arc of normalized length L spans 2*pi*L radians, "
+                                    "its box has depth L, and its ratio is box_integral / L"},
     }
 
 

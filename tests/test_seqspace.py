@@ -1,4 +1,6 @@
 import warnings
+from fractions import Fraction
+from itertools import accumulate
 from types import SimpleNamespace
 
 import numpy as np
@@ -79,6 +81,32 @@ def assert_same_trace(got, want):
 def exported_values(values):
     """The exported sequence c_0 := c_1, c_1, ..., c_N of whole trace values."""
     return np.concatenate(([values[0]], values))
+
+
+def exact_margins(values, beta):
+    """Oracle: verify_margins in fractions, as (ok, min_margin, argmin_index).
+
+    The margins beta*m - sum_{k<=m} fl((k c_k)^2) of the trace values, each
+    float square summed exactly; the first smallest, rounded once.
+    """
+    k = np.arange(1.0, values.size + 1.0)
+    budget = Fraction(beta)
+    sums = accumulate(map(Fraction, np.square(k * values).tolist()))
+    margins = [budget * m - s for m, s in enumerate(sums, start=1)]
+    worst = min(range(len(margins)), key=margins.__getitem__)
+    return margins[worst] >= 0, float(margins[worst]), worst + 1
+
+
+def exact_export_norm(values):
+    """Oracle: the export norm of trace values in fractions.
+
+    The largest prefix ratio of the exported sequence, its float squares
+    fl(((k+1) c_k)^2) summed exactly, rounded once; then its square root.
+    """
+    exported = exported_values(values)
+    k = np.arange(1.0, exported.size + 1.0)
+    sums = accumulate(map(Fraction, np.square(k * exported).tolist()))
+    return float(np.sqrt(float(max(s / m for m, s in enumerate(sums, start=1)))))
 
 
 def brute_xnorm(values):
@@ -282,10 +310,12 @@ class TestSlowDecay:
         (0.6, 1.5, 1), (0.6, 1.5, 2), (0.6, 1.5, 10**5), (0.75, 2.0, 10**5),
         (0.9, 1.2, 10**5), (1.0, 1.01, 10**5)])
     def test_streamed_export_norm_is_bit_identical(self, r, beta, N):
+        # bit for bit the exact norm; XSequence's long-double sums within 2 ulp
         want = loop_slow_decay(r, beta, N)
         norm = slow_decay_report(slow_decay_sequence(r, beta, N), r + 0.1).export_norm
-        assert norm == xnorm(XSequence(exported_values(want.values)))
-        assert norm == xnorm(trace_to_xsequence(slow_decay_sequence(r, beta, N)))
+        assert norm == exact_export_norm(want.values)
+        long_double = xnorm(trace_to_xsequence(slow_decay_sequence(r, beta, N)))
+        assert abs(norm - long_double) <= 2 * np.spacing(norm)
 
 
 class TestGeneratorMatchesLoop:
@@ -432,10 +462,9 @@ class TestSmallWindows:
         assert all(len(b) == min(64, N - 64 * j) for j, b in enumerate(t.values()))
         exported = exported_values(want.values)
         full = slow_decay_report(t, r + 0.05)
-        assert full.export_norm == xnorm(XSequence(exported))
+        assert full.export_norm == exact_export_norm(want.values)
         cert = verify_margins(t)
-        assert (cert.ok, cert.min_margin, cert.argmin_index) == \
-            full_margin_certificate(want.values, beta)
+        assert (cert.ok, cert.min_margin, cert.argmin_index) == exact_margins(want.values, beta)
         rep = full.infinitude
         positions = np.flatnonzero(want.choice) + 1
         assert rep.power_count == positions.size
@@ -447,27 +476,29 @@ class TestSmallWindows:
         assert "".join(chunks) == "index,value,choice\n" + "".join(rows)
 
 
-# Fields of slow_decay_report at N = 10^6, s = r + 0.1, as separate passes
-# for the certificate, the export norm and the growth record computed them:
-# (argmin_index, min_margin, export_norm, power_count).
+# Fields of slow_decay_report at N = 10^6, s = r + 0.1:
+# (argmin_index, min_margin, export_norm, power_count).  The certificates
+# and norms are those of exact_margins and exact_export_norm (about 15 s
+# each in fractions, too long for the suite); every ok is True.
 MILLION_TERM_REPORTS = {
-    (0.6, 1.5): (17189, 0.0016440972545304078, 1.7240917932670676, 33),
-    (0.75, 2.0): (517071, 0.0007325348900621975, 1.7462754194954004, 2011),
-    (0.9, 1.2): (571664, 7.6271110742709425e-06, 1.5900284377690994, 17244),
+    (0.6, 1.5): (17189, 0.0016440972549884858, 1.7240917932670676, 33),
+    (0.75, 2.0): (517071, 0.0007325349072730969, 1.7462754194954004, 2011),
+    (0.9, 1.2): (571664, 7.627172438295915e-06, 1.5900284377690994, 17244),
     (1.0, 1.01): (1, 0.010000000000000009, 1.5811388300841898, 1000000),
 }
 
 
-def assert_report_matches(t, s):
-    """slow_decay_report against verify_margins and the full-array oracles."""
+def assert_report_matches(t, s, want):
+    """slow_decay_report against verify_margins, the exact oracles'
+    (ok, min_margin, argmin_index, export_norm) ``want`` and the full-array
+    growth oracles."""
     full = slow_decay_report(t, s)
     assert full.certificate == verify_margins(t)
-    assert full.export_norm == xnorm(trace_to_xsequence(t))
-    values = whole(t.values())
     cert = full.certificate
-    assert (cert.ok, cert.min_margin, cert.argmin_index) == \
-        full_margin_certificate(values, t.beta)
-    assert full.export_norm == xnorm(XSequence(exported_values(values)))
+    assert (cert.ok, cert.min_margin, cert.argmin_index, full.export_norm) == want
+    long_double = xnorm(trace_to_xsequence(t))
+    assert abs(full.export_norm - long_double) <= 2 * np.spacing(long_double)
+    values = whole(t.values())
     running = np.maximum.accumulate(np.arange(1.0, t.N + 1.0) ** s * values)
     assert [d.running_max for d in full.infinitude.decades] == \
         [float(running[d.bound - 1]) for d in full.infinitude.decades]
@@ -482,17 +513,19 @@ class TestSlowDecayReport:
 
     @pytest.mark.parametrize("r, beta", sorted(MILLION_TERM_REPORTS))
     def test_million_terms(self, r, beta):
-        full = assert_report_matches(slow_decay_sequence(r, beta, 10**6), r + 0.1)
-        cert = full.certificate
-        assert (cert.argmin_index, cert.min_margin, full.export_norm,
-                full.infinitude.power_count) == MILLION_TERM_REPORTS[r, beta]
+        argmin, min_margin, norm, power_count = MILLION_TERM_REPORTS[r, beta]
+        full = assert_report_matches(slow_decay_sequence(r, beta, 10**6), r + 0.1,
+                                     (True, min_margin, argmin, norm))
+        assert full.infinitude.power_count == power_count
 
     @pytest.mark.parametrize("r, beta", sorted(MILLION_TERM_REPORTS))
     def test_small_blocks(self, monkeypatch, r, beta):
         monkeypatch.setattr(seqspace, "_BLOCK", 64)
         t = slow_decay_sequence(r, beta, 20000)
         assert len(list(t.values())) == 20000 // 64 + 1
-        assert_report_matches(t, r + 0.05)
+        values = whole(t.values())
+        assert_report_matches(t, r + 0.05,
+                              exact_margins(values, beta) + (exact_export_norm(values),))
 
     def test_s_checked_before_any_work(self, monkeypatch):
         t = slow_decay_sequence(0.6, 1.5, 100)
@@ -506,7 +539,7 @@ class TestVerifyMargins:
         for r, beta in ((0.5, 1.3), (0.9, 2.5)):
             cert = verify_margins(slow_decay_sequence(r, beta, 1000))
             assert cert.ok
-            assert cert.min_margin >= -1e-12
+            assert cert.min_margin >= 0.0
 
     def test_gross_violation_detected(self):
         # all power picks at r = 1/2: k^2 c_k^2 = k, so the sum m(m+1)/2
@@ -539,7 +572,7 @@ class TestVerifyMargins:
         assert np.allclose(whole(t.margins()), 1.2 * k - sums, rtol=1e-15, atol=0.0)
         cert = verify_margins(t)
         assert (cert.ok, cert.min_margin, cert.argmin_index) == \
-            full_margin_certificate(whole(t.values()), t.beta)
+            exact_margins(whole(t.values()), t.beta)
         assert not cert.ok and cert.argmin_index == N   # the last run outgrows the budget
 
     @pytest.mark.parametrize("starts, flags, N", [
@@ -557,6 +590,16 @@ class TestVerifyMargins:
     def test_bad_runs_rejected(self, starts, flags, N):
         with pytest.raises(ValueError, match="run"):
             SlowDecayTrace(r=0.5, beta=1.5, N=N, starts=starts, flags=flags)
+
+    @pytest.mark.parametrize("r, beta, match", [
+        (3.0, 1.5, "r must lie in"), (0.4, 1.5, "r must lie in"), (np.nan, 1.5, "r must lie in"),
+        (0.6, 0.2, "beta must exceed 1"), (0.6, 1.0, "beta must exceed 1"),
+        (0.6, np.inf, "beta must be finite"),
+    ])
+    def test_bad_parameters_rejected(self, r, beta, match):
+        # the exact passes need beta > 1 and squares of at least 1/2 (r in [1/2, 1])
+        with pytest.raises(ValueError, match=match):
+            SlowDecayTrace(r=r, beta=beta, N=5, starts=[1, 3], flags=[1, 0])
 
 
 class TestInfinitudeReport:
@@ -699,23 +742,6 @@ def full_prefix_sums(values):
     return k1, np.cumsum(((k1 * values) ** 2).astype(np.longdouble))
 
 
-def full_margin_certificate(values, beta, rel_tol=1e-13):
-    """Oracle: verify_margins over whole arrays, as (ok, min_margin, argmin_index)."""
-    k1, sums = full_prefix_sums(values)
-    margins = (beta * k1 - sums).astype(float)
-    worst = int(np.argmin(margins))
-    ok = bool(np.all(margins >= -rel_tol * np.maximum(1.0, beta * k1)))
-    return ok, float(margins[worst]), worst + 1
-
-
-def hand_trace(values, beta):
-    """Any values as verify_margins reads a trace: ``beta`` and the blocks of
-    steps n and values of ``_value_blocks()``."""
-    values = np.asarray(values, dtype=float)
-    return SimpleNamespace(beta=beta, whole=values, _value_blocks=lambda: (
-        (np.arange(a + 1.0, b + 1.0), values[a:b]) for a, b in seqspace._blocks(values.size)))
-
-
 SMALL_BLOCK = 5
 BLOCK_LENGTHS = [1, SMALL_BLOCK - 1, SMALL_BLOCK, SMALL_BLOCK + 1, 3 * SMALL_BLOCK + 7]
 
@@ -739,28 +765,35 @@ class TestBlockBoundaries:
 
     @pytest.mark.parametrize("N", BLOCK_LENGTHS)
     def test_margins_match(self, N):
+        # a generated trace and hand-made runs; at r = 1/2 a power pick adds
+        # about k to the sum, so every step a power pick overruns the budget
+        # from step 2 on, and the worst margin is in the last block
         rng = np.random.default_rng(N)
-        k = np.arange(1, N + 1)
-        generated = slow_decay_sequence(0.6, 1.5, N)
-        traces = [hand_trace(whole(generated.values()), 1.5),
-                  hand_trace(rng.uniform(0.0, 0.6, N) / k, 0.2),
-                  # (k c_k)^2 averages 0.25 > beta: the worst margin is in the last block
-                  hand_trace(rng.uniform(0.3, 0.7, N) / k, 0.2)]
+        starts = np.unique(np.concatenate(([1], rng.integers(2, N + 2, 4))))
+        starts = starts[starts <= N]
+        traces = [slow_decay_sequence(0.6, 1.5, N),
+                  SlowDecayTrace(r=0.5, beta=1.05, N=N, starts=starts,
+                                 flags=rng.integers(0, 2, starts.size)),
+                  SlowDecayTrace(r=0.97, beta=1.3, N=N, starts=starts,
+                                 flags=np.arange(starts.size) % 2),
+                  SlowDecayTrace(r=0.5, beta=1.5, N=N, starts=[1], flags=[1])]
         for t in traces:
+            values = whole(t.values())
             cert = verify_margins(t)
-            assert (cert.ok, cert.min_margin, cert.argmin_index) == \
-                full_margin_certificate(t.whole, t.beta)
-        assert verify_margins(generated) == verify_margins(traces[0])
+            assert (cert.ok, cert.min_margin, cert.argmin_index) == exact_margins(values, t.beta)
+            assert slow_decay_report(t, t.r + 0.1).export_norm == exact_export_norm(values)
+        assert verify_margins(traces[-1]).argmin_index == N
 
     def test_tie_across_blocks_resolves_to_first(self):
-        # beta = 6: the 16 at k = 2 and the 36 at k = 8 leave the margin -4
-        # at both, exactly; k = 2 is in the first block of 5, k = 8 in the second
-        values = np.zeros(3 * SMALL_BLOCK + 7)
-        values[1], values[7] = 2.0, 0.75
-        t = hand_trace(values, 6.0)
+        # beta = 2, r = 1/2: the power picks at k = 1 and k = 16 add 1 and
+        # (16 * 16**-0.5)**2 = 16 exactly, and k*fl(1/k) = 1 for k = 2..15,
+        # so the margin is 1 at both, exactly, and above 1 everywhere else;
+        # k = 1 is in the first block of 5, k = 16 in the fourth
+        t = SlowDecayTrace(r=0.5, beta=2.0, N=3 * SMALL_BLOCK + 7, starts=[1, 2, 16, 17],
+                           flags=[1, 0, 1, 0])
         cert = verify_margins(t)
-        assert (cert.ok, cert.min_margin, cert.argmin_index) == (False, -4.0, 2)
-        assert full_margin_certificate(values, 6.0) == (False, -4.0, 2)
+        assert (cert.ok, cert.min_margin, cert.argmin_index) == (True, 1.0, 1)
+        assert exact_margins(whole(t.values()), 2.0) == (True, 1.0, 1)
 
     @pytest.mark.parametrize("N", BLOCK_LENGTHS + [123, 12345])
     def test_infinitude_decades_match(self, N):
@@ -783,15 +816,6 @@ class TestBlockBoundaries:
         values[-1] = bad
         with pytest.raises(ValueError, match="finite"):
             XSequence(values)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)   # the overflow, as before
-            cert = verify_margins(hand_trace(values, 1.5))
-        assert not cert.ok
-        assert cert.argmin_index == N
-        if np.isnan(bad):
-            assert np.isnan(cert.min_margin)
-        else:
-            assert cert.min_margin == -np.inf
 
     @pytest.mark.parametrize("N", BLOCK_LENGTHS)
     def test_trace_csv_chunks_join_to_the_text(self, N):
@@ -803,3 +827,46 @@ class TestBlockBoundaries:
         chunks = list(trace_csv(t))
         assert len(chunks) == 1 + -(-N // SMALL_BLOCK)
         assert "".join(chunks) == "index,value,choice\n" + "".join(rows)
+
+
+def _oracle_cases():
+    """48 seeded (r, beta, N) with N <= 3000: every eighth at r = 1 and
+    every eighth from r in [0.95, 1), where runs are a few steps long."""
+    rng = np.random.default_rng(20261021)
+    for i in range(48):
+        r = 1.0 if i % 8 == 0 else float(rng.uniform(0.95 if i % 8 == 1 else 0.5, 1.0))
+        beta = 1.0 + float(10 ** rng.uniform(-6.0, 0.5))
+        yield r, beta, int(rng.integers(1, 3001))
+
+
+class TestExactOracle:
+    """The certificate and the export norm against fractions, bit for bit."""
+
+    @pytest.mark.parametrize("r, beta, N", list(_oracle_cases()))
+    def test_matches_fractions(self, monkeypatch, r, beta, N):
+        t = slow_decay_sequence(r, beta, N)
+        values = whole(t.values())
+        want = exact_margins(values, beta) + (exact_export_norm(values),)
+        for block in (5, 64, 997, 2**16):
+            monkeypatch.setattr(seqspace, "_BLOCK", block)
+            full = slow_decay_report(t, r + 0.05)
+            cert = full.certificate
+            assert (cert.ok, cert.min_margin, cert.argmin_index, full.export_norm) == want
+            assert verify_margins(t) == cert
+
+    def test_float64_prefix_sum_is_caught(self, monkeypatch):
+        # the pass with the settled sums read from a float64 running sum of
+        # its columns, as a plain prefix sum would give them
+        class Float64Sums(seqspace._BlockSums):
+            def exact(self, anchors):
+                h, m, f = self.limbs
+                sums = np.cumsum(h + (m + f) * 2.0**-26)
+                return [int(sums[j] * 2.0**53) for j in anchors]
+
+        t = slow_decay_sequence(0.9, 1.2, 3000)
+        want = exact_margins(whole(t.values()), 1.2)
+        cert = verify_margins(t)
+        assert (cert.ok, cert.min_margin, cert.argmin_index) == want
+        monkeypatch.setattr(seqspace, "_BlockSums", Float64Sums)
+        cert = verify_margins(t)
+        assert (cert.ok, cert.min_margin, cert.argmin_index) != want
