@@ -26,6 +26,7 @@ compiles and runs only the engines its subcommand needs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -189,19 +190,13 @@ def _cmd_slowdecay(args) -> int:
         _emit(args, seqspace.trace_csv(trace))
     else:
         full = seqspace.slow_decay_report(trace, s)
-        cert, report = full.certificate, full.infinitude
+        cert = full.certificate
+        infinitude = dataclasses.asdict(full.infinitude)
+        del infinitude["s"]   # params echoes it
         _emit_json(args, {
             "params": {"r": args.r, "beta": args.beta, "n": args.n, "s": s},
-            "certificate": {"ok": cert.ok, "min_margin": cert.min_margin,
-                            "argmin_index": cert.argmin_index},
-            "infinitude": {
-                "power_count": report.power_count,
-                "largest_power_index": report.largest_power_index,
-                "decades": [{"bound": d.bound, "running_max": d.running_max,
-                             "contains_power": d.contains_power} for d in report.decades],
-                "increasing_over_power_decades": report.increasing_over_power_decades,
-                "strictly_growing": report.strictly_growing,
-            },
+            "certificate": dataclasses.asdict(cert),
+            "infinitude": infinitude,
             "export_norm": full.export_norm,
         })
     return 0 if cert.ok else 1
@@ -438,6 +433,13 @@ def _convergence_error() -> type:
 
 
 def console_main() -> None:
+    """The ``hardyhilbert`` script: main() with the default SIGPIPE action, so
+    a reader that closes the pipe early (``| head``) ends the command
+    quietly, as it does a C tool, in place of an error line and exit 2."""
+    import signal
+
+    if hasattr(signal, "SIGPIPE"):   # not on Windows
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

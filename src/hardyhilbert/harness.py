@@ -187,8 +187,6 @@ def _slow_decay_certificate(rng, case):
     beta = float(rng.uniform(1.05, 3.0))
     N = int(rng.integers(50, 3001))
     t = seqspace.slow_decay_sequence(r, beta, N)
-    lowest = float(np.min([m.min() for m in t.margins()]))
-    m_nonneg = 0.0 if lowest >= 0.0 else -lowest
     full = seqspace.slow_decay_report(t, s=r + float(rng.uniform(0.01, 0.15)))
     cert, rep = full.certificate, full.infinitude
     m_cert = 0.0 if cert.ok else max(1e-300, -cert.min_margin)
@@ -206,7 +204,7 @@ def _slow_decay_certificate(rng, case):
                 for d1, d2 in zip(rep.decades, rep.decades[1:]))
     )
     m_report = 0.0 if consistent else 1.0
-    return (m_nonneg, m_cert, m_rule, m_bound, m_report), dict(r=r, beta=beta, N=N)
+    return (m_cert, m_rule, m_bound, m_report), dict(r=r, beta=beta, N=N)
 
 
 def _pairing_phase_identity(rng, case):
@@ -227,8 +225,9 @@ def _hardy_degree_bound(rng, case):
     f = sample_polynomial(rng, int(rng.integers(1, MAX_POLY_DEGREE + 1)))
     c = sample_xsequence(rng, 2 * f.degree + 1)
     check = inequalities.hardy_degree_bound_check(f, c)
-    margin = 0.0 if check.skipped else (check.lhs - check.rhs) / max(check.rhs, 1e-300)
-    return margin, dict(f=f, c=c, lhs=check.lhs, rhs=check.rhs)
+    # a skipped check is no pass: NaN fails the case, as hardy-check exits 3
+    margin = math.nan if check.skipped else (check.lhs - check.rhs) / max(check.rhs, 1e-300)
+    return margin, dict(f=f, c=c, lhs=check.lhs, rhs=check.rhs, reason=check.reason)
 
 
 def _factorization_contract(rng, case):

@@ -16,10 +16,10 @@ power choice (the affordability test is a plain <=).
 
 The choices come in runs, and a trace is stored as its runs: the first
 step of each run and its choice (64, 4010 and 34482 runs at 10^6 terms for
-(r, beta) = (0.6, 1.5), (0.75, 2.0) and (0.9, 1.2)).  Values, choice flags
-and budget margins are rebuilt from the runs in blocks of _BLOCK steps
-whenever they are read, bit for bit what a plain loop computes, so no
-full-length array is kept at any length.
+(r, beta) = (0.6, 1.5), (0.75, 2.0) and (0.9, 1.2)).  Values and choice
+flags are rebuilt from the runs in blocks of _BLOCK steps whenever they are
+read, bit for bit what a plain loop computes, so no full-length array is
+kept at any length.
 
 The generator skips long runs while reproducing the step-by-step rule bit
 for bit.  A harmonic step adds (n*(1/n))**2, which is exactly 1 or
@@ -53,24 +53,24 @@ rounds exactly as the scalar `s += t` does, and the run ends at the first
 sum above beta*n.  A run is skipped once it is forecast to last, or has
 lasted, _LONG_RUN steps; shorter runs (about ten steps at r = 0.95,
 beta = 1.3) are taken one scalar step at a time, which is cheaper than a
-numpy call or the closed form.  Values and margins at power picks use
-scalar **, since np.power differs from it in the last ulp for about one n
-in twenty.
+numpy call or the closed form.  Values at power picks use scalar **,
+since np.power differs from it in the last ulp for about one n in twenty.
 
 The long per-term passes (XSequence's weighted prefix sums, the trace's
-budget margins, running maxima of n^s c_n, the trace CSV) run in blocks of
-_BLOCK terms, so their temporaries take O(_BLOCK) memory at any length.  A
-block's running sums start from the last sum of the block before, and
-np.add.accumulate adds strictly in order, so they are bit for bit those of
-one pass over the whole sequence.  The margin certificate, the running
-maxima and the exported norm are block passes over the trace's values:
-slow_decay_report builds each block of values once and feeds it to all
-three.  The certificate and the export norm sum the float squares exactly,
-with no running sum per step: a stretch of harmonic steps adds as a whole,
-from its values' bit patterns, the power picks add one by one in
-whole-number limbs, and Python ints carry the sums from block to block.
-So their margins and ratios are exact, and no tolerance and no extended
-precision enter them.
+margin certificate, running maxima of n^s c_n and export norm, the trace
+CSV) run in blocks of _BLOCK terms, so their temporaries take O(_BLOCK)
+memory at any length.  A block's running sums start from the last sum of
+the block before, and np.add.accumulate adds strictly in order, so they are
+bit for bit those of one pass over the whole sequence.  A trace's values
+come from one walk, SlowDecayTrace._value_blocks, which builds each block
+once: slow_decay_report feeds it to the certificate, the running maxima and
+the export norm, and trace_csv writes it.  The certificate and the export
+norm sum the float squares exactly, with no running sum per step: a
+stretch of harmonic steps adds as a whole, from its values' bit patterns,
+the power picks add one by one in whole-number limbs, and Python ints
+carry the sums from block to block.  So their margins and ratios are
+exact, and no tolerance and no extended precision enter them.  The
+certificate, verify_margins, is a trace's one budget margin.
 """
 
 from __future__ import annotations
@@ -101,8 +101,8 @@ _CHOICE_CELLS = (f",{HARMONIC}\n", f",{POWER}\n")
 # steps it saves (of 24, 32, 48, 64 and 96, 32 was fastest at r = 0.9,
 # beta = 1.2).
 _LONG_RUN = 32
-# A harmonic step adds 1 or 1 - 2**-52 (_harmonic_increments); to a sum from
-# 4 up to 2**52 both add exactly 1, up to the next power of two.
+# A harmonic step adds (n*(1/n))**2, 1 or 1 - 2**-52; to a sum from 4 up to
+# 2**52 both add exactly 1, up to the next power of two.
 _EXACT_FROM = 4.0
 # A step whose exact slack beta*n - S - n**expo is below -_SLACK*beta*n
 # fails the scalar rule: the rounding of beta*n, of n**expo (within an ulp)
@@ -202,11 +202,10 @@ class SlowDecayTrace:
     last run), all with choice ``flags[j]``; ``starts[0]`` is 1.  The trace
     holds one start and one flag per run and nothing per step.
 
-    ``values()``, ``choice()`` and ``margins()`` yield c_n, the flags
-    (uint8) and the budget slack beta*n - sum_{k<=n} k^2 c_k^2 in blocks of
-    _BLOCK steps, rebuilt from the runs on each call.  The margins repeat
-    the generator's float operations, so a generated trace has margins >= 0
-    bit for bit.
+    ``values()`` and ``choice()`` yield c_n and the flags (uint8) in blocks
+    of _BLOCK steps, rebuilt from the runs on each call.  The budget slack
+    beta*n - sum_{k<=n} k^2 c_k^2 has one route, verify_margins, which sums
+    the float squares exactly.
     """
 
     r: float
@@ -242,60 +241,28 @@ class SlowDecayTrace:
             yield flags
 
     def _value_blocks(self):
-        """(n, picks, c_n) block by block: the steps n as float64, the
-        positions of the power picks among them and the values."""
+        """(n, flags, picks, c_n) block by block: the steps n as float64,
+        their choice flags, the positions of the power picks among them and
+        the values.  The one walk that builds a trace's values."""
         for n, flags in self._steps():
             picks = np.flatnonzero(flags)
-            yield n, picks, _values_block(self.r, n, picks)
+            yield n, flags, picks, _values_block(self.r, n, picks)
 
     def values(self):
         """c_1..c_N, block by block: 1/n, or scalar n ** -r at the power picks."""
-        return (values for _, _, values in self._value_blocks())
-
-    def margins(self):
-        """beta*n - sum_{k<=n} k^2 c_k^2 for n = 1..N, block by block.
-
-        The increments are those the generator adds, summed by one
-        np.add.accumulate per block from the float64 sum carried over.
-        """
-        expo = 2.0 - 2.0 * self.r
-        carry = 0.0
-        for n, flags in self._steps():
-            sums = _harmonic_increments(n)
-            picks = np.flatnonzero(flags)
-            sums[picks] = _scalar_powers(n, picks, expo)
-            sums[0] += carry
-            np.add.accumulate(sums, out=sums)
-            carry = float(sums[-1])
-            n *= self.beta
-            yield np.subtract(n, sums, out=n)
-
-
-def _scalar_powers(n: np.ndarray, picks: np.ndarray, expo: float) -> np.ndarray:
-    """n ** expo at the positions ``picks`` of the steps n, computed with
-    scalar ** (np.power can differ in the last ulp).
-
-    math.pow is the C pow that a float's ** calls for a positive finite
-    base, with less call overhead.
-    """
-    return np.fromiter(map(math.pow, n[picks].tolist(), repeat(expo)), float, picks.size)
+        return (values for *_, values in self._value_blocks())
 
 
 def _values_block(r: float, n: np.ndarray, picks: np.ndarray) -> np.ndarray:
-    """c_n for the steps n: 1/n, or n ** -r at the power picks' positions."""
-    out = np.divide(1.0, n)
-    out[picks] = _scalar_powers(n, picks, -r)
-    return out
+    """c_n for the steps n: 1/n, or n ** -r at the power picks' positions.
 
-
-def _harmonic_increments(n: np.ndarray) -> np.ndarray:
-    """The harmonic steps' increments (n*(1/n))**2, as the scalar rule computes them.
-
-    n*(1/n) is 1 or 1 - 2**-53, and numpy squares both as scalar ** does.
+    The powers are scalar ** (np.power can differ in the last ulp):
+    math.pow is the C pow that a float's ** calls for a positive finite
+    base, with less call overhead.
     """
     out = np.divide(1.0, n)
-    out *= n
-    return np.square(out, out=out)
+    out[picks] = np.fromiter(map(math.pow, n[picks].tolist(), repeat(-r)), float, picks.size)
+    return out
 
 
 def _harmonic_run(i, s, N, beta, expo):
@@ -481,9 +448,10 @@ def trace_to_xsequence(t: SlowDecayTrace) -> XSequence:
 # The reports on a trace.  Each is a block pass: add(n, picks, values) takes
 # the steps n = start+1..stop (floats) of one block, in order, the positions
 # of its power picks and c_n, and result() gives the report.  _report_pass
-# takes each block of the trace's _value_blocks() once and feeds it to every
-# pass it is given, so one walk over the trace serves any subset of the
-# reports.  No pass writes to the arrays it is given.
+# takes each block of the trace's one value walk, _value_blocks(), once and
+# feeds it to every pass it is given, so one walk over the trace serves any
+# subset of the reports; trace_csv writes the blocks of the same walk.  No
+# pass writes to the arrays it is given.
 #
 # The margin certificate and the export norm sum their squares exactly:
 # x_n = fl((n c_n)^2) and y_n = fl(((n+1) c_n)^2) are at least 1/2 for
@@ -517,7 +485,7 @@ _ONE_BITS = np.float64(1.0).view(np.int64)
 
 def _report_pass(t, *passes):
     """Feed each block of steps, picks and values of ``t`` to every pass; their results."""
-    for n, picks, values in t._value_blocks():
+    for n, _, picks, values in t._value_blocks():
         for p in passes:
             p.add(n, picks, values)
     return [p.result() for p in passes]
@@ -855,13 +823,16 @@ def _read_indexed_csv(path, header: list[str], what: str) -> np.ndarray:
     time.  So a regular file is handed over by name, skipping the header,
     and anything else (a pipe, /dev/stdin) as the open file after its
     header.  numpy decompresses a name ending in one of _COMPRESSED, so
-    such a file is read line by line as the text it holds.  Bytes that are
-    not UTF-8, as in a compressed file, raise a ValueError naming the file.
+    such a file is read line by line as the text it holds.  The text is
+    UTF-8 whatever the locale, and a UTF-8 byte-order mark before the header
+    (as a spreadsheet's "CSV UTF-8" export writes) is skipped.  Bytes that
+    are not UTF-8, as in a compressed file, raise a ValueError naming the
+    file.
     """
     columns = ",".join(header)
     dtype = [("index", np.int64)] + [(name, float) for name in header[1:]]
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             if fh.readline().rstrip("\r\n").split(",")[: len(header)] != header:
                 raise ValueError(f"{what} CSV must start with header '{columns}'")
             by_name = (stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
@@ -875,7 +846,8 @@ def _read_indexed_csv(path, header: list[str], what: str) -> np.ndarray:
                     rec = np.loadtxt(os.path.abspath(path) if by_name else fh,
                                      skiprows=int(by_name), delimiter=",",
                                      usecols=range(len(header)), dtype=dtype,
-                                     comments=None, quotechar='"', ndmin=1)
+                                     comments=None, quotechar='"', ndmin=1,
+                                     encoding="utf-8")
             except UnicodeDecodeError:
                 raise   # a ValueError too: named as such below
             except ValueError as exc:
@@ -911,8 +883,7 @@ def trace_csv(t: SlowDecayTrace):
     reads the text back as the exported sequence, ignoring the choice
     column.
     """
-    for n, flags in t._steps():
-        values = _values_block(t.r, n, np.flatnonzero(flags))
+    for n, flags, _, values in t._value_blocks():
         if n[0] == 1:
             yield f"index,value,choice\n0,{float(values[0])!r}{_CHOICE_CELLS[flags[0]]}"
         yield from _floattext.table(range(int(n[0]), int(n[-1]) + 1), ",", values,

@@ -49,10 +49,16 @@ def fresh_python(*args, cwd=None, input=None, timeout=300.0, **env) -> Run:
     """``python *args`` in a fresh interpreter that imports the package from
     SRC, with ``env`` added to its environment and ``input`` (bytes) piped
     to its stdin."""
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, *args], cwd=cwd, input=input, capture_output=True,
-                          timeout=timeout, env=dict(os.environ, PYTHONPATH=path, **env))
+                          timeout=timeout, env=fresh_env(**env))
     return Run(proc.returncode, proc.stdout, proc.stderr)
+
+
+def fresh_env(**env) -> dict:
+    """The environment of a fresh interpreter that imports the package from
+    SRC, with ``env`` added."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **env)
 
 
 # The CLI on the arguments after the first, which names the file that then

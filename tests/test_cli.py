@@ -2,6 +2,9 @@ import argparse
 import gzip
 import json
 import os
+import signal
+import subprocess
+import sys
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -23,7 +26,7 @@ from hardyhilbert.seqspace import (
     write_sequence_csv,
     xnorm,
 )
-from conftest import csv_table, fresh_python, strict_json
+from conftest import csv_table, fresh_env, fresh_python, strict_json
 from test_seqspace import exact_export_norm, exact_margins, loop_slow_decay
 
 
@@ -155,6 +158,45 @@ class TestPipeInput:
             piped = run_piped(path.read_bytes(), ["xnorm"])
             assert piped == run(capsys, ["xnorm", str(path)]), kind
             assert piped[0] == 2
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+class TestByteOrderMark:
+    """An input CSV that starts with a UTF-8 byte-order mark, as a
+    spreadsheet's "CSV UTF-8" export writes, reads as the same file without
+    it, by name and through a pipe, for both readers."""
+
+    @pytest.mark.parametrize("argv, text", [
+        (["xnorm", "--format", "csv"], b"index,value\n0,1.0\n1,0.5\n2,0.25\n"),
+        (["hardy-check"], b"index,re,im\n0,1.0,0.0\n1,1.0,0.0\n2,0.25,0.0\n"),
+    ], ids=["sequence", "polynomial"])
+    def test_read_as_without(self, capsys, tmp_path, argv, text):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text)
+        want = run(capsys, [argv[0], str(plain), *argv[1:]])
+        assert want[0] == 0, want
+        assert run(capsys, [argv[0], str(marked), *argv[1:]]) == want
+        assert run_piped(b"\xef\xbb\xbf" + text, argv) == want
+        assert run_piped(text, argv) == want
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="needs SIGPIPE")
+def test_closed_pipe_ends_quietly():
+    """The script, its reader gone after two lines (``| head -2``), ends by
+    SIGPIPE as a C tool does: no error line, and not the usage exit 2."""
+    proc = subprocess.Popen([sys.executable, "-m", "hardyhilbert.cli", "slowdecay", "--r", "0.6",
+                             "--beta", "1.5", "--n", "1000000", "--format", "csv"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=fresh_env())
+    head = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == -signal.SIGPIPE
+    assert head == [b"index,value,choice\n", b"0,1.0,power\n"]
+    assert err.startswith("certificate ok=True ")
+    assert "error:" not in err
 
 
 class TestBadInput:

@@ -143,7 +143,7 @@ WITNESS_KEYS = {
     "norm_scaling": {"values", "lam"},
     "slow_decay_certificate": {"r", "beta", "N"},
     "pairing_phase_identity": {"f", "c"},
-    "hardy_degree_bound": {"f", "c", "lhs", "rhs"},
+    "hardy_degree_bound": {"f", "c", "lhs", "rhs", "reason"},
     "factorization_contract": {"f", "residual", "defect"},
     "witness_closure": {"c", "N", "gap"},
     "carleson_bounded": {"c", "variant"},
@@ -163,6 +163,24 @@ class TestNanMargin:
         assert prop["worst_margin"] is None
         assert len(prop["witnesses"]) == 5
         assert all(w["lhs"] is None and isinstance(w["rhs"], float) for w in prop["witnesses"])
+
+    def test_skipped_degree_bound_fails_every_case(self, monkeypatch):
+        # an unconverged Hankel norm skips the check, which hardy-check exits 3
+        # on: the suite must not score it as a pass
+        real = inequalities.matrix_norm
+
+        def unconverged(c, N, method=inequalities.LANCZOS):
+            est = real(c, N, method)
+            est.converged = False
+            return est
+
+        monkeypatch.setattr(inequalities, "matrix_norm", unconverged)
+        report = run_suite(SMALL)
+        prop = next(p for p in report.properties if p.name == "hardy_degree_bound")
+        assert prop.failures == prop.cases == SMALL.cases["hardy_degree_bound"]
+        assert math.isnan(prop.worst_margin)
+        assert not report.passed
+        assert all(w["reason"] == "matrix norm estimate unconverged" for w in prop.witnesses)
 
     def test_report_never_writes_nan(self):
         raw = harness.PropertyResult("bridge_identity", 1, 1, 1.0, [{"lhs": float("nan")}])

@@ -28,18 +28,16 @@ def loop_slow_decay(r, beta, N):
     """Independent oracle: the slow-decay generator as a plain scalar loop.
 
     One Python iteration per term, the rule applied with scalar floats in
-    order.  slow_decay_sequence must reproduce its values, choices and
-    margins bit for bit.  Returns them as whole arrays, with the running
-    sums (``sums[i]`` after step i+1).
+    order.  slow_decay_sequence must reproduce its values and choices bit
+    for bit.  Returns them as whole arrays, with the running sums
+    (``sums[i]`` after step i+1).
     """
     values = np.empty(N)
     choice = np.empty(N, dtype=np.uint8)
-    margins = np.empty(N)
     sums = np.empty(N)
     values[0] = 1.0
     choice[0] = 1
     s = 1.0
-    margins[0] = beta - s
     sums[0] = s
     expo = 2.0 - 2.0 * r
     for i in range(1, N):
@@ -54,10 +52,8 @@ def loop_slow_decay(r, beta, N):
             values[i] = v
             choice[i] = 0
             s += (n1 * v) ** 2
-        margins[i] = beta * n1 - s
         sums[i] = s
-    return SimpleNamespace(r=r, beta=beta, values=values, choice=choice, margins=margins,
-                           sums=sums)
+    return SimpleNamespace(r=r, beta=beta, values=values, choice=choice, sums=sums)
 
 
 def whole(blocks):
@@ -72,7 +68,6 @@ def assert_same_trace(got, want):
     choice = whole(got.choice())
     assert np.array_equal(choice, want.choice)
     assert choice.dtype == want.choice.dtype
-    assert np.array_equal(whole(got.margins()), want.margins)
     # the runs are maximal: they alternate, starting with the power pick c_1 = 1
     assert got.starts.size == 1 + np.count_nonzero(want.choice[1:] != want.choice[:-1])
     assert np.array_equal(got.flags, np.arange(got.starts.size) % 2 == 0)
@@ -272,7 +267,10 @@ class TestSlowDecay:
             t = slow_decay_sequence(float(rng.uniform(0.5, 1.0)),
                                     float(rng.uniform(1.05, 3.0)),
                                     int(rng.integers(10, 2000)))
-            assert all(np.all(m >= 0.0) for m in t.margins())
+            cert = verify_margins(t)
+            assert (cert.ok, cert.min_margin, cert.argmin_index) == \
+                exact_margins(whole(t.values()), t.beta)
+            assert cert.ok and cert.min_margin >= 0.0
 
     def test_deterministic(self):
         a = slow_decay_sequence(0.7, 1.5, 500)
@@ -280,7 +278,7 @@ class TestSlowDecay:
         assert np.array_equal(a.starts, b.starts) and np.array_equal(a.flags, b.flags)
         assert np.array_equal(whole(a.values()), whole(b.values()))
         assert np.array_equal(whole(a.choice()), whole(b.choice()))
-        assert np.array_equal(whole(a.margins()), whole(b.margins()))
+        assert verify_margins(a) == verify_margins(b)
 
     def test_values_bit_replay_from_flags(self):
         # the flags alone fix the values: scalar n ** -r at power picks, else 1/n
@@ -568,9 +566,9 @@ class TestVerifyMargins:
         values = np.where(power, k ** -0.5, 1.0 / k)
         assert np.array_equal(whole(t.choice()), power)
         assert np.allclose(whole(t.values()), values, rtol=1e-15, atol=0.0)
-        sums = np.cumsum(np.where(power, k, 1.0))
-        assert np.allclose(whole(t.margins()), 1.2 * k - sums, rtol=1e-15, atol=0.0)
+        sums = np.cumsum(np.where(power, k, 1.0))   # k^2 c_k^2 is k or 1, up to rounding
         cert = verify_margins(t)
+        assert cert.min_margin == pytest.approx(float(np.min(1.2 * k - sums)), rel=1e-15, abs=0.0)
         assert (cert.ok, cert.min_margin, cert.argmin_index) == \
             exact_margins(whole(t.values()), t.beta)
         assert not cert.ok and cert.argmin_index == N   # the last run outgrows the budget
